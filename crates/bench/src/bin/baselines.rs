@@ -1,10 +1,10 @@
-//! Baseline routing comparison (ours, beyond the paper): every router in
-//! the workspace on the identical reduced-scale workload — the
-//! delivery-vs-traffic trade-off landscape the thesis surveys in §1.1/§1.2.
+//! Baseline routing comparison (ours, beyond the paper): every routing
+//! backend with the overlay off, beside the mechanism, on the identical
+//! reduced-scale workload — the delivery-vs-traffic trade-off landscape
+//! the thesis surveys in §1.1.
 //!
 //! Epidemic is the MDR ceiling and traffic worst case; Direct Delivery is
-//! the traffic floor; ChitChat and the mechanism sit in between; CEDO
-//! serves explicitly requested keywords only.
+//! the traffic floor; ChitChat and the mechanism sit in between.
 
 use dtn_bench::{figures, Cli};
 

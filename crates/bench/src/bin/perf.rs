@@ -109,7 +109,7 @@ const HUGE_SWEEP: [usize; 2] = [1, 4];
 const HUGE2_EV_FLOOR: f64 = 8_000.0;
 
 /// Ceiling on protocol state bytes per node for `perf-huge-v2`: interest
-/// + reputation table bytes (the arena gauges) divided by the node count.
+/// plus reputation table bytes (the arena gauges) divided by the node count.
 /// The measured footprint is ~13.3 kB/node — reputation gossip
 /// legitimately spreads opinion rows across a contact-diverse 250k-node
 /// population, and that gossip reach (not the slimmed row structs) is
@@ -352,7 +352,10 @@ fn bench_row(scenario: &Scenario, threads: usize, seeds: &[u64], quick: bool) ->
     // Per-node protocol table footprint from the arena gauges (end-of-run
     // values; seeds merge by max, so multi-seed rows report the widest).
     let table_bytes = report.metrics.gauge("arena.interest_bytes").unwrap_or(0.0)
-        + report.metrics.gauge("arena.reputation_bytes").unwrap_or(0.0);
+        + report
+            .metrics
+            .gauge("arena.reputation_bytes")
+            .unwrap_or(0.0);
     let bytes_per_node = table_bytes / scenario.nodes as f64;
     if bytes_per_node > 0.0 {
         println!("state: {bytes_per_node:.1} table bytes/node ({table_bytes:.0} total)");

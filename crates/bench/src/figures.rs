@@ -626,8 +626,8 @@ pub mod ablation {
 pub mod baselines {
     use super::*;
     use crate::{print_scenario_header, write_csv};
+    use dtn_workloads::prelude::{BackendKind, Overlay};
     use dtn_workloads::scenario::Arm;
-    use dtn_workloads::sweep::RouterKind;
 
     fn scenario(cli: &Cli) -> Scenario {
         let mut scenario = cli.scale.base_scenario();
@@ -635,51 +635,28 @@ pub mod baselines {
         cli.prep(scenario.named("baselines"))
     }
 
-    /// Maps a grid backend to its legacy standalone-router row. ChitChat
-    /// is covered by the two arm rows; the compile-time-exhaustive match
-    /// means a new `BackendKind` variant fails this build until the
-    /// comparison table grows with it.
-    fn router_for(kind: dtn_workloads::prelude::BackendKind) -> Option<(String, RouterKind)> {
-        use dtn_workloads::prelude::BackendKind;
-        match kind {
-            BackendKind::ChitChat => None,
-            BackendKind::Epidemic => Some(("epidemic".into(), RouterKind::Epidemic)),
-            BackendKind::DirectDelivery => Some(("direct".into(), RouterKind::DirectDelivery)),
-            BackendKind::SprayAndWait(n) => {
-                Some((format!("spray&wait({n})"), RouterKind::SprayAndWait(n)))
-            }
-            BackendKind::TwoHop => Some(("two-hop".into(), RouterKind::TwoHop)),
-            BackendKind::Prophet => Some(("prophet".into(), RouterKind::Prophet)),
-        }
-    }
-
-    /// The comparison's row order: label + cell kind, one seed each. The
-    /// router rows enumerate [`dtn_workloads::prelude::BackendKind::ALL`]
-    /// (plus CEDO, which has no backend adapter) instead of a hand-written
-    /// list, so the table cannot silently fall behind the grid.
+    /// The comparison's row order, one seed each: the mechanism, then every
+    /// backend of [`BackendKind::ALL`] with the overlay off. All rows share
+    /// the overlay-off substrate (behavior models, participation gate,
+    /// drop-oldest buffers), and the ChitChat row canonicalizes to the
+    /// paper's baseline arm.
     fn table(cli: &Cli) -> Vec<(String, Cell)> {
         let s = scenario(cli);
         let seed = cli.seeds[0];
-        let mut rows = vec![
-            (
-                "incentive".to_owned(),
-                Cell::arm(s.clone(), Arm::Incentive, seed),
-            ),
-            (
-                "chitchat".to_owned(),
-                Cell::arm(s.clone(), Arm::ChitChat, seed),
-            ),
-        ];
-        for kind in dtn_workloads::prelude::BackendKind::ALL {
-            if let Some((label, router)) = router_for(kind) {
-                rows.push((label, Cell::router(s.clone(), router, seed)));
-            }
+        let mut rows = vec![(
+            "incentive".to_owned(),
+            Cell::arm(s.clone(), Arm::Incentive, seed),
+        )];
+        for kind in BackendKind::ALL {
+            rows.push((
+                kind.tag(),
+                Cell::backend(s.clone(), kind, Overlay::Off, seed),
+            ));
         }
-        rows.push(("cedo".to_owned(), Cell::router(s, RouterKind::Cedo, seed)));
         rows
     }
 
-    /// Executor cells: both arms plus the six third-party routers.
+    /// Executor cells: the incentive arm plus every overlay-off backend.
     #[must_use]
     pub fn cells(cli: &Cli) -> Vec<Cell> {
         table(cli).into_iter().map(|(_, cell)| cell).collect()
@@ -1200,6 +1177,32 @@ mod tests {
             arm_rows,
             2 * cli.seeds.len(),
             "the ChitChat rows canonicalize to the paper arms and share their cache"
+        );
+    }
+
+    #[test]
+    fn baselines_rows_are_the_incentive_arm_then_every_backend_overlay_off() {
+        use dtn_workloads::prelude::{BackendKind, Overlay};
+        use dtn_workloads::scenario::Arm;
+        use dtn_workloads::sweep::CellKind;
+        let cli = cli();
+        let cells = baselines::cells(&cli);
+        let expected: Vec<CellKind> = std::iter::once(CellKind::Arm(Arm::Incentive))
+            .chain(BackendKind::ALL.into_iter().map(|backend| match backend {
+                BackendKind::ChitChat => CellKind::Arm(Arm::ChitChat),
+                backend => CellKind::Backend {
+                    backend,
+                    overlay: Overlay::Off,
+                },
+            }))
+            .collect();
+        let kinds: Vec<CellKind> = cells.iter().map(|c| c.kind).collect();
+        assert_eq!(kinds, expected);
+        assert!(
+            cells
+                .iter()
+                .all(|c| c.seed == cli.seeds[0] && c.scenario == cells[0].scenario),
+            "one seed, one workload"
         );
     }
 

@@ -1,6 +1,8 @@
 //! End-to-end tests of the integrated protocol on controlled topologies.
 
 use dtn_core::prelude::*;
+use dtn_routing::backend::{BackendKind, ProphetBackend, RouterBackend, SprayBackend};
+use dtn_routing::prophet::ProphetParams;
 use dtn_sim::prelude::*;
 
 fn msg(at: f64, source: u32, tags: Vec<Keyword>, expected: Vec<NodeId>) -> ScheduledMessage {
@@ -17,23 +19,237 @@ fn msg(at: f64, source: u32, tags: Vec<Keyword>, expected: Vec<NodeId>) -> Sched
     }
 }
 
-/// Two nodes in range: n0 source, n1 destination.
-fn adjacent_pair(router: DcimRouter, messages: Vec<ScheduledMessage>) -> Simulation<DcimRouter> {
-    SimulationBuilder::new(Area::new(1000.0, 1000.0), 11)
-        .node(Box::new(ScriptedWaypoints::pinned(Point::new(0.0, 0.0))))
-        .node(Box::new(ScriptedWaypoints::pinned(Point::new(50.0, 0.0))))
+/// A world of the given nodes (100 m radio range).
+fn world<B: RouterBackend>(
+    router: DcimRouter<B>,
+    nodes: Vec<ScriptedWaypoints>,
+    messages: Vec<ScheduledMessage>,
+) -> Simulation<DcimRouter<B>> {
+    nodes
+        .into_iter()
+        .fold(
+            SimulationBuilder::new(Area::new(1000.0, 1000.0), 11),
+            |builder, node| builder.node(Box::new(node)),
+        )
         .messages(messages)
         .build(router)
 }
 
+/// Nodes pinned on the x axis at `xs`.
+fn line(xs: &[f64]) -> Vec<ScriptedWaypoints> {
+    xs.iter()
+        .map(|&x| ScriptedWaypoints::pinned(Point::new(x, 0.0)))
+        .collect()
+}
+
+/// Two nodes in range: n0 source, n1 destination.
+fn adjacent_pair<B: RouterBackend>(
+    router: DcimRouter<B>,
+    messages: Vec<ScheduledMessage>,
+) -> Simulation<DcimRouter<B>> {
+    world(router, line(&[0.0, 50.0]), messages)
+}
+
 /// n0 — n1 — n2 chain (90 m spacing, 100 m range).
-fn chain(router: DcimRouter, messages: Vec<ScheduledMessage>) -> Simulation<DcimRouter> {
-    SimulationBuilder::new(Area::new(1000.0, 1000.0), 11)
-        .node(Box::new(ScriptedWaypoints::pinned(Point::new(0.0, 0.0))))
-        .node(Box::new(ScriptedWaypoints::pinned(Point::new(90.0, 0.0))))
-        .node(Box::new(ScriptedWaypoints::pinned(Point::new(180.0, 0.0))))
-        .messages(messages)
-        .build(router)
+fn chain<B: RouterBackend>(
+    router: DcimRouter<B>,
+    messages: Vec<ScheduledMessage>,
+) -> Simulation<DcimRouter<B>> {
+    world(router, line(&[0.0, 90.0, 180.0]), messages)
+}
+
+/// n0 — n1 — n2 — n3 chain: three hops from end to end.
+fn long_chain<B: RouterBackend>(
+    router: DcimRouter<B>,
+    messages: Vec<ScheduledMessage>,
+) -> Simulation<DcimRouter<B>> {
+    world(router, line(&[0.0, 90.0, 180.0, 270.0]), messages)
+}
+
+/// n0 — n1 in range, the destination n2 far from both.
+fn stranded<B: RouterBackend>(
+    router: DcimRouter<B>,
+    messages: Vec<ScheduledMessage>,
+) -> Simulation<DcimRouter<B>> {
+    world(router, line(&[0.0, 50.0, 800.0]), messages)
+}
+
+/// Pinned n0 and n2 out of each other's range, with n1 shuttling: it
+/// meets n2 first, then n0, then n2 again.
+fn shuttle<B: RouterBackend>(
+    router: DcimRouter<B>,
+    messages: Vec<ScheduledMessage>,
+) -> Simulation<DcimRouter<B>> {
+    let shuttle = ScriptedWaypoints::new(vec![
+        (0.0, Point::new(180.0, 0.0)),
+        (200.0, Point::new(180.0, 0.0)),
+        (300.0, Point::new(20.0, 0.0)),
+        (500.0, Point::new(20.0, 0.0)),
+        (600.0, Point::new(180.0, 0.0)),
+        (900.0, Point::new(180.0, 0.0)),
+    ]);
+    let nodes = vec![
+        ScriptedWaypoints::pinned(Point::new(0.0, 0.0)),
+        shuttle,
+        ScriptedWaypoints::pinned(Point::new(180.0, 0.0)),
+    ];
+    world(router, nodes, messages)
+}
+
+/// The overlay over a backend chosen at run time.
+type AnyRouter = DcimRouter<Box<dyn RouterBackend>>;
+
+/// The overlay-off router over `backend`, with `destination` subscribed
+/// to keyword 1.
+fn overlay_off<B: RouterBackend>(backend: B, destination: u32) -> DcimRouter<B> {
+    let mut router = DcimRouter::with_backend(backend, ProtocolParams::chitchat_baseline(), 1);
+    router.subscribe(NodeId(destination), [Keyword(1)]);
+    router
+}
+
+/// One row of the per-behaviour table: the overlay-off router over
+/// `backend` on a topology, n0 creating a message for `destination` at
+/// `created_at`.
+struct Row {
+    backend: BackendKind,
+    topology: fn(AnyRouter, Vec<ScheduledMessage>) -> Simulation<AnyRouter>,
+    nodes: usize,
+    destination: u32,
+    created_at: f64,
+    horizon: f64,
+    delivered: u64,
+    relays: std::ops::RangeInclusive<u64>,
+}
+
+impl Row {
+    /// Runs the row and checks its delivery and relay counts.
+    fn check(self, behaviour: &str) {
+        let chitchat = ProtocolParams::chitchat_baseline().chitchat;
+        let backend = self.backend.instantiate(self.nodes, &chitchat);
+        let message = msg(
+            self.created_at,
+            0,
+            vec![Keyword(1)],
+            vec![NodeId(self.destination)],
+        );
+        let mut sim = (self.topology)(overlay_off(backend, self.destination), vec![message]);
+        let summary = sim.run_until(SimTime::from_secs(self.horizon));
+        assert_eq!(summary.delivered_pairs, self.delivered, "{behaviour}");
+        assert!(
+            self.relays.contains(&summary.relays_completed),
+            "{behaviour}: {} relays, expected {:?}",
+            summary.relays_completed,
+            self.relays
+        );
+    }
+}
+
+/// The per-behaviour table. Each row becomes a test of its own, named for
+/// the forwarding rule it pins. Columns: backend, topology, nodes,
+/// destination, creation time and horizon (s) => delivered pairs, relays.
+macro_rules! backend_behaviours {
+    ($($behaviour:ident: $backend:expr, $topology:expr, $nodes:expr, $destination:expr,
+        $created_at:expr, $horizon:expr => $delivered:expr, $relays:expr;)+) => {
+        $(
+            #[test]
+            fn $behaviour() {
+                let row = Row {
+                    backend: $backend,
+                    topology: $topology,
+                    nodes: $nodes,
+                    destination: $destination,
+                    created_at: $created_at,
+                    horizon: $horizon,
+                    delivered: $delivered,
+                    relays: $relays,
+                };
+                row.check(stringify!($behaviour));
+            }
+        )+
+    };
+}
+
+backend_behaviours! {
+    epidemic_crosses_the_3_node_chain:
+        BackendKind::Epidemic, chain, 3, 2, 5.0, 300.0 => 1, 2..=2;
+    epidemic_hands_a_copy_to_any_neighbour:
+        BackendKind::Epidemic, stranded, 3, 2, 5.0, 300.0 => 0, 1..=1;
+    direct_delivery_cannot_cross_the_chain:
+        BackendKind::DirectDelivery, chain, 3, 2, 5.0, 300.0 => 0, 0..=0;
+    direct_delivery_delivers_when_adjacent:
+        BackendKind::DirectDelivery, adjacent_pair, 2, 1, 5.0, 300.0 => 1, 1..=1;
+    direct_delivery_keeps_its_copy_from_a_non_destination:
+        BackendKind::DirectDelivery, stranded, 3, 2, 5.0, 300.0 => 0, 0..=0;
+    spray_with_one_ticket_waits_for_the_destination:
+        BackendKind::SprayAndWait(1), chain, 3, 2, 5.0, 300.0 => 0, 0..=0;
+    spray_with_four_tickets_crosses_the_chain:
+        BackendKind::SprayAndWait(4), chain, 3, 2, 5.0, 300.0 => 1, 2..=2;
+    spray_source_hands_tickets_to_any_neighbour:
+        BackendKind::SprayAndWait(4), stranded, 3, 2, 5.0, 300.0 => 0, 1..=1;
+    two_hop_crosses_the_3_node_chain_in_two_hops:
+        BackendKind::TwoHop, chain, 3, 2, 5.0, 300.0 => 1, 2..=2;
+    two_hop_fails_on_a_4_node_chain:
+        BackendKind::TwoHop, long_chain, 4, 3, 5.0, 600.0 => 0, 1..=1;
+    two_hop_source_hands_a_copy_to_any_neighbour:
+        BackendKind::TwoHop, stranded, 3, 2, 5.0, 300.0 => 0, 1..=1;
+    chitchat_delivers_through_a_transient_interest:
+        BackendKind::ChitChat, chain, 3, 2, 120.0, 1800.0 => 1, 2..=u64::MAX;
+    chitchat_does_not_hand_copies_to_an_uninterested_neighbour:
+        BackendKind::ChitChat, stranded, 3, 2, 5.0, 300.0 => 0, 0..=0;
+    chitchat_does_not_re_send_after_delivery:
+        BackendKind::ChitChat, adjacent_pair, 2, 1, 5.0, 3600.0 => 1, 1..=1;
+    prophet_delivers_through_the_shuttle:
+        BackendKind::Prophet, shuttle, 3, 2, 250.0, 1200.0 => 1, 2..=u64::MAX;
+    prophet_does_not_relay_without_an_encounter_history:
+        BackendKind::Prophet, stranded, 3, 2, 5.0, 300.0 => 0, 0..=0;
+}
+
+#[test]
+fn spray_tickets_split_binary_at_the_relay_hand_off() {
+    let router = overlay_off(SprayBackend::new(3, 8), 2);
+    let mut sim = chain(router, vec![msg(5.0, 0, vec![Keyword(1)], vec![NodeId(2)])]);
+    let summary = sim.run_until(SimTime::from_secs(300.0));
+    assert_eq!(summary.delivered_pairs, 1);
+    let spray = sim.protocol().backend();
+    assert_eq!(
+        spray.tickets(NodeId(0), MessageId(0)),
+        4,
+        "source keeps half"
+    );
+    assert_eq!(
+        spray.tickets(NodeId(1), MessageId(0)),
+        4,
+        "relay granted half"
+    );
+}
+
+#[test]
+fn chitchat_tables_acquire_transient_interests_on_contact() {
+    let mut router = DcimRouter::new(2, ProtocolParams::chitchat_baseline(), 1);
+    router.subscribe(NodeId(0), [Keyword(7)]);
+    let mut sim = adjacent_pair(router, Vec::new());
+    let _ = sim.run_until(SimTime::from_secs(600.0));
+    let table = sim.protocol().table(NodeId(1));
+    let weight = table.weight(Keyword(7));
+    assert!(weight > 0.0, "n1 acquired kw7 transiently, weight {weight}");
+    assert!(!table.is_direct(Keyword(7)));
+}
+
+#[test]
+fn prophet_shuttle_builds_transitive_predictability() {
+    let router = overlay_off(ProphetBackend::new(3, ProphetParams::default()), 2);
+    let mut sim = shuttle(
+        router,
+        vec![msg(250.0, 0, vec![Keyword(1)], vec![NodeId(2)])],
+    );
+    let summary = sim.run_until(SimTime::from_secs(1200.0));
+    assert_eq!(summary.delivered_pairs, 1);
+    let prophet = sim.protocol().backend();
+    assert!(prophet.predictability(NodeId(1), NodeId(2)) > 0.0);
+    assert!(
+        prophet.predictability(NodeId(0), NodeId(2)) > 0.0,
+        "transitivity gave n0 an opinion about n2"
+    );
 }
 
 #[test]

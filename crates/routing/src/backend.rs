@@ -11,12 +11,13 @@
 //! with Epidemic, Direct Delivery, Spray-and-Wait, Two-Hop and PRoPHET
 //! exactly as it does with ChitChat.
 //!
-//! The contract that keeps the refactor honest: with [`ChitChatBackend`]
-//! the generic router must reproduce the pre-trait `DcimRouter`
-//! byte-for-byte (pinned by the golden-equivalence suite in
-//! `tests/tests/golden_trace.rs`). Every hook here is therefore a verbatim
-//! transplant of either the old hard-wired ChitChat calls or a
-//! `baselines.rs` router's forwarding rule.
+//! The contract that keeps the seam honest: with [`ChitChatBackend`] the
+//! generic router reproduces the paper's ChitChat substrate byte-for-byte
+//! (pinned by the golden-equivalence suite in `tests/tests/golden_trace.rs`
+//! and the backend ≡ arm test in `tests/tests/routers.rs`). The other
+//! backends implement the classic forwarding rules; the behaviours they
+//! must show on controlled topologies are pinned by the backend table in
+//! `crates/core/tests/protocol_integration.rs`.
 
 use std::collections::HashMap;
 
@@ -504,8 +505,7 @@ impl RouterBackend for DirectBackend {
 /// relay hand-off; a single-ticket holder waits for the destination.
 ///
 /// Grants are escrowed at send initiation and settle on the transfer
-/// outcome, mirroring `baselines::SprayAndWaitRouter`'s pending-grant
-/// bookkeeping so aborted or refused transfers refund the sender.
+/// outcome, so aborted or refused transfers refund the sender.
 #[derive(Debug, Clone)]
 pub struct SprayBackend {
     dir: InterestDirectory,
@@ -768,8 +768,8 @@ impl RouterBackend for ProphetBackend {
     }
 
     fn on_contact_open(&mut self, now: SimTime, a: NodeId, b: NodeId) {
-        // Verbatim `ProphetRouter::update_pair`: age both, bump the mutual
-        // encounter, then apply transitivity against pre-transit snapshots.
+        // Age both, bump the mutual encounter, then apply transitivity
+        // against pre-transit snapshots.
         let now = now.as_secs();
         self.tables[a.index()].age(now, &self.params);
         self.tables[b.index()].age(now, &self.params);

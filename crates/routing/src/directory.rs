@@ -1,10 +1,10 @@
-//! A static interest directory for the node-centric baselines.
+//! A static interest directory for the node-centric backends.
 //!
-//! The classic baselines (Epidemic, Direct Delivery, Spray-and-Wait,
-//! Two-Hop) do not model transient social relationships — they only need to
-//! know, on reception, whether the receiving node is a destination. The
-//! directory stores each node's *direct* interests, fixed for the run, so
-//! every protocol is measured against the same delivery criterion.
+//! The classic backends (Epidemic, Direct Delivery, Spray-and-Wait,
+//! Two-Hop, PRoPHET) do not model transient social relationships — they
+//! only need to know whether a node is a destination. The directory stores
+//! each node's *direct* interests, fixed for the run, so every backend is
+//! measured against the same delivery criterion.
 
 use std::collections::HashSet;
 

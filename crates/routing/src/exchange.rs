@@ -1,12 +1,13 @@
 //! Shared pairwise-exchange plumbing.
 //!
-//! Three routers run the same two rituals on long-lived contacts: the RTSR
-//! weight exchange (decay → swap → grow, Algorithms 1–2) and a periodic
-//! "which pairs are due again" scan with exact once-per-span time
-//! crediting. Keeping one implementation here means a semantics fix to
-//! either ritual reaches ChitChat, the incentive protocol, and CEDO at
-//! once — the incentive arm of every experiment must run the *same*
-//! ChitChat substrate as the baseline arm.
+//! Two rituals run on long-lived contacts: the RTSR weight exchange
+//! (decay → swap → grow, Algorithms 1–2, driven by
+//! [`crate::backend::ChitChatBackend`]) and a periodic "which pairs are due
+//! again" schedule with exact once-per-span time crediting (the
+//! [`ExchangeWheel`] the incentive overlay settles on, proven equivalent to
+//! the [`due_pairs`] full scan). Both arms of every experiment run through
+//! the same code, so the incentive arm always sees the *same* ChitChat
+//! substrate as the baseline arm.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -98,10 +99,7 @@ impl KeywordSet {
         } else {
             (&other.bits, &self.bits)
         };
-        short
-            .iter()
-            .zip(long.iter())
-            .all(|(&a, &b)| a == b)
+        short.iter().zip(long.iter()).all(|(&a, &b)| a == b)
             && long[short.len()..].iter().all(|&w| w == 0)
     }
 

@@ -161,8 +161,11 @@ impl PartialEq for InterestTable {
 /// load, so snapshots written before it existed restore byte-identically.
 impl Serialize for InterestTable {
     fn to_value(&self) -> Value {
-        let wire: Vec<(Keyword, InterestEntry)> =
-            self.entries.iter().map(|r| (r.keyword, r.entry())).collect();
+        let wire: Vec<(Keyword, InterestEntry)> = self
+            .entries
+            .iter()
+            .map(|r| (r.keyword, r.entry()))
+            .collect();
         Value::Map(vec![("entries".to_string(), wire.to_value())])
     }
 }

@@ -1,24 +1,22 @@
 //! # dtn-routing
 //!
-//! DTN routing protocols over the [`dtn_sim`] kernel:
+//! DTN routing substrates for the incentive overlay in `dtn-core`:
 //!
-//! * [`chitchat`] — the ChitChat algorithm (McGeehan, Lin, Madria — ICDCS
-//!   2016): Real-time Transient Social Relationship modeling (decay/growth
-//!   weight exchange) plus the `S_v > S_u` data-centric forwarding rule.
-//!   This is the routing substrate *and* the evaluation baseline of the
-//!   reproduced incentive paper.
-//! * [`baselines`] — Epidemic, Direct Delivery, binary Spray-and-Wait and
-//!   Two-Hop Relay, for calibration and ablation studies.
-//! * [`prophet`] — PRoPHET probabilistic routing (RFC 6693), the standard
-//!   history-based DTN baseline.
-//! * [`cedo`] — CEDO, the request-driven content-centric dissemination
-//!   scheme the thesis contrasts ChitChat with (§1.2).
-//! * [`backend`] — the [`backend::RouterBackend`] seam: every router above
-//!   as a pluggable substrate the incentive overlay in `dtn-core` composes
-//!   with.
+//! * [`backend`] — the [`backend::RouterBackend`] seam and its six
+//!   substrates. [`backend::ChitChatBackend`] is the ChitChat algorithm
+//!   (McGeehan, Lin, Madria — ICDCS 2016): Real-time Transient Social
+//!   Relationship modeling (decay/growth weight exchange) plus the
+//!   `S_v > S_u` data-centric forwarding rule. It is the routing substrate
+//!   *and*, with the overlay off, the evaluation baseline of the reproduced
+//!   incentive paper. Epidemic, Direct Delivery, binary Spray-and-Wait,
+//!   Two-Hop Relay and PRoPHET (RFC 6693) sit beside it for calibration
+//!   and ablation studies.
 //! * [`interests`] — the RTSR interest-table model shared with `dtn-core`.
+//! * [`exchange`] — the RTSR exchange ritual and the settlement timing
+//!   wheel.
+//! * [`prophet`] — PRoPHET's delivery-predictability tables.
 //! * [`directory`] — static interest registry used by the node-centric
-//!   baselines' delivery criterion.
+//!   backends' delivery criterion.
 //!
 //! ## Example
 //!
@@ -26,18 +24,15 @@
 //! use dtn_routing::prelude::*;
 //! use dtn_sim::prelude::*;
 //!
-//! let mut router = ChitChatRouter::new(10, ChitChatParams::paper_default());
-//! router.subscribe(NodeId(3), [Keyword(42)]);
-//! assert!(router.is_destination(NodeId(3), &[Keyword(42)]));
+//! let mut backend = ChitChatBackend::new(10, ChitChatParams::paper_default());
+//! backend.subscribe(NodeId(3), Keyword(42), SimTime::ZERO);
+//! assert!(backend.is_destination(NodeId(3), &[Keyword(42)]));
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod backend;
-pub mod baselines;
-pub mod cedo;
-pub mod chitchat;
 pub mod directory;
 pub mod exchange;
 pub mod interests;
@@ -49,13 +44,8 @@ pub mod prelude {
         BackendKind, ChitChatBackend, DirectBackend, EpidemicBackend, Overlay, ProphetBackend,
         RouterBackend, SprayBackend, TwoHopBackend,
     };
-    pub use crate::baselines::{
-        DirectDeliveryRouter, EpidemicRouter, SprayAndWaitRouter, TwoHopRelayRouter,
-    };
-    pub use crate::cedo::CedoRouter;
-    pub use crate::chitchat::ChitChatRouter;
     pub use crate::directory::InterestDirectory;
     pub use crate::exchange::{due_pairs, rtsr_exchange, shared_keywords, KeywordSet};
     pub use crate::interests::{ChitChatParams, InterestEntry, InterestKind, InterestTable};
-    pub use crate::prophet::{ProphetParams, ProphetRouter};
+    pub use crate::prophet::ProphetParams;
 }

@@ -10,21 +10,17 @@
 //! * **transitivity**: `P(a,c) ← P(a,c) + (1 − P(a,c))·P(a,b)·P(b,c)·β`
 //!
 //! Forwarding: `a` hands `b` a copy of a message destined for `d` iff
-//! `P(b,d) > P(a,d)`. Destinations here are interest-based like the other
-//! baselines: the message's destination set is every node with a direct
-//! interest in one of its tags (resolved through an
-//! [`InterestDirectory`]).
+//! `P(b,d) > P(a,d)`. Destinations are interest-based like the other
+//! node-centric backends: the message's destination set is every node with
+//! a direct interest in one of its tags (resolved through an
+//! [`InterestDirectory`](crate::directory::InterestDirectory)). The
+//! forwarding rule and the per-contact update live in
+//! [`ProphetBackend`](crate::backend::ProphetBackend); this module holds
+//! the tables.
 
 use std::collections::HashMap;
 
-use dtn_sim::buffer::InsertOutcome;
-use dtn_sim::kernel::SimApi;
-use dtn_sim::message::MessageId;
-use dtn_sim::protocol::{Protocol, Reception};
-use dtn_sim::time::SimTime;
 use dtn_sim::world::NodeId;
-
-use crate::directory::InterestDirectory;
 
 /// PRoPHET's tunables, defaulting to the RFC 6693 values.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,7 +47,7 @@ impl Default for ProphetParams {
     }
 }
 
-/// One node's predictability table (shared with [`crate::backend`]'s
+/// One node's predictability table (the state of [`crate::backend`]'s
 /// PRoPHET backend).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Predictability {
@@ -125,114 +121,9 @@ impl Predictability {
     }
 }
 
-/// The PRoPHET router.
-#[derive(Debug)]
-pub struct ProphetRouter {
-    directory: InterestDirectory,
-    params: ProphetParams,
-    tables: Vec<Predictability>,
-}
-
-impl ProphetRouter {
-    /// Creates the router over a fixed interest directory.
-    #[must_use]
-    pub fn new(directory: InterestDirectory, params: ProphetParams) -> Self {
-        let n = directory.node_count();
-        ProphetRouter {
-            directory,
-            params,
-            tables: (0..n).map(|_| Predictability::default()).collect(),
-        }
-    }
-
-    /// The delivery predictability `P(a, b)` as currently held by `a`.
-    #[must_use]
-    pub fn predictability(&self, a: NodeId, b: NodeId) -> f64 {
-        self.tables[a.index()].get(b)
-    }
-
-    fn update_pair(&mut self, now: SimTime, a: NodeId, b: NodeId) {
-        let now = now.as_secs();
-        self.tables[a.index()].age(now, &self.params);
-        self.tables[b.index()].age(now, &self.params);
-        self.tables[a.index()].encounter(b, &self.params);
-        self.tables[b.index()].encounter(a, &self.params);
-        let snap_a = self.tables[a.index()].p.clone();
-        let snap_b = self.tables[b.index()].p.clone();
-        self.tables[a.index()].transit(b, &snap_b, &self.params);
-        self.tables[b.index()].transit(a, &snap_a, &self.params);
-    }
-
-    fn offer(&mut self, api: &mut SimApi, from: NodeId, to: NodeId) {
-        for id in api.buffer(from).ids_sorted() {
-            if api.buffer(to).contains(id) || api.is_sending(from, to, id) {
-                continue;
-            }
-            let Some(copy) = api.buffer(from).get(id) else {
-                continue;
-            };
-            let keywords = copy.keywords();
-            if self.directory.is_destination(to, &keywords) {
-                if !api.is_delivered(to, id) {
-                    api.send(from, to, id);
-                }
-                continue;
-            }
-            // Forward when the peer is a better bet for *some* destination
-            // of the message.
-            let source = copy.body.source;
-            let better = self
-                .directory
-                .destinations_for(&keywords, source)
-                .into_iter()
-                .any(|d| self.tables[to.index()].get(d) > self.tables[from.index()].get(d));
-            if better {
-                api.send(from, to, id);
-            }
-        }
-    }
-}
-
-impl Protocol for ProphetRouter {
-    fn on_contact_up(&mut self, api: &mut SimApi, a: NodeId, b: NodeId) {
-        self.update_pair(api.now(), a, b);
-        self.offer(api, a, b);
-        self.offer(api, b, a);
-    }
-
-    fn on_message_created(&mut self, api: &mut SimApi, node: NodeId, message: MessageId) {
-        let _ = message;
-        for peer in api.peers_of(node) {
-            self.offer(api, node, peer);
-        }
-    }
-
-    fn on_transfer_complete(&mut self, api: &mut SimApi, r: &Reception<'_>) {
-        let (to, id) = (r.transfer.to, r.transfer.message);
-        if !matches!(r.outcome, InsertOutcome::Stored { .. }) {
-            return;
-        }
-        let keywords = api
-            .buffer(to)
-            .get(id)
-            .map(|c| c.keywords())
-            .unwrap_or_default();
-        if self.directory.is_destination(to, &keywords) {
-            api.mark_delivered(to, id);
-        }
-        for peer in api.peers_of(to) {
-            self.offer(api, to, peer);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtn_sim::geometry::{Area, Point};
-    use dtn_sim::kernel::{ScheduledMessage, SimulationBuilder};
-    use dtn_sim::message::{Keyword, Priority, Quality};
-    use dtn_sim::mobility::ScriptedWaypoints;
 
     #[test]
     fn encounter_raises_predictability() {
@@ -268,46 +159,5 @@ mod tests {
         a.transit(NodeId(1), &b_table, &params);
         let expected = 0.75 * 0.8 * 0.25;
         assert!((a.get(NodeId(2)) - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn end_to_end_chain_delivery() {
-        // n1 shuttles between n0 and n2, building predictability toward n2
-        // so n0 hands it the message.
-        let mut dir = InterestDirectory::new(3);
-        dir.subscribe(NodeId(2), [Keyword(1)]);
-        let router = ProphetRouter::new(dir, ProphetParams::default());
-        let shuttle = ScriptedWaypoints::new(vec![
-            (0.0, Point::new(180.0, 0.0)), // near n2 first: learn P(1,2)
-            (200.0, Point::new(180.0, 0.0)),
-            (300.0, Point::new(20.0, 0.0)), // then visit n0
-            (500.0, Point::new(20.0, 0.0)),
-            (600.0, Point::new(180.0, 0.0)), // and return to n2
-            (900.0, Point::new(180.0, 0.0)),
-        ]);
-        let mut sim = SimulationBuilder::new(Area::new(500.0, 500.0), 1)
-            .node(Box::new(ScriptedWaypoints::pinned(Point::new(0.0, 0.0))))
-            .node(Box::new(shuttle))
-            .node(Box::new(ScriptedWaypoints::pinned(Point::new(180.0, 0.0))))
-            .message(ScheduledMessage {
-                at: SimTime::from_secs(250.0),
-                source: NodeId(0),
-                size_bytes: 10_000,
-                ttl_secs: 100_000.0,
-                priority: Priority::High,
-                quality: Quality::new(0.9),
-                ground_truth: vec![Keyword(1)],
-                source_tags: vec![Keyword(1)],
-                expected_destinations: vec![NodeId(2)],
-            })
-            .build(router);
-        let summary = sim.run_until(SimTime::from_secs(1200.0));
-        assert_eq!(summary.delivered_pairs, 1, "PRoPHET routed via the shuttle");
-        let router = sim.protocol();
-        assert!(router.predictability(NodeId(1), NodeId(2)) > 0.0);
-        assert!(
-            router.predictability(NodeId(0), NodeId(2)) > 0.0,
-            "transitivity gave n0 an opinion about n2"
-        );
     }
 }

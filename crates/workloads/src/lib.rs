@@ -65,7 +65,7 @@ pub mod prelude {
         Comparison,
     };
     pub use crate::scenario::{Arm, Mobility, Scenario, SourceClassMix};
-    pub use crate::sweep::{run_cells, Cell, CellKind, CellResult, RouterKind};
+    pub use crate::sweep::{run_cells, Cell, CellKind, CellResult};
     pub use crate::traffic::generate_schedule;
     pub use dtn_routing::backend::{BackendKind, Overlay};
 }

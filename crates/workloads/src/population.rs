@@ -5,7 +5,6 @@ use std::collections::HashSet;
 use dtn_core::behavior::NodeBehavior;
 use dtn_core::strategy::StrategyKind;
 use dtn_incentive::params::Role;
-use dtn_routing::directory::InterestDirectory;
 use dtn_sim::message::{Keyword, Priority};
 use dtn_sim::rng::SimRng;
 use dtn_sim::world::NodeId;
@@ -176,23 +175,9 @@ impl Population {
         sorted
     }
 
-    /// The population's direct interests as an [`InterestDirectory`] — the
-    /// registry the node-centric baselines and the delivery-expectation
-    /// computation share, so every consumer resolves destinations with the
-    /// same code.
-    #[must_use]
-    pub fn interest_directory(&self) -> InterestDirectory {
-        let mut dir = InterestDirectory::new(self.interests.len());
-        for i in 0..self.interests.len() {
-            let node = NodeId(i as u32);
-            dir.subscribe(node, self.sorted_interests(node));
-        }
-        dir
-    }
-
     /// Nodes holding a direct interest in any of `keywords`, excluding
-    /// `except` (delegates to the [`InterestDirectory`] semantics without
-    /// materializing one).
+    /// `except`, sorted — the delivery criterion every node-centric routing
+    /// backend resolves through its interest directory.
     #[must_use]
     pub fn destinations_for(&self, keywords: &[Keyword], except: NodeId) -> Vec<NodeId> {
         self.interests
@@ -278,20 +263,6 @@ mod tests {
         for d in dests {
             assert!(p.interests[d.index()].contains(&kw));
         }
-    }
-
-    #[test]
-    fn interest_directory_agrees_with_destinations_for() {
-        let s = paper::reduced_scenario();
-        let p = Population::synthesize(&s, &SimRng::new(3));
-        let dir = p.interest_directory();
-        let kw: Keyword = *p.interests[0].iter().next().expect("nonempty");
-        assert_eq!(
-            p.destinations_for(&[kw], NodeId(0)),
-            dir.destinations_for(&[kw], NodeId(0)),
-            "one destination-resolution semantics"
-        );
-        assert_eq!(dir.node_count(), s.nodes);
     }
 
     #[test]

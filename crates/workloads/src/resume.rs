@@ -390,4 +390,29 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    #[test]
+    fn deeply_nested_checksummed_body_is_a_typed_rejection() {
+        // The checksum only proves the body is what the writer wrote; a
+        // hostile writer can still hand the JSON parser 100k nested arrays.
+        // That must come back as a typed error, not a stack overflow.
+        let dir = std::env::temp_dir().join(format!("dtn-nested-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let body = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+        let header = format!(
+            "{} {} {}\n",
+            snapshot::MAGIC,
+            snapshot::FORMAT_VERSION,
+            crate::sweep::fnv128_hex(body.as_bytes())
+        );
+        let path = dir.join("nested.dtnsnap");
+        std::fs::write(&path, header + &body).unwrap();
+        match read_snapshot(&path) {
+            Err(SnapshotError::Malformed { detail, .. }) => {
+                assert!(detail.contains("nesting deeper than 128"), "{detail}");
+            }
+            other => panic!("expected a Malformed rejection, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -3,7 +3,8 @@
 use dtn_core::behavior::NodeBehavior;
 use dtn_core::params::ProtocolParams;
 use dtn_core::protocol::{DcimRouter, ProtocolStats};
-use dtn_routing::backend::{BackendKind, Overlay, RouterBackend};
+use dtn_routing::backend::{BackendKind, ChitChatBackend, Overlay, RouterBackend};
+use dtn_routing::interests::ChitChatParams;
 use dtn_sim::geometry::Area;
 use dtn_sim::kernel::{Simulation, SimulationBuilder};
 use dtn_sim::metrics::{MetricsRegistry, PhaseTiming};
@@ -107,13 +108,50 @@ pub fn build_simulation_opts(
     check_every: Option<u64>,
     profile: bool,
 ) -> Simulation<DcimRouter> {
+    build_world(
+        scenario,
+        arm,
+        |chitchat| ChitChatBackend::new(scenario.nodes, *chitchat),
+        seed,
+        trace,
+        check_every,
+        profile,
+    )
+}
+
+/// The one world builder behind [`build_simulation_opts`] and
+/// [`build_backend_simulation`]: validates the scenario, draws the
+/// population and message schedule from `seed`, wraps the backend that
+/// `backend` builds in the overlay configured for `arm`, seeds the router
+/// with the population, and wires the kernel. Generic over the backend, so
+/// the arm path stays statically dispatched over [`ChitChatBackend`].
+fn build_world<B: RouterBackend>(
+    scenario: &Scenario,
+    arm: Arm,
+    backend: impl FnOnce(&ChitChatParams) -> B,
+    seed: u64,
+    trace: Option<dtn_sim::trace::TraceLog>,
+    check_every: Option<u64>,
+    profile: bool,
+) -> Simulation<DcimRouter<B>> {
     scenario.validate().expect("scenario must validate");
     let check_every = check_every.or(scenario.audit_every);
     let workload_rng = SimRng::new(seed);
     let population = Population::synthesize(scenario, &workload_rng);
     let schedule = generate_schedule(scenario, &population, &workload_rng);
 
-    let mut router = DcimRouter::new(scenario.nodes, protocol_for(scenario, arm), seed);
+    let params = protocol_for(scenario, arm);
+    // The mechanism evicts lowest-priority copies first under buffer
+    // pressure; without it (plain routing, or an ablation with the credit
+    // system off) ONE's drop-oldest default applies. Derived from the
+    // effective params rather than the arm label so ablations behave
+    // consistently.
+    let drop_policy = if params.incentive_enabled {
+        dtn_sim::buffer::DropPolicy::DropLowestPriority
+    } else {
+        dtn_sim::buffer::DropPolicy::DropOldest
+    };
+    let mut router = DcimRouter::with_backend(backend(&params.chitchat), params, seed);
     for i in 0..population.interests.len() {
         let node = NodeId(i as u32);
         router.subscribe(node, population.sorted_interests(node));
@@ -128,16 +166,6 @@ pub fn build_simulation_opts(
     }
     apply_strategies(&mut router, scenario, &population);
 
-    // The mechanism evicts lowest-priority copies first under buffer
-    // pressure; without it (plain ChitChat, or an ablation with the credit
-    // system off) ONE's drop-oldest default applies. Derived from the
-    // effective params rather than the arm label so ablations behave
-    // consistently.
-    let drop_policy = if protocol_for(scenario, arm).incentive_enabled {
-        dtn_sim::buffer::DropPolicy::DropLowestPriority
-    } else {
-        dtn_sim::buffer::DropPolicy::DropOldest
-    };
     let mut builder = SimulationBuilder::new(Area::square_km(scenario.area_km2), seed)
         .radio(scenario.radio)
         .buffer_capacity(scenario.buffer_bytes)
@@ -184,48 +212,6 @@ fn apply_strategies<B: RouterBackend>(
     }
 }
 
-/// Builds the same world and workload as [`build_simulation`] but wires in
-/// an arbitrary protocol constructed from the synthesized population —
-/// used to compare third-party routers (Epidemic, PRoPHET, CEDO, …)
-/// against the mechanism on identical workloads.
-///
-/// # Panics
-///
-/// Panics if the scenario fails validation.
-#[must_use]
-pub fn build_with_protocol<P, F>(scenario: &Scenario, seed: u64, make: F) -> Simulation<P>
-where
-    P: dtn_sim::protocol::Protocol,
-    F: FnOnce(&Population, &[dtn_sim::kernel::ScheduledMessage]) -> P,
-{
-    scenario.validate().expect("scenario must validate");
-    let workload_rng = SimRng::new(seed);
-    let population = Population::synthesize(scenario, &workload_rng);
-    let schedule = generate_schedule(scenario, &population, &workload_rng);
-    let protocol = make(&population, &schedule);
-    let mut builder = SimulationBuilder::new(Area::square_km(scenario.area_km2), seed)
-        .radio(scenario.radio)
-        .buffer_capacity(scenario.buffer_bytes)
-        // Third-party routers are priority-blind, so they get ONE's
-        // drop-oldest default *explicitly*: comparisons against the
-        // mechanism must not silently inherit whatever default the kernel
-        // builder happens to carry.
-        .drop_policy(dtn_sim::buffer::DropPolicy::DropOldest)
-        .threads(scenario.effective_threads())
-        .kernel_mode(scenario.effective_kernel_mode())
-        .nodes(scenario.nodes, || scenario.mobility.instantiate());
-    if let Some(j) = scenario.battery_joules {
-        builder = builder.battery_joules(j);
-    }
-    if let Some(plan) = scenario.chaos {
-        builder = builder.faults(plan);
-    }
-    if let Some(policy) = scenario.recovery {
-        builder = builder.recovery(policy);
-    }
-    builder.messages(schedule).build(protocol)
-}
-
 /// The incentive overlay over a dynamically chosen routing backend.
 pub type BackendRouter = DcimRouter<Box<dyn RouterBackend>>;
 
@@ -257,54 +243,15 @@ pub fn build_backend_simulation(
     seed: u64,
     check_every: Option<u64>,
 ) -> Simulation<BackendRouter> {
-    scenario.validate().expect("scenario must validate");
-    let check_every = check_every.or(scenario.audit_every);
-    let workload_rng = SimRng::new(seed);
-    let population = Population::synthesize(scenario, &workload_rng);
-    let schedule = generate_schedule(scenario, &population, &workload_rng);
-
-    let params = protocol_for(scenario, arm_for(overlay));
-    let backend = kind.instantiate(scenario.nodes, &params.chitchat);
-    let mut router = DcimRouter::with_backend(backend, params, seed);
-    for i in 0..population.interests.len() {
-        let node = NodeId(i as u32);
-        router.subscribe(node, population.sorted_interests(node));
-    }
-    for (i, &behavior) in population.behaviors.iter().enumerate() {
-        if behavior != NodeBehavior::Honest {
-            router.set_behavior(NodeId(i as u32), behavior);
-        }
-    }
-    for (i, &role) in population.roles.iter().enumerate() {
-        router.set_role(NodeId(i as u32), role);
-    }
-    apply_strategies(&mut router, scenario, &population);
-
-    let drop_policy = if params.incentive_enabled {
-        dtn_sim::buffer::DropPolicy::DropLowestPriority
-    } else {
-        dtn_sim::buffer::DropPolicy::DropOldest
-    };
-    let mut builder = SimulationBuilder::new(Area::square_km(scenario.area_km2), seed)
-        .radio(scenario.radio)
-        .buffer_capacity(scenario.buffer_bytes)
-        .drop_policy(drop_policy)
-        .threads(scenario.effective_threads())
-        .kernel_mode(scenario.effective_kernel_mode())
-        .nodes(scenario.nodes, || scenario.mobility.instantiate());
-    if let Some(j) = scenario.battery_joules {
-        builder = builder.battery_joules(j);
-    }
-    if let Some(plan) = scenario.chaos {
-        builder = builder.faults(plan);
-    }
-    if let Some(policy) = scenario.recovery {
-        builder = builder.recovery(policy);
-    }
-    if let Some(every) = check_every {
-        builder = builder.check_invariants_every(every);
-    }
-    builder.messages(schedule).build(router)
+    build_world(
+        scenario,
+        arm_for(overlay),
+        |chitchat| kind.instantiate(scenario.nodes, chitchat),
+        seed,
+        None,
+        check_every,
+        false,
+    )
 }
 
 /// Runs one `(scenario, backend, overlay, seed)` cell to completion.
@@ -324,15 +271,8 @@ pub fn run_backend_checked(
     seed: u64,
     check_every: Option<u64>,
 ) -> ArmRun {
-    let mut sim = build_backend_simulation(scenario, kind, overlay, seed, check_every);
-    let _ = sim.run_until(SimTime::from_secs(scenario.duration_secs));
-    let (router, summary) = sim.finish();
-    ArmRun {
-        summary,
-        broke_nodes: router.ledger().broke_nodes().len(),
-        attacker_tokens: router.attacker_tokens(),
-        protocol: router.stats(),
-    }
+    let sim = build_backend_simulation(scenario, kind, overlay, seed, check_every);
+    run_to_horizon(sim, scenario, false, false).0
 }
 
 /// The result of one arm under one seed.
@@ -397,11 +337,23 @@ pub fn run_once_observed(
     profile: bool,
 ) -> (ArmRun, Option<String>, Option<PerfReport>) {
     let trace = trace_capacity.map(dtn_sim::trace::TraceLog::bounded);
-    let mut sim = build_simulation_opts(scenario, arm, seed, trace, check_every, profile);
+    let sim = build_simulation_opts(scenario, arm, seed, trace, check_every, profile);
+    run_to_horizon(sim, scenario, trace_capacity.is_some(), profile)
+}
+
+/// Runs a built world to the scenario's horizon and collects the one
+/// [`ArmRun`] every run path reports, plus the rendered trace (when
+/// `render_trace`) and the wall-clock [`PerfReport`] (when `profile`).
+fn run_to_horizon<B: RouterBackend>(
+    mut sim: Simulation<DcimRouter<B>>,
+    scenario: &Scenario,
+    render_trace: bool,
+    profile: bool,
+) -> (ArmRun, Option<String>, Option<PerfReport>) {
     let t0 = std::time::Instant::now();
     let _ = sim.run_until(SimTime::from_secs(scenario.duration_secs));
     let perf = profile.then(|| PerfReport::capture(&sim, t0.elapsed().as_secs_f64()));
-    let rendered = trace_capacity.map(|_| sim.api().trace().render());
+    let rendered = render_trace.then(|| sim.api().trace().render());
     let (router, summary) = sim.finish();
     (
         ArmRun {
@@ -873,29 +825,50 @@ mod tests {
     }
 
     #[test]
-    fn third_party_builds_pin_drop_oldest_and_match_chitchat_world() {
+    fn overlay_off_builds_pin_drop_oldest_buffers() {
         use dtn_sim::buffer::DropPolicy;
-        use dtn_sim::protocol::NullProtocol;
         let s = tiny();
-        let sim = build_with_protocol(&s, 3, |_, _| NullProtocol);
+        let policy = |sim: &Simulation<BackendRouter>| sim.api().buffer(NodeId(0)).policy();
+        let plain = build_backend_simulation(&s, BackendKind::Epidemic, Overlay::Off, 3, None);
+        assert_eq!(policy(&plain), DropPolicy::DropOldest, "ONE's default");
+        let paid = build_backend_simulation(&s, BackendKind::Epidemic, Overlay::On, 3, None);
+        assert_eq!(policy(&paid), DropPolicy::DropLowestPriority);
         assert_eq!(
-            sim.api().buffer(NodeId(0)).policy(),
+            build_simulation(&s, Arm::ChitChat, 3)
+                .api()
+                .buffer(NodeId(0))
+                .policy(),
             DropPolicy::DropOldest,
-            "explicit ONE default, independent of the kernel builder's"
+            "the chitchat arm keeps drop-oldest too"
         );
-        // Same world as the DcimRouter build: node count, buffer capacity
-        // and schedule-driven message creation all line up.
-        let reference = build_simulation(&s, Arm::ChitChat, 3);
-        assert_eq!(sim.api().node_count(), reference.api().node_count());
-        assert_eq!(
-            sim.api().buffer(NodeId(0)).capacity_bytes(),
-            reference.api().buffer(NodeId(0)).capacity_bytes()
-        );
-        assert_eq!(
-            reference.api().buffer(NodeId(0)).policy(),
-            DropPolicy::DropOldest,
-            "chitchat arm keeps drop-oldest too"
-        );
+    }
+
+    #[test]
+    fn every_backend_resolves_the_population_destinations() {
+        // The kernel counts deliveries against the population's expected
+        // destinations; each backend decides who is a destination from the
+        // subscriptions the world builder hands it. Both must name the
+        // same nodes.
+        use dtn_sim::message::Keyword;
+        let s = tiny();
+        let population = Population::synthesize(&s, &SimRng::new(3));
+        for kind in BackendKind::ALL {
+            let sim = build_backend_simulation(&s, kind, Overlay::Off, 3, None);
+            let backend = sim.protocol().backend();
+            for keyword in (0..s.keyword_pool).map(Keyword) {
+                let resolved: Vec<NodeId> = (1..s.nodes as u32)
+                    .map(NodeId)
+                    .filter(|&n| backend.is_destination(n, &[keyword]))
+                    .collect();
+                assert_eq!(
+                    resolved,
+                    population.destinations_for(&[keyword], NodeId(0)),
+                    "{} on keyword {}",
+                    kind.tag(),
+                    keyword.0
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Work-stealing sweep executor with a memoized run cache.
 //!
 //! The paper's evaluation is a grid of independent simulation cells —
-//! `(scenario, arm-or-router, seed)` triples. This module executes such a
+//! `(scenario, arm-or-backend, seed)` triples. This module executes such a
 //! grid on a fixed worker pool pulling from one shared injector queue (no
 //! chunk barriers: a finished worker immediately steals the next pending
 //! cell) and aggregates results **in plan order**, so the output is
 //! byte-identical regardless of worker count or completion order.
 //!
 //! On top of the executor sits a memoized run cache: each cell is keyed by
-//! a content hash of its canonicalized scenario, its arm/router tag, its
+//! a content hash of its canonicalized scenario, its arm/backend tag, its
 //! seed, and the crate version. Within a process the cache lives in
 //! memory; with [`set_cache_dir`] it is additionally persisted as one JSON
 //! file per cell under `results/.sweep-cache/`, each entry carrying an
@@ -38,7 +38,6 @@ use std::sync::OnceLock;
 
 use dtn_sim::metrics::MetricsRegistry;
 use dtn_sim::stats::RunSummary;
-use dtn_sim::time::SimTime;
 use serde::{Deserialize, Serialize};
 
 use dtn_routing::backend::{BackendKind, Overlay};
@@ -46,43 +45,8 @@ use dtn_routing::backend::{BackendKind, Overlay};
 use crate::runner::{self, seed_parallelism};
 use crate::scenario::{Arm, Scenario};
 
-/// A third-party router arm for baseline-comparison cells, mirroring the
-/// routers `dtn-routing` ships. Carried by value (not by closure) so a
-/// cell is hashable data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RouterKind {
-    /// Flood every contact (MDR ceiling, traffic worst case).
-    Epidemic,
-    /// Source-only delivery (traffic floor).
-    DirectDelivery,
-    /// Binary spray-and-wait with the given initial copy budget.
-    SprayAndWait(u32),
-    /// Source hands one copy to relays; relays deliver only.
-    TwoHop,
-    /// PRoPHET with default parameters.
-    Prophet,
-    /// CEDO, pull-based: expected pairs become keyword requests at
-    /// creation time.
-    Cedo,
-}
-
-impl RouterKind {
-    /// Stable tag used in cache keys and labels.
-    #[must_use]
-    pub fn tag(&self) -> String {
-        match self {
-            RouterKind::Epidemic => "epidemic".into(),
-            RouterKind::DirectDelivery => "direct".into(),
-            RouterKind::SprayAndWait(copies) => format!("spray{copies}"),
-            RouterKind::TwoHop => "twohop".into(),
-            RouterKind::Prophet => "prophet".into(),
-            RouterKind::Cedo => "cedo".into(),
-        }
-    }
-}
-
-/// What mechanism a cell runs: one of the paper's two arms, a (backend ×
-/// overlay) grid point, or a third-party router on the identical workload.
+/// What mechanism a cell runs: one of the paper's two arms or a (backend ×
+/// overlay) grid point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellKind {
     /// The mechanism (or the ChitChat baseline) via [`runner::run_once`].
@@ -96,9 +60,6 @@ pub enum CellKind {
         /// Whether the mechanism wraps it.
         overlay: Overlay,
     },
-    /// A third-party router via [`runner::build_with_protocol`] (legacy
-    /// standalone baselines: no behavior models, drop-oldest buffers).
-    Router(RouterKind),
 }
 
 impl CellKind {
@@ -111,7 +72,6 @@ impl CellKind {
             CellKind::Backend { backend, overlay } => {
                 format!("backend:{}+overlay:{}", backend.tag(), overlay.tag())
             }
-            CellKind::Router(kind) => format!("router:{}", kind.tag()),
         }
     }
 }
@@ -158,16 +118,6 @@ impl Cell {
         }
     }
 
-    /// A third-party-router cell.
-    #[must_use]
-    pub fn router(scenario: Scenario, kind: RouterKind, seed: u64) -> Self {
-        Cell {
-            scenario,
-            kind: CellKind::Router(kind),
-            seed,
-        }
-    }
-
     /// The cell's content-hash cache key.
     ///
     /// The scenario is canonicalized by clearing its cosmetic `name`
@@ -175,7 +125,7 @@ impl Cell {
     /// different labels (e.g. Fig. 5.3's ×1.0-endowment column and
     /// Fig. 5.1's incentive curve) share cache entries. Everything that
     /// changes the simulation — every Table 5.1 knob, chaos plan,
-    /// recovery policy, the arm/router tag, the seed — feeds the hash, as
+    /// recovery policy, the arm/backend tag, the seed — feeds the hash, as
     /// does the crate version so stale caches die on upgrade. Serde
     /// serializes struct fields in declaration order, so the JSON byte
     /// stream is deterministic.
@@ -244,14 +194,14 @@ impl Cell {
 pub struct CellResult {
     /// Kernel-level statistics.
     pub summary: RunSummary,
-    /// Settled first deliveries (0 for router/ChitChat cells).
+    /// Settled first deliveries (0 for overlay-off cells).
     pub settlements: u64,
-    /// Tokens paid out in settlements (0.0 for router/ChitChat cells).
+    /// Tokens paid out in settlements (0.0 for overlay-off cells).
     pub tokens_awarded: f64,
     /// Nodes that ended the run with zero tokens.
     pub broke_nodes: u64,
     /// Tokens held by strategy-playing nodes at the end of the run (0.0
-    /// for strategy-free and router cells). `serde(default)` so cache
+    /// for strategy-free cells). `serde(default)` so cache
     /// entries written before the adversary suite still deserialize.
     #[serde(default)]
     pub attacker_tokens: f64,
@@ -296,8 +246,9 @@ impl Fnv128 {
     }
 }
 
-/// Hex digest of arbitrary bytes, used as the on-disk integrity hash.
-fn fnv128_hex(bytes: &[u8]) -> String {
+/// Hex digest of arbitrary bytes, used as the on-disk integrity hash (the
+/// same FNV-128 digest `DTNSNAP` headers carry).
+pub(crate) fn fnv128_hex(bytes: &[u8]) -> String {
     let mut h = Fnv128::new();
     h.update(bytes);
     format!("{:032x}", h.finish())
@@ -503,98 +454,18 @@ fn disk_store(dir: &Path, key: u128, result: &CellResult) {
 /// Simulates one cell from scratch (no cache involvement).
 #[must_use]
 pub fn run_cell_uncached(cell: &Cell) -> CellResult {
-    match cell.kind {
-        CellKind::Arm(arm) => {
-            let run = runner::run_once(&cell.scenario, arm, cell.seed);
-            CellResult {
-                summary: run.summary,
-                settlements: run.protocol.settlements,
-                tokens_awarded: run.protocol.tokens_awarded,
-                broke_nodes: run.broke_nodes as u64,
-                attacker_tokens: run.attacker_tokens,
-            }
-        }
+    let run = match cell.kind {
+        CellKind::Arm(arm) => runner::run_once(&cell.scenario, arm, cell.seed),
         CellKind::Backend { backend, overlay } => {
-            let run = runner::run_backend(&cell.scenario, backend, overlay, cell.seed);
-            CellResult {
-                summary: run.summary,
-                settlements: run.protocol.settlements,
-                tokens_awarded: run.protocol.tokens_awarded,
-                broke_nodes: run.broke_nodes as u64,
-                attacker_tokens: run.attacker_tokens,
-            }
+            runner::run_backend(&cell.scenario, backend, overlay, cell.seed)
         }
-        CellKind::Router(kind) => {
-            let summary = run_router_cell(&cell.scenario, kind, cell.seed);
-            CellResult {
-                summary,
-                settlements: 0,
-                tokens_awarded: 0.0,
-                broke_nodes: 0,
-                attacker_tokens: 0.0,
-            }
-        }
-    }
-}
-
-fn run_router_cell(scenario: &Scenario, kind: RouterKind, seed: u64) -> RunSummary {
-    use dtn_routing::prelude::*;
-    fn finish<P: dtn_sim::protocol::Protocol>(
-        mut sim: dtn_sim::kernel::Simulation<P>,
-        duration_secs: f64,
-    ) -> RunSummary {
-        sim.run_until(SimTime::from_secs(duration_secs))
-    }
-    let duration = scenario.duration_secs;
-    match kind {
-        RouterKind::Epidemic => finish(
-            runner::build_with_protocol(scenario, seed, |pop, _| {
-                EpidemicRouter::new(pop.interest_directory())
-            }),
-            duration,
-        ),
-        RouterKind::DirectDelivery => finish(
-            runner::build_with_protocol(scenario, seed, |pop, _| {
-                DirectDeliveryRouter::new(pop.interest_directory())
-            }),
-            duration,
-        ),
-        RouterKind::SprayAndWait(copies) => finish(
-            runner::build_with_protocol(scenario, seed, |pop, _| {
-                SprayAndWaitRouter::new(pop.interest_directory(), copies)
-            }),
-            duration,
-        ),
-        RouterKind::TwoHop => finish(
-            runner::build_with_protocol(scenario, seed, |pop, _| {
-                TwoHopRelayRouter::new(pop.interest_directory())
-            }),
-            duration,
-        ),
-        RouterKind::Prophet => finish(
-            runner::build_with_protocol(scenario, seed, |pop, _| {
-                ProphetRouter::new(pop.interest_directory(), ProphetParams::default())
-            }),
-            duration,
-        ),
-        RouterKind::Cedo => finish(
-            runner::build_with_protocol(scenario, seed, |pop, schedule| {
-                // CEDO is pull-based: each expected (message, destination)
-                // pair becomes a keyword request issued at creation time.
-                let mut router = CedoRouter::new(pop.interests.len());
-                for m in schedule {
-                    for &dest in &m.expected_destinations {
-                        for &kw in &m.source_tags {
-                            if pop.interests[dest.index()].contains(&kw) {
-                                router.schedule_request(m.at, dest, kw, m.ttl_secs);
-                            }
-                        }
-                    }
-                }
-                router
-            }),
-            duration,
-        ),
+    };
+    CellResult {
+        summary: run.summary,
+        settlements: run.protocol.settlements,
+        tokens_awarded: run.protocol.tokens_awarded,
+        broke_nodes: run.broke_nodes as u64,
+        attacker_tokens: run.attacker_tokens,
     }
 }
 
@@ -734,11 +605,38 @@ mod tests {
             a.cache_key(),
             Cell::arm(tweaked, Arm::Incentive, 7).cache_key()
         );
-        let router = Cell::router(tiny("alpha"), RouterKind::Epidemic, 7);
-        assert_ne!(a.cache_key(), router.cache_key());
-        assert_ne!(
-            Cell::router(tiny("x"), RouterKind::SprayAndWait(4), 7).cache_key(),
-            Cell::router(tiny("x"), RouterKind::SprayAndWait(8), 7).cache_key()
+        let backend = Cell::backend(tiny("alpha"), BackendKind::Epidemic, Overlay::On, 7);
+        assert_ne!(a.cache_key(), backend.cache_key());
+        let spray = |copies| {
+            Cell::backend(
+                tiny("x"),
+                BackendKind::SprayAndWait(copies),
+                Overlay::Off,
+                7,
+            )
+            .cache_key()
+        };
+        assert_ne!(spray(4), spray(8), "the ticket budget is part of the key");
+    }
+
+    #[test]
+    fn cache_keys_are_pinned_to_literal_values() {
+        // Every other key test is relative (`a == b` / `a != b`); these
+        // literals pin the absolute values, so a refactor that shifts the
+        // key derivation cannot silently orphan every persisted cache
+        // entry. A crate version bump changes them on purpose.
+        let s = tiny("pinned");
+        assert_eq!(
+            Cell::arm(s.clone(), Arm::Incentive, 7).cache_key(),
+            0x2580_30a4_2551_759c_9d9a_c593_ed68_9a08
+        );
+        assert_eq!(
+            Cell::arm(s.clone(), Arm::ChitChat, 7).cache_key(),
+            0xcfc1_74c4_e497_087e_5665_3ef6_c92f_4291
+        );
+        assert_eq!(
+            Cell::backend(s, BackendKind::SprayAndWait(8), Overlay::Off, 7).cache_key(),
+            0x59da_a01e_26ed_8d4a_c13b_3e8b_414a_3522
         );
     }
 
@@ -810,7 +708,7 @@ mod tests {
         assert_eq!(off.kind, CellKind::Arm(Arm::ChitChat));
 
         // Non-ChitChat grid points get their own tag space, distinct from
-        // both the arms and the legacy standalone-router cells.
+        // the arms and from each other's overlay state.
         let grid = Cell::backend(tiny("grid"), BackendKind::Epidemic, Overlay::On, 7);
         assert_eq!(
             grid.kind,
@@ -820,10 +718,6 @@ mod tests {
             }
         );
         assert_ne!(grid.cache_key(), on.cache_key());
-        assert_ne!(
-            grid.cache_key(),
-            Cell::router(tiny("grid"), RouterKind::Epidemic, 7).cache_key()
-        );
         assert_ne!(
             grid.cache_key(),
             Cell::backend(tiny("grid"), BackendKind::Epidemic, Overlay::Off, 7).cache_key()
@@ -978,21 +872,5 @@ mod tests {
             results[0].summary.relays_completed > results[1].summary.relays_completed,
             "epidemic floods more than direct delivery under the overlay too"
         );
-    }
-
-    #[test]
-    fn router_cells_execute_through_the_pool() {
-        let s = tiny("routers");
-        clear_memo();
-        let cells = vec![
-            Cell::router(s.clone(), RouterKind::Epidemic, 2),
-            Cell::router(s.clone(), RouterKind::DirectDelivery, 2),
-        ];
-        let results = run_cells(&cells);
-        assert!(
-            results[0].summary.relays_completed > results[1].summary.relays_completed,
-            "epidemic floods more than direct delivery"
-        );
-        assert_eq!(results[0].settlements, 0, "routers have no economy");
     }
 }
