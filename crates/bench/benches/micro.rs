@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks over the hot paths of the stack: the RTSR
-//! weight exchange, the incentive formulas, the reputation merge/gossip,
-//! spatial contact detection and buffer churn.
+//! weight exchange, the offer-pass keyword bound, the incentive formulas,
+//! the reputation merge/gossip, spatial contact detection and buffer churn.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -10,6 +10,7 @@ use dtn_incentive::promise::{software_incentive, SoftwareFactors};
 use dtn_incentive::settlement::{award, AwardInputs};
 use dtn_reputation::rating::RatingParams;
 use dtn_reputation::table::ReputationTable;
+use dtn_routing::exchange::KeywordSet;
 use dtn_routing::interests::{ChitChatParams, InterestTable};
 use dtn_sim::geometry::{Area, Point};
 use dtn_sim::message::Keyword;
@@ -46,6 +47,44 @@ fn bench_chitchat_exchange(c: &mut Criterion) {
     let keywords: Vec<Keyword> = (0..5).map(Keyword).collect();
     c.bench_function("chitchat_sum_of_weights", |bencher| {
         bencher.iter(|| a.sum_of_weights(black_box(&keywords)));
+    });
+}
+
+/// A table holding `direct` subscriptions plus the transient interests
+/// it acquires growing `secs` of contact from a peer subscribed to
+/// `acquired` — the shape route passes meet: a few direct rows among
+/// many transient ones.
+fn grown_table(
+    direct: std::ops::Range<u32>,
+    acquired: std::ops::Range<u32>,
+    secs: f64,
+    params: &ChitChatParams,
+) -> InterestTable {
+    let mut peer = InterestTable::new();
+    for k in acquired {
+        peer.subscribe(Keyword(k), params, SimTime::ZERO);
+    }
+    let mut t = InterestTable::new();
+    for k in direct {
+        t.subscribe(Keyword(k), params, SimTime::ZERO);
+    }
+    t.grow(&peer, secs, params, SimTime::from_secs(secs));
+    t
+}
+
+/// The per-route-pass cost of offer pruning: one merge walk over two
+/// ~150-row tables that share 130 keywords, on which the receiver weighs
+/// less than the sender (so the mask keeps 24 keywords).
+fn bench_offer_keywords(c: &mut Criterion) {
+    let params = ChitChatParams::paper_default();
+    let from = grown_table(0..4, 0..150, 60.0, &params);
+    let to = grown_table(300..304, 20..170, 40.0, &params);
+    let mut mask = KeywordSet::new();
+    c.bench_function("chitchat_offer_keywords", |bencher| {
+        bencher.iter(|| {
+            to.offer_keywords_into(black_box(&from), &mut mask);
+            mask.len()
+        });
     });
 }
 
@@ -115,6 +154,7 @@ fn bench_spatial_grid(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_chitchat_exchange,
+    bench_offer_keywords,
     bench_incentive_math,
     bench_reputation,
     bench_spatial_grid

@@ -17,14 +17,27 @@
 //! (pinned scenario, thread count); totals are summed across that row's
 //! seeds. `threads` is the kernel shard count the row ran at and `mode`
 //! labels `--quick` rows, whose shortened runs are not comparable to
-//! full captures:
+//! full captures. The last four columns are optional and written only
+//! when they carry a value:
 //!
 //! ```json
 //! [{"name": "...", "threads": n, "mode": "full|quick",
 //!   "wall_secs": f, "sim_secs_per_sec": f, "events_per_sec": f,
 //!   "steps": n, "contacts": n, "relays": n, "retried": n,
-//!   "resumed": n}, ...]
+//!   "resumed": n,
+//!   "cells": n, "cells_per_sec": f,
+//!   "bytes_per_node": f,
+//!   "note": "..."}, ...]
 //! ```
+//!
+//! - `cells`, `cells_per_sec`: sweep rows only — cells in the suite plan
+//!   and cells completed per wall second.
+//! - `bytes_per_node`: kernel rows — interest plus reputation table bytes
+//!   per node, from the `arena.interest_bytes` and
+//!   `arena.reputation_bytes` gauges at the end of the run (seeds merge by
+//!   max). Omitted when the gauges read 0.
+//! - `note`: free text on a row the capture could not fully measure, e.g.
+//!   `"scaling probe skipped: N cores"` on the sharded `perf-huge-v1` row.
 //!
 //! Rows: `perf-medium-v1` is the clean kernel, captured at threads 1, 2,
 //! 4 and 8 so the baseline records the scaling curve; `chaos-recovery-v1`
@@ -33,6 +46,8 @@
 //! 1000-node world at the same density (threads 1 and 4);
 //! `perf-huge-v1` is a 100k-node world at the same density (threads 1
 //! and 4, one seed) — the scale the event-driven contact core targets;
+//! `perf-huge-v2` is a 250k-node world (threads 1, one seed) held to an
+//! absolute events/sec floor and a `bytes_per_node` ceiling;
 //! `sweep-suite-v1` is a miniature figure grid pushed through the sweep
 //! executor at 1 worker and at `min(8, cores)` workers with a cold memo,
 //! plus a `sweep-suite-v1-warm` pass over the populated memo. For sweep
@@ -56,10 +71,13 @@
 //! `perf-large-v1` at threads = 1 must clear [`EVENT_CORE_FLOOR`]x the
 //! time-stepped baseline ([`SEED_LARGE_EV_PER_SEC`]), `perf-huge-v1` at
 //! threads = 4 must beat its own threads = 1 row whenever >= 4 cores are
-//! available (skipped on smaller machines), and the sweep suite must
-//! show the pool and the cache actually paying off — cold at >= 4
-//! workers at least [`SWEEP_COLD_SPEEDUP`]x the cold 1-worker rate, warm
-//! at least [`SWEEP_WARM_SPEEDUP`]x it.
+//! available (skipped on smaller machines, with a `note` on the row),
+//! and the sweep suite must show the pool and the cache actually paying
+//! off — cold at >= 4 workers at least [`SWEEP_COLD_SPEEDUP`]x the cold
+//! 1-worker rate, warm at least [`SWEEP_WARM_SPEEDUP`]x it. Two absolute
+//! bounds hold too: `perf-huge-v2` at threads = 1 must clear
+//! [`HUGE2_EV_FLOOR`] and keep `bytes_per_node` under
+//! [`HUGE2_BYTES_PER_NODE_CEILING`].
 
 use std::time::Instant;
 

@@ -48,7 +48,7 @@ use dtn_reputation::table::{
 };
 use dtn_reputation::watchdog::{Watchdog, WatchdogState};
 use dtn_routing::backend::{ChitChatBackend, RouterBackend};
-use dtn_routing::exchange::ExchangeWheel;
+use dtn_routing::exchange::{ExchangeWheel, KeywordSet};
 use dtn_routing::interests::InterestTable;
 
 use crate::behavior::NodeBehavior;
@@ -179,6 +179,9 @@ pub struct DcimRouter<B: RouterBackend = ChitChatBackend> {
     /// discipline as `digest_scratch`).
     route_ids_scratch: Vec<MessageId>,
     route_keyed_scratch: Vec<(u8, f64, MessageId)>,
+    /// Reusable keyword mask for [`Self::route`]'s offer pruning (same
+    /// scratch discipline as `digest_scratch`).
+    offer_mask_scratch: KeywordSet,
     /// Per-node cached offer ordering + buffer maxima, keyed by the
     /// buffer's mutation generation. A routing pass whose buffer is
     /// unchanged since the last pass (the common case: route runs twice
@@ -311,6 +314,7 @@ impl<B: RouterBackend> DcimRouter<B> {
             digest_scratch: (GossipDigest::default(), GossipDigest::default()),
             route_ids_scratch: Vec::new(),
             route_keyed_scratch: Vec::new(),
+            offer_mask_scratch: KeywordSet::new(),
             route_order: (0..node_count).map(|_| RouteOrder::default()).collect(),
         }
     }
@@ -639,21 +643,45 @@ impl<B: RouterBackend> DcimRouter<B> {
     /// the quality as well as the assigned priority", Fig. 5.6 discussion)
     /// — under bandwidth contention this is what delivers more high-
     /// priority messages than plain ChitChat.
+    ///
+    /// Offers the backend's keyword bound proves refused are skipped
+    /// unclassified (DESIGN.md §17): a message tagged with no keyword of
+    /// [`RouterBackend::offer_keywords`] is neither a destination nor an
+    /// accepted relay, so its offer would return with no side effect.
+    /// Nothing the pass does changes the backend's tables, so one mask
+    /// holds for the whole pass.
     fn route(&mut self, api: &mut SimApi, from: NodeId, to: NodeId) {
         let generation = api.buffer(from).generation();
         if self.route_order[from.index()].generation != Some(generation) {
             self.rebuild_route_order(api, from, generation);
         }
+        let order = &self.route_order[from.index()];
+        if order.ids.is_empty() {
+            return;
+        }
+        let maxima = order.maxima;
+        let sender_rating = self.sender_rating(from, to);
+        let distrusted = self.distrusted(sender_rating);
         // The offer loop needs `&mut self`, so the pass iterates a scratch
         // copy of the cached order (a memcpy of ids — far cheaper than the
         // keyed sort it replaces; route runs twice per contact event and
         // twice per due pair every settlement tick).
         let mut ids = std::mem::take(&mut self.route_ids_scratch);
         ids.clear();
-        let cached = &self.route_order[from.index()];
-        ids.extend_from_slice(&cached.ids);
-        let maxima = cached.maxima;
-        let sender_rating = self.sender_rating(from, to);
+        let cached = &self.route_order[from.index()].ids;
+        let mask = &mut self.offer_mask_scratch;
+        // A sender the DRM avoidance gate refuses keeps the full loop: the
+        // gate runs before the relay rule and counts each refused message.
+        if !distrusted && self.backend.offer_keywords(from, to, mask) {
+            let buffer = api.buffer(from);
+            ids.extend(cached.iter().copied().filter(|&id| {
+                buffer
+                    .get(id)
+                    .is_some_and(|c| c.annotations.iter().any(|a| mask.contains(a.keyword)))
+            }));
+        } else {
+            ids.extend_from_slice(cached);
+        }
         for &id in &ids {
             self.offer_with_maxima(api, from, to, id, maxima, sender_rating);
         }
@@ -703,6 +731,12 @@ impl<B: RouterBackend> DcimRouter<B> {
         } else {
             0.0
         }
+    }
+
+    /// Whether the DRM avoidance gate refuses a sender rated
+    /// `sender_rating` by the receiver.
+    fn distrusted(&self, sender_rating: f64) -> bool {
+        self.params.drm_enabled && sender_rating < self.params.avoid_rating_threshold
     }
 
     /// `(S_m, Q_m)`: the largest size and best quality among `from`'s
@@ -791,7 +825,7 @@ impl<B: RouterBackend> DcimRouter<B> {
         // DRM avoidance: nodes refuse receptions from senders they have
         // come to consider malicious ("enabling other nodes to avoid
         // receiving from malicious nodes", Paper I, §1.3.3).
-        if self.params.drm_enabled && sender_rating < self.params.avoid_rating_threshold {
+        if self.distrusted(sender_rating) {
             self.stats.refused_distrusted_sender += 1;
             return;
         }

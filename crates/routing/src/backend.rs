@@ -84,6 +84,18 @@ pub trait RouterBackend: std::fmt::Debug + Send {
         keywords: &[Keyword],
     ) -> bool;
 
+    /// An upper bound on the keywords through which `to` could take a copy
+    /// from `from`. Returning `true` promises that a message tagged with no
+    /// keyword of `out` is neither [`Self::is_destination`] for `to` nor
+    /// [`Self::accepts_relay`]-ed from `from` to `to`, whatever its id and
+    /// source, until the backend's state next changes; the overlay then
+    /// skips such offers unclassified. The default returns `false`: no
+    /// bound, every offer is classified (`out` is left unspecified).
+    fn offer_keywords(&self, from: NodeId, to: NodeId, out: &mut KeywordSet) -> bool {
+        let _ = (from, to, out);
+        false
+    }
+
     /// A contact between `a` and `b` opened (PRoPHET ages, bumps and
     /// transits its predictabilities here).
     fn on_contact_open(&mut self, now: SimTime, a: NodeId, b: NodeId) {
@@ -206,6 +218,10 @@ impl RouterBackend for Box<dyn RouterBackend> {
         (**self).accepts_relay(from, to, id, source, keywords)
     }
 
+    fn offer_keywords(&self, from: NodeId, to: NodeId, out: &mut KeywordSet) -> bool {
+        (**self).offer_keywords(from, to, out)
+    }
+
     fn on_contact_open(&mut self, now: SimTime, a: NodeId, b: NodeId) {
         (**self).on_contact_open(now, a, b);
     }
@@ -325,6 +341,11 @@ impl RouterBackend for ChitChatBackend {
         let s_from = self.tables[from.index()].sum_of_weights(keywords);
         let s_to = self.tables[to.index()].sum_of_weights(keywords);
         s_to > s_from
+    }
+
+    fn offer_keywords(&self, from: NodeId, to: NodeId, out: &mut KeywordSet) -> bool {
+        self.tables[to.index()].offer_keywords_into(&self.tables[from.index()], out);
+        true
     }
 
     fn exchange(
@@ -1019,6 +1040,37 @@ mod tests {
         assert!(b.accepts_relay(NodeId(0), NodeId(1), MessageId(0), NodeId(0), &[Keyword(7)]));
         assert!(!b.accepts_relay(NodeId(1), NodeId(0), MessageId(0), NodeId(1), &[Keyword(7)]));
         assert!(b.interest_sum(NodeId(1), &[Keyword(7)]) > 0.0);
+    }
+
+    #[test]
+    fn boxed_backend_forwards_the_offer_keyword_bound() {
+        // `BackendRouter` runs `Box<dyn RouterBackend>`: a forwarder that
+        // fell back to the default hook would silently disable pruning.
+        let params = ChitChatParams::paper_default();
+        let mut b = ChitChatBackend::new(3, params);
+        b.subscribe(NodeId(0), Keyword(1), SimTime::ZERO);
+        b.subscribe(NodeId(1), Keyword(2), SimTime::ZERO);
+        b.subscribe(NodeId(2), Keyword(3), SimTime::ZERO);
+        let peers = [NodeId(0), NodeId(1)];
+        b.exchange(
+            SimTime::from_secs(30.0),
+            NodeId(0),
+            NodeId(1),
+            30.0,
+            &peers,
+            &peers,
+        );
+        let boxed: Box<dyn RouterBackend> = Box::new(b.clone());
+        for (from, to) in [(0, 1), (1, 0), (0, 2), (2, 1)] {
+            let (from, to) = (NodeId(from), NodeId(to));
+            let (mut direct, mut forwarded) = (KeywordSet::new(), KeywordSet::new());
+            assert!(b.offer_keywords(from, to, &mut direct));
+            assert!(boxed.offer_keywords(from, to, &mut forwarded));
+            assert!(!direct.is_empty(), "{to} has a direct interest");
+            assert!(direct.same_keywords(&forwarded), "{from}->{to}");
+        }
+        let epidemic: Box<dyn RouterBackend> = Box::new(EpidemicBackend::new(3));
+        assert!(!epidemic.offer_keywords(NodeId(0), NodeId(1), &mut KeywordSet::new()));
     }
 
     #[test]

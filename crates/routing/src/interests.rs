@@ -283,6 +283,49 @@ impl InterestTable {
         self.sum_of_weights(keywords) / keywords.len() as f64
     }
 
+    /// The keywords through which this table's node could take a copy
+    /// from the holder of `from`, written into `out` (cleared first):
+    /// every direct interest here (the destination test), plus every
+    /// keyword whose weight here is not `<=` its weight in `from`. An
+    /// absent keyword weighs 0, and a NaN weight fails the comparison, so
+    /// it joins the set.
+    ///
+    /// A message with no keyword in the set is neither a destination here
+    /// nor accepted as a relay by `S_v > S_u`: every term of this table's
+    /// sum is `<=` the same term of `from`'s, both sums add their terms in
+    /// the same order, and round-to-nearest addition is monotone, so
+    /// `S_here <= S_from`. One merge walk over both sorted tables.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must fail `<=` and join
+    pub fn offer_keywords_into(&self, from: &InterestTable, out: &mut KeywordSet) {
+        out.clear();
+        let from = &from.entries;
+        let mut j = 0;
+        for row in &self.entries {
+            while j < from.len() && from[j].keyword < row.keyword {
+                // Only a negative or NaN weight in `from` could let an
+                // absent keyword here (weight 0) raise `S_here` above it.
+                if !(0.0 <= from[j].weight) {
+                    out.insert(from[j].keyword);
+                }
+                j += 1;
+            }
+            let w_from = if j < from.len() && from[j].keyword == row.keyword {
+                j += 1;
+                from[j - 1].weight
+            } else {
+                0.0
+            };
+            if row.kind == InterestKind::Direct || !(row.weight <= w_from) {
+                out.insert(row.keyword);
+            }
+        }
+        for r in &from[j..] {
+            if !(0.0 <= r.weight) {
+                out.insert(r.keyword);
+            }
+        }
+    }
+
     /// Number of interests tracked.
     #[must_use]
     pub fn len(&self) -> usize {

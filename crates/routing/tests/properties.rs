@@ -136,6 +136,121 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Offer-pass pruning (DESIGN.md §17): the keyword bound the ChitChat backend
+// reports must be sound for the tables the run actually builds — direct
+// subscriptions, RTSR decay/growth, transient acquisition and floor drops —
+// and for any keyword list, duplicates and unknown keywords included.
+// ---------------------------------------------------------------------------
+
+mod offer_pruning {
+    use super::*;
+    use dtn_routing::backend::{ChitChatBackend, RouterBackend};
+    use dtn_routing::exchange::KeywordSet;
+    use dtn_sim::message::MessageId;
+    use dtn_sim::world::NodeId;
+
+    const NODES: u32 = 4;
+
+    /// One scripted operation `(kind, a, b, kw, ticks, fine)`. `kind % 3`
+    /// picks one of three:
+    /// - 0: node `a` subscribes to keyword `kw`;
+    /// - 1: `a` and `b` exchange while each sees only the other, so every
+    ///   interest the partner lacks decays and weak transient ones drop at
+    ///   the floor;
+    /// - 2: `a` and `b` exchange while every node is connected, so only
+    ///   interests no other node holds decay.
+    ///
+    /// First `ticks` × 15 s pass and are credited as contact time, or a
+    /// thousandth of that when `fine` is set. Whole ticks often leave equal
+    /// weights on two tables, and fine steps then part them by tiny
+    /// margins: the near-ties a loose bound would misjudge.
+    type Op = (u8, u32, u32, u32, u32, bool);
+
+    /// Builds the tables through the backend's real `subscribe` and
+    /// `exchange` (`rtsr_exchange`) paths.
+    fn world(ops: &[Op]) -> ChitChatBackend {
+        let mut b = ChitChatBackend::new(NODES as usize, params());
+        let mut now = 0.0;
+        for &(kind, a, other, kw, ticks, fine) in ops {
+            let dt = f64::from(ticks) * if fine { 0.015 } else { 15.0 };
+            now += dt;
+            let (a, other) = (NodeId(a % NODES), NodeId(other % NODES));
+            let t = SimTime::from_secs(now);
+            match kind % 3 {
+                0 => b.subscribe(a, Keyword(kw), t),
+                _ if a == other => {}
+                1 => b.exchange(t, a, other, dt, &[other], &[a]),
+                _ => {
+                    let peers_of = |n: NodeId| {
+                        (0..NODES)
+                            .map(NodeId)
+                            .filter(|&p| p != n)
+                            .collect::<Vec<_>>()
+                    };
+                    b.exchange(t, a, other, dt, &peers_of(a), &peers_of(other));
+                }
+            }
+        }
+        b
+    }
+
+    fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+        let op = (0u8..3, 0u32..8, 0u32..8, 0u32..8, 0u32..60, prop::bool::ANY);
+        prop::collection::vec(op, 0..80)
+    }
+
+    proptest! {
+        /// A message tagged with no keyword of `offer_keywords(from, to)` is
+        /// neither a destination at `to` nor accepted as a relay from `from`.
+        #[test]
+        fn keywords_outside_the_mask_are_refused(
+            ops in arb_ops(),
+            probes in prop::collection::vec(prop::collection::vec(0u32..12, 1..6), 1..12),
+        ) {
+            let b = world(&ops);
+            let mut mask = KeywordSet::new();
+            for from in (0..NODES).map(NodeId) {
+                for to in (0..NODES).map(NodeId).filter(|&to| to != from) {
+                    prop_assert!(b.offer_keywords(from, to, &mut mask));
+                    for probe in &probes {
+                        let keywords: Vec<Keyword> = probe.iter().map(|&k| Keyword(k)).collect();
+                        if keywords.iter().any(|&k| mask.contains(k)) {
+                            continue;
+                        }
+                        prop_assert!(
+                            !b.is_destination(to, &keywords),
+                            "{} is a destination for {:?} outside its mask", to, keywords
+                        );
+                        prop_assert!(
+                            !b.accepts_relay(from, to, MessageId(0), from, &keywords),
+                            "{}->{} relays {:?} outside the mask", from, to, keywords
+                        );
+                    }
+                }
+            }
+        }
+
+        /// The bound is tight on one-keyword messages: a keyword is in the
+        /// mask exactly when a message tagged with it alone would be offered.
+        #[test]
+        fn the_mask_is_exact_for_single_keywords(ops in arb_ops()) {
+            let b = world(&ops);
+            let mut mask = KeywordSet::new();
+            for from in (0..NODES).map(NodeId) {
+                for to in (0..NODES).map(NodeId).filter(|&to| to != from) {
+                    prop_assert!(b.offer_keywords(from, to, &mut mask));
+                    for k in (0..12).map(Keyword) {
+                        let offered = b.is_destination(to, &[k])
+                            || b.accepts_relay(from, to, MessageId(0), from, &[k]);
+                        prop_assert_eq!(mask.contains(k), offered, "{}->{} {}", from, to, k);
+                    }
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Settlement wheel vs. legacy full scan (DESIGN.md §16): over arbitrary
 // interleavings of contact-open (service), contact-close and reopen, the
 // wheel must emit exactly the pairs the per-tick full scan would, in the

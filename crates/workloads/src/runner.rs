@@ -124,8 +124,15 @@ pub fn build_simulation_opts(
 /// population and message schedule from `seed`, wraps the backend that
 /// `backend` builds in the overlay configured for `arm`, seeds the router
 /// with the population, and wires the kernel. Generic over the backend, so
-/// the arm path stays statically dispatched over [`ChitChatBackend`].
-fn build_world<B: RouterBackend>(
+/// the arm path stays statically dispatched over [`ChitChatBackend`], and a
+/// caller can run the identical world over a backend of its own (a wrapper
+/// that observes or restricts another backend, say).
+///
+/// # Panics
+///
+/// Panics if the scenario fails validation.
+#[must_use]
+pub fn build_world<B: RouterBackend>(
     scenario: &Scenario,
     arm: Arm,
     backend: impl FnOnce(&ChitChatParams) -> B,
@@ -344,7 +351,8 @@ pub fn run_once_observed(
 /// Runs a built world to the scenario's horizon and collects the one
 /// [`ArmRun`] every run path reports, plus the rendered trace (when
 /// `render_trace`) and the wall-clock [`PerfReport`] (when `profile`).
-fn run_to_horizon<B: RouterBackend>(
+#[must_use]
+pub fn run_to_horizon<B: RouterBackend>(
     mut sim: Simulation<DcimRouter<B>>,
     scenario: &Scenario,
     render_trace: bool,
