@@ -84,7 +84,7 @@ use std::time::Instant;
 use dtn_sim::faults::FaultPlan;
 use dtn_sim::transfer::RecoveryPolicy;
 use dtn_workloads::paper::{reduced_scenario, seeds_for};
-use dtn_workloads::runner::{run_once_perf, PerfReport};
+use dtn_workloads::runner::{run, Instrument, PerfReport, RunSpec};
 use dtn_workloads::scenario::{Arm, Scenario};
 use dtn_workloads::sweep::{self, run_cells, Cell};
 use serde::Deserialize;
@@ -347,18 +347,23 @@ fn bench_row(scenario: &Scenario, threads: usize, seeds: &[u64], quick: bool) ->
 
     // Sequential, one profiled run per seed: wall-clock must measure the
     // kernel, not scheduler contention between concurrent runs.
+    let profile = Instrument {
+        profile: true,
+        ..Instrument::default()
+    };
     let mut report: Option<PerfReport> = None;
     let mut relays = 0u64;
     let mut retried = 0u64;
     let mut resumed = 0u64;
     for &seed in seeds {
-        let (run, perf) = run_once_perf(&scenario, Arm::Incentive, seed);
-        relays += run.summary.relays_completed;
-        retried += run.summary.transfers_retried;
-        resumed += run.summary.transfers_resumed;
+        let (outcome, _, perf) = run(&RunSpec::arm(&scenario, Arm::Incentive, seed), &profile);
+        let perf = perf.expect("profiling was enabled");
+        relays += outcome.summary.relays_completed;
+        retried += outcome.summary.transfers_retried;
+        resumed += outcome.summary.transfers_resumed;
         println!(
             "seed {seed}: {:.2}s wall, {:.0} ev/s, {} relays",
-            perf.wall_secs, perf.events_per_sec, run.summary.relays_completed
+            perf.wall_secs, perf.events_per_sec, outcome.summary.relays_completed
         );
         match &mut report {
             Some(r) => r.merge(&perf),

@@ -98,8 +98,9 @@ pub fn run_all(cli: &Cli) {
 pub mod fig5_1 {
     use super::*;
     use crate::{print_scenario_header, write_csv};
-    use dtn_workloads::dispersion::run_seeds_detailed;
+    use dtn_workloads::dispersion::SeedStats;
     use dtn_workloads::paper::selfish_sweep;
+    use dtn_workloads::runner::run_seeds;
     use dtn_workloads::scenario::Arm;
 
     /// The figure's sweep scenarios (smoke-prepped).
@@ -133,8 +134,8 @@ pub mod fig5_1 {
         let mut rows = Vec::new();
         for scenario in &sweep {
             let pct = (scenario.selfish_fraction * 100.0).round();
-            let (_, inc) = run_seeds_detailed(scenario, Arm::Incentive, &cli.seeds);
-            let (_, cc) = run_seeds_detailed(scenario, Arm::ChitChat, &cli.seeds);
+            let inc = SeedStats::of(&run_seeds(scenario, Arm::Incentive, &cli.seeds));
+            let cc = SeedStats::of(&run_seeds(scenario, Arm::ChitChat, &cli.seeds));
             println!(
                 "{:>9} | {:>17} | {:>17} | {:>+9.3}",
                 pct,
@@ -163,7 +164,8 @@ pub mod fig5_2 {
     use super::*;
     use crate::{print_scenario_header, write_csv};
     use dtn_workloads::paper::selfish_sweep;
-    use dtn_workloads::runner::compare_arms;
+    use dtn_workloads::prelude::BackendKind;
+    use dtn_workloads::runner::compare;
     use dtn_workloads::scenario::Arm;
 
     fn sweep(cli: &Cli) -> Vec<Scenario> {
@@ -197,7 +199,7 @@ pub mod fig5_2 {
         let mut rows = Vec::new();
         for scenario in &sweep {
             let pct = (scenario.selfish_fraction * 100.0).round();
-            let cmp = compare_arms(scenario, &cli.seeds);
+            let (cmp, _) = compare(scenario, BackendKind::ChitChat, &cli.seeds, false);
             println!(
                 "{:>9} | {:>15} | {:>15} | {:>+11.1}",
                 pct,
@@ -224,6 +226,7 @@ pub mod fig5_2 {
 pub mod fig5_3 {
     use super::*;
     use crate::{print_scenario_header, write_csv};
+    use dtn_sim::stats::RunSummary;
     use dtn_workloads::paper::token_sweep;
     use dtn_workloads::runner::run_seeds;
     use dtn_workloads::scenario::Arm;
@@ -269,7 +272,8 @@ pub mod fig5_3 {
             let mut cells = Vec::new();
             let mut csv = format!("{pct}");
             for (_, scenarios) in &sweep {
-                let summary = run_seeds(&scenarios[idx], Arm::Incentive, &cli.seeds);
+                let summary =
+                    RunSummary::mean_of(&run_seeds(&scenarios[idx], Arm::Incentive, &cli.seeds));
                 cells.push(format!("{:>11.3}", summary.delivery_ratio));
                 csv.push_str(&format!(",{:.6}", summary.delivery_ratio));
             }
@@ -289,6 +293,7 @@ pub mod fig5_4 {
     use super::*;
     use crate::{ascii_chart, print_scenario_header, write_csv};
     use dtn_core::protocol::MALICIOUS_RATING_SERIES;
+    use dtn_sim::stats::RunSummary;
     use dtn_workloads::paper::malicious_sweep;
     use dtn_workloads::runner::run_seeds;
     use dtn_workloads::scenario::Arm;
@@ -319,7 +324,7 @@ pub mod fig5_4 {
         let mut series_by_pct = Vec::new();
         for scenario in &sweep {
             let pct = (scenario.malicious_fraction * 100.0).round();
-            let summary = run_seeds(scenario, Arm::Incentive, &cli.seeds);
+            let summary = RunSummary::mean_of(&run_seeds(scenario, Arm::Incentive, &cli.seeds));
             let series = summary
                 .series
                 .get(MALICIOUS_RATING_SERIES)
@@ -380,7 +385,8 @@ pub mod fig5_5 {
     use super::*;
     use crate::{print_scenario_header, write_csv};
     use dtn_workloads::paper::user_count_sweep;
-    use dtn_workloads::runner::compare_arms;
+    use dtn_workloads::prelude::BackendKind;
+    use dtn_workloads::runner::compare;
     use dtn_workloads::scenario::Arm;
 
     fn sweep(cli: &Cli) -> Vec<Scenario> {
@@ -412,7 +418,7 @@ pub mod fig5_5 {
         println!("{}", "-".repeat(53));
         let mut rows = Vec::new();
         for scenario in &sweep {
-            let cmp = compare_arms(scenario, &cli.seeds);
+            let (cmp, _) = compare(scenario, BackendKind::ChitChat, &cli.seeds, false);
             println!(
                 "{:>7} | {:>13.3} | {:>13.3} | {:>+9.3}",
                 scenario.nodes,
@@ -434,7 +440,8 @@ pub mod fig5_6 {
     use super::*;
     use crate::{print_scenario_header, write_csv};
     use dtn_workloads::paper::priority_sweep;
-    use dtn_workloads::runner::compare_arms;
+    use dtn_workloads::prelude::BackendKind;
+    use dtn_workloads::runner::compare;
     use dtn_workloads::scenario::Arm;
 
     fn sweep(cli: &Cli) -> Vec<Scenario> {
@@ -467,7 +474,7 @@ pub mod fig5_6 {
         let mut rows = Vec::new();
         for scenario in &sweep {
             let pct = (scenario.selfish_fraction * 100.0).round();
-            let cmp = compare_arms(scenario, &cli.seeds);
+            let (cmp, _) = compare(scenario, BackendKind::ChitChat, &cli.seeds, false);
             for (label, summary) in [("Incentive", &cmp.incentive), ("ChitChat", &cmp.chitchat)] {
                 let by = &summary.delivery_ratio_by_priority;
                 let get = |level: u8| by.get(&level).copied().unwrap_or(0.0);
@@ -769,7 +776,7 @@ pub mod lifetime {
         for budget in BUDGETS {
             for arm in Arm::BOTH {
                 let s = scenario_for(&base, budget);
-                let runs = dtn_workloads::sweep::run_arm_seeds(&s, arm, &cli.seeds);
+                let runs = dtn_workloads::runner::run_seeds(&s, arm, &cli.seeds);
                 let dead_total: u64 = runs.iter().map(|r| r.depleted_nodes).sum();
                 let mean = RunSummary::mean_of(&runs);
                 let dead = dead_total as f64 / cli.seeds.len() as f64;

@@ -24,7 +24,7 @@ use dtn_workloads::paper::{reduced_scenario, seeds_for, QUICK_SEEDS};
 use dtn_workloads::prelude::{
     read_snapshot, run_with_snapshots, BackendKind, RunMeta, RunProgress, SnapshotPolicy,
 };
-use dtn_workloads::runner::{compare_arms, compare_overlays};
+use dtn_workloads::runner::{compare, PerfReport};
 use dtn_workloads::scenario::{Arm, Scenario};
 
 /// A parsed command.
@@ -471,7 +471,8 @@ ROUTERS:
     overlay: the comparison becomes overlay-on vs overlay-off over that
     router on the identical workload. chitchat (the default) is the paper's
     Incentive-vs-ChitChat arms. The flag overrides the scenario's optional
-    `backend` field. Profiling flags apply to the chitchat path only.
+    `backend` field. dtn run runs the paper arms over chitchat only and
+    refuses a scenario whose `backend` names another router.
 "
 }
 
@@ -599,6 +600,15 @@ pub fn execute_with_interrupt(
             resume_from,
         } => {
             let mut scenario = load_scenario(&path)?;
+            let backend = scenario.effective_backend();
+            if backend != BackendKind::ChitChat {
+                return Err(format!(
+                    "{path} sets backend '{}', but dtn run runs the paper arms over chitchat; \
+                     run `dtn compare {path} --router {}` for that router",
+                    backend.tag(),
+                    backend.tag()
+                ));
+            }
             if threads.is_some() {
                 scenario.threads = threads;
             }
@@ -683,14 +693,7 @@ pub fn execute_with_interrupt(
                 }
                 None => None,
             };
-            let mut sim = dtn_workloads::runner::build_simulation_opts(
-                &scenario,
-                arm,
-                seed,
-                capacity.map(dtn_sim::trace::TraceLog::bounded),
-                cadence,
-                profile,
-            );
+            let mut sim = meta.build(profile);
             if let Some(doc) = &resume_doc {
                 sim.restore(&doc.world)
                     .map_err(|e| format!("cannot resume: {e}"))?;
@@ -720,10 +723,7 @@ pub fn execute_with_interrupt(
             .map_err(|e| format!("cannot write snapshot: {e}"))?;
             if let RunProgress::Interrupted { at, snapshot } = progress {
                 if let Some(out_path) = &metrics_out {
-                    let report = dtn_workloads::runner::PerfReport::capture(
-                        &sim,
-                        t0.elapsed().as_secs_f64(),
-                    );
+                    let report = PerfReport::capture(&sim, t0.elapsed().as_secs_f64());
                     write_metrics(out_path, &report)?;
                 }
                 let mut text = format!(
@@ -752,9 +752,7 @@ pub fn execute_with_interrupt(
                     interrupted: true,
                 });
             }
-            let perf = profile.then(|| {
-                dtn_workloads::runner::PerfReport::capture(&sim, t0.elapsed().as_secs_f64())
-            });
+            let perf = profile.then(|| PerfReport::capture(&sim, t0.elapsed().as_secs_f64()));
             let trace_text = capacity.map(|_| sim.api().trace().render());
             let (router, summary) = sim.finish();
             if let (Some(out_path), Some(text)) = (&trace_out, &trace_text) {
@@ -815,60 +813,28 @@ pub fn execute_with_interrupt(
                 )));
             }
             // The flag overrides the scenario's own `backend` field;
-            // chitchat is the paper's arms and takes the classic path.
+            // chitchat is the paper's two arms.
             let backend = router.unwrap_or_else(|| scenario.effective_backend());
             let seed_values = seeds_for(seeds);
-            if backend != BackendKind::ChitChat {
-                if metrics_out.is_some() || verbose {
-                    return Err(format!(
-                        "--metrics-out/--verbose profiling covers the chitchat (arm) path \
-                         only; rerun without them or without --router {}",
-                        backend.tag()
-                    ));
-                }
-                let cmp = compare_overlays(&scenario, backend, &seed_values);
-                let mut text = format_summary(
-                    &format!(
-                        "{} · Incentive over {} (mean of {seeds} seeds)",
-                        scenario.name,
-                        backend.label()
-                    ),
-                    &cmp.incentive,
-                );
-                text.push('\n');
-                text.push_str(&format_summary(
-                    &format!(
-                        "{} · Plain {} (mean of {seeds} seeds)",
-                        scenario.name,
-                        backend.label()
-                    ),
-                    &cmp.chitchat,
-                ));
-                let _ = writeln!(
-                    text,
-                    "\npaired: MDR gap {:+.4}, traffic reduction {:+.1}%",
-                    cmp.mdr_gap(),
-                    cmp.traffic_reduction_pct()
-                );
-                return Ok(done(text));
-            }
             let profile = metrics_out.is_some() || verbose;
-            let (cmp, perf) = if profile {
-                let (cmp, perf) = dtn_workloads::runner::compare_arms_perf(&scenario, &seed_values);
-                (cmp, Some(perf))
-            } else {
-                (compare_arms(&scenario, &seed_values), None)
-            };
+            let (cmp, perf) = compare(&scenario, backend, &seed_values, profile);
             if let (Some(out_path), Some(report)) = (&metrics_out, &perf) {
                 write_metrics(out_path, report)?;
             }
+            let (on, off) = match backend {
+                BackendKind::ChitChat => ("Incentive".to_owned(), "ChitChat".to_owned()),
+                other => (
+                    format!("Incentive over {}", other.label()),
+                    format!("Plain {}", other.label()),
+                ),
+            };
             let mut text = format_summary(
-                &format!("{} · Incentive (mean of {seeds} seeds)", scenario.name),
+                &format!("{} · {on} (mean of {seeds} seeds)", scenario.name),
                 &cmp.incentive,
             );
             text.push('\n');
             text.push_str(&format_summary(
-                &format!("{} · ChitChat (mean of {seeds} seeds)", scenario.name),
+                &format!("{} · {off} (mean of {seeds} seeds)", scenario.name),
                 &cmp.chitchat,
             ));
             let _ = writeln!(
@@ -897,7 +863,7 @@ extern "C" fn sigint_handler(_signum: i32) {
     SIGINT_FLAG.store(true, std::sync::atomic::Ordering::Relaxed);
 }
 
-/// Installs a SIGINT handler that latches [`struct@SIGINT_FLAG`] instead of
+/// Installs a SIGINT handler that latches a process-wide flag instead of
 /// killing the process, so `dtn run` can flush its `--metrics-out` report
 /// and a final snapshot before exiting with status 130. Returns the flag;
 /// on non-Unix platforms this installs nothing and the flag stays false.
@@ -918,7 +884,7 @@ pub fn install_sigint_flag() -> &'static std::sync::atomic::AtomicBool {
 }
 
 /// Serializes a [`PerfReport`] to `path` as pretty JSON.
-fn write_metrics(path: &str, report: &dtn_workloads::runner::PerfReport) -> Result<(), String> {
+fn write_metrics(path: &str, report: &PerfReport) -> Result<(), String> {
     let json = serde_json::to_string_pretty(report)
         .map_err(|e| format!("cannot serialize metrics: {e}"))?;
     std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))
@@ -1299,7 +1265,7 @@ mod tests {
             text.contains("phase"),
             "verbose output has phase table: {text}"
         );
-        let report: dtn_workloads::runner::PerfReport =
+        let report: PerfReport =
             serde_json::from_str(&std::fs::read_to_string(&metrics_out).expect("written"))
                 .expect("valid PerfReport JSON");
         assert!(!report.phases.is_empty(), "per-phase wall-clock present");
@@ -1332,7 +1298,7 @@ mod tests {
         })
         .expect("runs");
         assert!(text.contains("Incentive") && text.contains("ChitChat"));
-        let report: dtn_workloads::runner::PerfReport =
+        let report: PerfReport =
             serde_json::from_str(&std::fs::read_to_string(&metrics_out).expect("written"))
                 .expect("valid PerfReport JSON");
         assert_eq!(report.runs, 2, "one run per arm");
@@ -1367,19 +1333,52 @@ mod tests {
             "labels name the substrate: {text}"
         );
         assert!(text.contains("MDR gap"));
-        // Profiling only covers the arm path; the refusal is explicit.
-        let err = execute(Command::Compare {
+        // Profiling covers every router: one run per overlay state.
+        let metrics_out = dir.join("m.json");
+        let profiled = execute(Command::Compare {
             path: path.to_str().expect("utf8").to_owned(),
             seeds: 1,
-            metrics_out: None,
+            metrics_out: Some(metrics_out.to_str().expect("utf8").to_owned()),
             verbose: true,
             threads: None,
             sweep_workers: None,
             sweep_cache: false,
             router: Some(BackendKind::Epidemic),
         })
-        .expect_err("profiling with a non-chitchat router is refused");
-        assert!(err.contains("chitchat"), "error explains the limit: {err}");
+        .expect("profiling a non-chitchat router runs");
+        assert!(profiled.starts_with(&text), "profiling changes no result");
+        assert!(
+            profiled.contains("phase"),
+            "verbose phase table: {profiled}"
+        );
+        let report: PerfReport =
+            serde_json::from_str(&std::fs::read_to_string(&metrics_out).expect("written"))
+                .expect("valid PerfReport JSON");
+        assert_eq!(report.runs, 2, "one run per overlay state");
+        assert!(report.events_per_sec > 0.0);
+    }
+
+    #[test]
+    fn run_refuses_a_scenario_that_names_another_backend() {
+        let dir = scratch_dir("run-backend");
+        let path = dir.join("tiny.json");
+        let command = parse_args(&argv(&format!("run {}", path.display()))).expect("parses");
+        let mut s = reduced_scenario();
+        s.nodes = 10;
+        s.area_km2 = 0.1;
+        s.duration_secs = 300.0;
+        s.message_ttl_secs = 200.0;
+        s.backend = Some(BackendKind::Epidemic);
+        std::fs::write(&path, serde_json::to_string(&s).expect("json")).expect("write");
+        let err = execute(command.clone()).expect_err("run does not run epidemic as chitchat");
+        assert!(
+            err.contains("epidemic") && err.contains("dtn compare") && err.contains("--router"),
+            "the error points to compare --router: {err}"
+        );
+        // `backend: null`, as `dtn template` writes it, is chitchat.
+        s.backend = None;
+        std::fs::write(&path, serde_json::to_string(&s).expect("json")).expect("write");
+        assert!(execute(command).expect("runs").contains("delivery ratio"));
     }
 
     /// A tiny chaos+strategies scenario on disk, for the resume tests.
@@ -1460,7 +1459,7 @@ mod tests {
             "the output points at the snapshot: {}",
             outcome.text
         );
-        let report: dtn_workloads::runner::PerfReport =
+        let report: PerfReport =
             serde_json::from_str(&std::fs::read_to_string(&metrics_out).expect("metrics flushed"))
                 .expect("valid PerfReport JSON");
         assert!(report.wall_secs > 0.0);

@@ -1044,8 +1044,9 @@ mod tests {
 
     #[test]
     fn boxed_backend_forwards_the_offer_keyword_bound() {
-        // `BackendRouter` runs `Box<dyn RouterBackend>`: a forwarder that
-        // fell back to the default hook would silently disable pruning.
+        // Every non-ChitChat run goes through `Box<dyn RouterBackend>`: a
+        // forwarder that fell back to the default hook would silently
+        // disable pruning.
         let params = ChitChatParams::paper_default();
         let mut b = ChitChatBackend::new(3, params);
         b.subscribe(NodeId(0), Keyword(1), SimTime::ZERO);

@@ -259,9 +259,9 @@ impl RetryScheduler {
     }
 }
 
-/// Snapshot of a [`RetryScheduler`]'s dynamic state: the retry queue in
-/// insertion order, the budget counters as key-sorted vectors, and the
-/// position of the retry RNG stream.
+/// Snapshot of the kernel retry scheduler's dynamic state: the retry
+/// queue in insertion order, the budget counters as key-sorted vectors,
+/// and the position of the retry RNG stream.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RetrySchedulerState {
     rng: RngState,

@@ -92,25 +92,11 @@ impl SeedStats {
     }
 }
 
-/// Runs one arm over `seeds` and returns the per-seed summaries plus their
-/// aggregate — the long form of [`crate::runner::run_seeds`] for reports
-/// that want error bars. Seeds execute (and memoize) on the
-/// [`crate::sweep`] executor, like every other multi-seed entry point.
-#[must_use]
-pub fn run_seeds_detailed(
-    scenario: &crate::scenario::Scenario,
-    arm: crate::scenario::Arm,
-    seeds: &[u64],
-) -> (Vec<RunSummary>, SeedStats) {
-    let runs = crate::sweep::run_arm_seeds(scenario, arm, seeds);
-    let stats = SeedStats::of(&runs);
-    (runs, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::paper::reduced_scenario;
+    use crate::runner::run_seeds;
     use crate::scenario::Arm;
 
     #[test]
@@ -160,7 +146,8 @@ mod tests {
         s.duration_secs = 900.0;
         s.message_ttl_secs = 600.0;
         let s = s.named("dispersion");
-        let (runs, stats) = run_seeds_detailed(&s, Arm::ChitChat, &[1, 2, 3]);
+        let runs = run_seeds(&s, Arm::ChitChat, &[1, 2, 3]);
+        let stats = SeedStats::of(&runs);
         assert_eq!(runs.len(), 3);
         assert_eq!(stats.seeds, 3);
         assert!((0.0..=1.0).contains(&stats.delivery_ratio.mean));

@@ -9,8 +9,8 @@
 //!   population synthesis, source quality classes;
 //! * [`traffic`] — the message-creation schedule with ground-truth
 //!   content and expected destination sets;
-//! * [`runner`] — builds simulations, runs seeds, pairs the Incentive and
-//!   ChitChat arms over identical workloads;
+//! * [`runner`] — one run path ([`runner::RunSpec`] + [`runner::Instrument`]),
+//!   multi-seed runs, and overlay-on vs overlay-off pairs on one workload;
 //! * [`resume`] — crash-resumable runs: periodic whole-world snapshots
 //!   with run identity attached, and byte-identical resume;
 //! * [`sweep`] — the work-stealing sweep executor with a memoized run
@@ -26,7 +26,7 @@
 //! // A quick reduced-scale Fig. 5.1 point: 30% selfish nodes, both arms.
 //! let mut scenario = reduced_scenario();
 //! scenario.selfish_fraction = 0.3;
-//! let cmp = compare_arms(&scenario, &[101]);
+//! let (cmp, _) = compare(&scenario, BackendKind::ChitChat, &[101], false);
 //! println!(
 //!     "MDR incentive {:.3} vs chitchat {:.3}, traffic saved {:.1}%",
 //!     cmp.incentive.delivery_ratio,
@@ -49,7 +49,7 @@ pub mod traffic;
 
 /// The most commonly used items, for glob import.
 pub mod prelude {
-    pub use crate::dispersion::{run_seeds_detailed, Dispersion, SeedStats};
+    pub use crate::dispersion::{Dispersion, SeedStats};
     pub use crate::paper::{
         malicious_sweep, priority_sweep, reduced_scenario, selfish_sweep, table51_scenario,
         token_sweep, user_count_sweep, Scale, PAPER_SEEDS, QUICK_SEEDS,
@@ -60,9 +60,8 @@ pub mod prelude {
         write_snapshot, RunMeta, RunProgress, SnapshotDoc, SnapshotPolicy,
     };
     pub use crate::runner::{
-        arm_for, build_backend_simulation, build_simulation, compare_arms, compare_overlays,
-        protocol_for, run_backend, run_backend_checked, run_once, run_seeds, ArmRun, BackendRouter,
-        Comparison,
+        build_simulation, compare, protocol_for, run, run_once, run_seeds, ArmRun, Comparison,
+        Instrument, RunSpec,
     };
     pub use crate::scenario::{Arm, Mobility, Scenario, SourceClassMix};
     pub use crate::sweep::{run_cells, Cell, CellKind, CellResult};

@@ -58,7 +58,6 @@ pub fn table51_scenario() -> Scenario {
         recovery: None,
         threads: None,
         backend: None,
-        overlay: None,
         strategies: None,
         audit_every: None,
         selfish_duty_cycle: None,

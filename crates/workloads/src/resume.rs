@@ -25,7 +25,7 @@ use dtn_sim::snapshot::{self, SnapshotError};
 use dtn_sim::stats::RunSummary;
 use dtn_sim::time::SimTime;
 
-use crate::runner::build_simulation_checked;
+use crate::runner::{build_chitchat, Instrument, RunSpec};
 use crate::scenario::{Arm, Scenario};
 
 /// The identity of the run a snapshot belongs to: everything needed to
@@ -43,6 +43,28 @@ pub struct RunMeta {
     pub trace_capacity: Option<usize>,
     /// Invariant-audit cadence in steps, when auditing is on.
     pub check_every: Option<u64>,
+}
+
+impl RunMeta {
+    /// Builds the world this identity names. A fresh run and a resumed one
+    /// both build here, so restored state always lands in the identical
+    /// configuration. `profile` turns on the wall-clock phase profiler; it
+    /// is no part of the identity because it changes no result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scenario fails validation.
+    #[must_use]
+    pub fn build(&self, profile: bool) -> Simulation<DcimRouter> {
+        build_chitchat(
+            &RunSpec::arm(&self.scenario, self.arm, self.seed),
+            &Instrument {
+                trace_capacity: self.trace_capacity,
+                check_every: self.check_every,
+                profile,
+            },
+        )
+    }
 }
 
 /// One on-disk snapshot: run identity plus the whole-kernel state.
@@ -141,17 +163,7 @@ pub fn read_snapshot(path: &Path) -> Result<SnapshotDoc, SnapshotError> {
 ///
 /// Panics if the embedded scenario fails validation.
 pub fn resume_simulation(doc: &SnapshotDoc) -> Result<Simulation<DcimRouter>, SnapshotError> {
-    let trace = doc
-        .meta
-        .trace_capacity
-        .map(dtn_sim::trace::TraceLog::bounded);
-    let mut sim = build_simulation_checked(
-        &doc.meta.scenario,
-        doc.meta.arm,
-        doc.meta.seed,
-        trace,
-        doc.meta.check_every,
-    );
+    let mut sim = doc.meta.build(false);
     sim.restore(&doc.world)?;
     Ok(sim)
 }
@@ -253,11 +265,6 @@ mod tests {
         }
     }
 
-    fn fresh_sim(m: &RunMeta) -> Simulation<DcimRouter> {
-        let trace = m.trace_capacity.map(dtn_sim::trace::TraceLog::bounded);
-        build_simulation_checked(&m.scenario, m.arm, m.seed, trace, m.check_every)
-    }
-
     #[test]
     fn kill_and_resume_is_byte_identical_across_seeds_and_threads() {
         let dir = std::env::temp_dir().join(format!("dtn-resume-{}", std::process::id()));
@@ -270,12 +277,12 @@ mod tests {
                 let horizon = SimTime::from_secs(s.duration_secs);
 
                 // The uninterrupted golden run.
-                let mut golden = fresh_sim(&m);
+                let mut golden = m.build(false);
                 let golden_summary = golden.run_until(horizon);
                 let golden_trace = golden.api().trace().render();
 
                 // Kill mid-run, flushing a final checkpoint.
-                let mut victim = fresh_sim(&m);
+                let mut victim = m.build(false);
                 let kill_at = SimTime::from_secs(500.0);
                 let progress = run_with_snapshots(
                     &mut victim,
@@ -324,7 +331,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let s = scenario();
         let m = meta(&s, 3);
-        let mut sim = fresh_sim(&m);
+        let mut sim = m.build(false);
         let progress = run_with_snapshots(
             &mut sim,
             &m,
@@ -359,7 +366,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let s = scenario();
         let m = meta(&s, 5);
-        let mut sim = fresh_sim(&m);
+        let mut sim = m.build(false);
         let _ = run_with_snapshots(&mut sim, &m, SimTime::from_secs(100.0), None, &|_| false);
         let path = dir.join("victim.dtnsnap");
         write_snapshot(&sim, &m, &path).unwrap();
@@ -381,7 +388,7 @@ mod tests {
         let mut small = scenario();
         small.nodes = 10;
         let small_meta = meta(&small, 5);
-        let small_sim = fresh_sim(&small_meta);
+        let small_sim = small_meta.build(false);
         let mut doc = read_snapshot(&path).unwrap();
         doc.world = small_sim.snapshot();
         assert!(matches!(

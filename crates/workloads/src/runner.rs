@@ -1,4 +1,6 @@
-//! Building and running scenarios, one or many seeds at a time.
+//! Building and running scenarios, one or many seeds at a time: [`run`]
+//! executes one [`RunSpec`] under one [`Instrument`], and every other entry
+//! point here goes through it.
 
 use dtn_core::behavior::NodeBehavior;
 use dtn_core::params::ProtocolParams;
@@ -16,6 +18,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::population::Population;
 use crate::scenario::{Arm, Scenario};
+use crate::sweep::{run_cells, Cell};
 use crate::traffic::generate_schedule;
 
 /// The protocol configuration for one arm of a scenario.
@@ -40,125 +43,134 @@ pub fn protocol_for(scenario: &Scenario, arm: Arm) -> ProtocolParams {
     }
 }
 
-/// Builds a ready-to-run simulation for `scenario` under `arm` and `seed`.
+/// What one run simulates: a scenario over a routing backend, with the
+/// incentive overlay on or off, under one seed.
 ///
-/// Both arms of the same `(scenario, seed)` see the *identical* workload:
-/// same mobility, same population (interests, behaviors, classes, roles)
-/// and same message schedule — only the mechanism differs. That is what
-/// makes the paper's pairwise comparisons (Figs. 5.1–5.6) meaningful.
+/// Every spec of the same `(scenario, seed)` sees the *identical*
+/// workload: same mobility, same population (interests, behaviors,
+/// classes, roles) and same message schedule — only the mechanism
+/// differs. That is what makes the paper's pairwise comparisons
+/// (Figs. 5.1–5.6) meaningful.
+#[derive(Debug, Clone, Copy)]
+pub struct RunSpec<'a> {
+    /// The experimental condition.
+    pub scenario: &'a Scenario,
+    /// The routing substrate.
+    pub backend: BackendKind,
+    /// Whether the incentive mechanism wraps it.
+    pub overlay: Overlay,
+    /// The RNG seed.
+    pub seed: u64,
+}
+
+impl<'a> RunSpec<'a> {
+    /// A spec from its four coordinates.
+    #[must_use]
+    pub fn new(scenario: &'a Scenario, backend: BackendKind, overlay: Overlay, seed: u64) -> Self {
+        RunSpec {
+            scenario,
+            backend,
+            overlay,
+            seed,
+        }
+    }
+
+    /// One of the paper's two arms: the mechanism over ChitChat
+    /// ([`Arm::Incentive`]) or plain ChitChat ([`Arm::ChitChat`]).
+    #[must_use]
+    pub fn arm(scenario: &'a Scenario, arm: Arm, seed: u64) -> Self {
+        let overlay = match arm {
+            Arm::Incentive => Overlay::On,
+            Arm::ChitChat => Overlay::Off,
+        };
+        RunSpec::new(scenario, BackendKind::ChitChat, overlay, seed)
+    }
+}
+
+/// What a run records besides its results. [`Instrument::default`]
+/// records nothing extra; no setting changes a simulation outcome.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Instrument {
+    /// Records up to this many kernel events (see
+    /// [`dtn_sim::trace::TraceLog`]) and returns them rendered.
+    pub trace_capacity: Option<usize>,
+    /// Audits the kernel's conservation invariants and the router's (token
+    /// conservation, rating bounds, offer hygiene) every this many steps.
+    /// A breach panics with the seed, the chaos spec and a trace excerpt —
+    /// everything needed for a one-command replay. Unset, the scenario's
+    /// `audit_every` applies.
+    pub check_every: Option<u64>,
+    /// Times each kernel phase and tracks the peak buffer occupancy, and
+    /// returns the run's [`PerfReport`].
+    pub profile: bool,
+}
+
+/// Builds a ready-to-run simulation of one paper arm.
 ///
 /// # Panics
 ///
 /// Panics if the scenario fails validation.
 #[must_use]
 pub fn build_simulation(scenario: &Scenario, arm: Arm, seed: u64) -> Simulation<DcimRouter> {
-    build_simulation_traced(scenario, arm, seed, None)
+    build_chitchat(&RunSpec::arm(scenario, arm, seed), &Instrument::default())
 }
 
-/// [`build_simulation`] with an optional kernel event trace attached (see
-/// [`dtn_sim::trace::TraceLog`]); used by the CLI's `--trace` flag and by
-/// sequence-asserting tests.
-///
-/// # Panics
-///
-/// Panics if the scenario fails validation.
-#[must_use]
-pub fn build_simulation_traced(
-    scenario: &Scenario,
-    arm: Arm,
-    seed: u64,
-    trace: Option<dtn_sim::trace::TraceLog>,
-) -> Simulation<DcimRouter> {
-    build_simulation_checked(scenario, arm, seed, trace, None)
+/// [`build_world`] over the statically dispatched [`ChitChatBackend`], the
+/// substrate of every paper arm. `spec.backend` must be ChitChat.
+pub(crate) fn build_chitchat(spec: &RunSpec, instrument: &Instrument) -> Simulation<DcimRouter> {
+    let nodes = spec.scenario.nodes;
+    build_world(spec, instrument, |chitchat| {
+        ChitChatBackend::new(nodes, *chitchat)
+    })
 }
 
-/// [`build_simulation_traced`] with an optional invariant-audit cadence:
-/// when `check_every` is set, the kernel audits its own conservation
-/// invariants and the router's (token conservation, rating bounds, offer
-/// hygiene) every that-many steps, aborting with a replayable report on a
-/// breach. The scenario's `chaos` plan, if any, is always wired in.
+/// The one world builder: validates the scenario, draws the population
+/// and message schedule from the seed, wraps the routing backend that
+/// `backend` builds (from the effective ChitChat parameters) in the
+/// overlay configured by `spec`, seeds the router with the population, and
+/// wires the kernel. The scenario's `chaos` plan and recovery policy, if
+/// any, are always wired in.
 ///
-/// # Panics
-///
-/// Panics if the scenario fails validation.
-#[must_use]
-pub fn build_simulation_checked(
-    scenario: &Scenario,
-    arm: Arm,
-    seed: u64,
-    trace: Option<dtn_sim::trace::TraceLog>,
-    check_every: Option<u64>,
-) -> Simulation<DcimRouter> {
-    build_simulation_opts(scenario, arm, seed, trace, check_every, false)
-}
-
-/// [`build_simulation_checked`] plus the wall-clock phase profiler
-/// (`profile = true` enables per-phase timing and peak-buffer tracking;
-/// results are unaffected either way).
-///
-/// # Panics
-///
-/// Panics if the scenario fails validation.
-#[must_use]
-pub fn build_simulation_opts(
-    scenario: &Scenario,
-    arm: Arm,
-    seed: u64,
-    trace: Option<dtn_sim::trace::TraceLog>,
-    check_every: Option<u64>,
-    profile: bool,
-) -> Simulation<DcimRouter> {
-    build_world(
-        scenario,
-        arm,
-        |chitchat| ChitChatBackend::new(scenario.nodes, *chitchat),
-        seed,
-        trace,
-        check_every,
-        profile,
-    )
-}
-
-/// The one world builder behind [`build_simulation_opts`] and
-/// [`build_backend_simulation`]: validates the scenario, draws the
-/// population and message schedule from `seed`, wraps the backend that
-/// `backend` builds in the overlay configured for `arm`, seeds the router
-/// with the population, and wires the kernel. Generic over the backend, so
-/// the arm path stays statically dispatched over [`ChitChatBackend`], and a
-/// caller can run the identical world over a backend of its own (a wrapper
-/// that observes or restricts another backend, say).
+/// `backend` stands in for `spec.backend`, so a caller can run the
+/// identical world over a backend of its own (a wrapper that observes or
+/// restricts another backend, say); [`run`] passes the spec's own. Generic
+/// over the backend, so the paper arms stay statically dispatched over
+/// [`ChitChatBackend`].
 ///
 /// # Panics
 ///
 /// Panics if the scenario fails validation.
 #[must_use]
 pub fn build_world<B: RouterBackend>(
-    scenario: &Scenario,
-    arm: Arm,
+    spec: &RunSpec,
+    instrument: &Instrument,
     backend: impl FnOnce(&ChitChatParams) -> B,
-    seed: u64,
-    trace: Option<dtn_sim::trace::TraceLog>,
-    check_every: Option<u64>,
-    profile: bool,
 ) -> Simulation<DcimRouter<B>> {
+    let scenario = spec.scenario;
     scenario.validate().expect("scenario must validate");
-    let check_every = check_every.or(scenario.audit_every);
-    let workload_rng = SimRng::new(seed);
+    let check_every = instrument.check_every.or(scenario.audit_every);
+    let workload_rng = SimRng::new(spec.seed);
     let population = Population::synthesize(scenario, &workload_rng);
     let schedule = generate_schedule(scenario, &population, &workload_rng);
 
+    // The overlay axis *is* the paper's arm split, generalized beyond
+    // ChitChat.
+    let arm = match spec.overlay {
+        Overlay::On => Arm::Incentive,
+        Overlay::Off => Arm::ChitChat,
+    };
     let params = protocol_for(scenario, arm);
     // The mechanism evicts lowest-priority copies first under buffer
     // pressure; without it (plain routing, or an ablation with the credit
     // system off) ONE's drop-oldest default applies. Derived from the
-    // effective params rather than the arm label so ablations behave
+    // effective params rather than the overlay so ablations behave
     // consistently.
     let drop_policy = if params.incentive_enabled {
         dtn_sim::buffer::DropPolicy::DropLowestPriority
     } else {
         dtn_sim::buffer::DropPolicy::DropOldest
     };
-    let mut router = DcimRouter::with_backend(backend(&params.chitchat), params, seed);
+    let mut router = DcimRouter::with_backend(backend(&params.chitchat), params, spec.seed);
     for i in 0..population.interests.len() {
         let node = NodeId(i as u32);
         router.subscribe(node, population.sorted_interests(node));
@@ -173,7 +185,7 @@ pub fn build_world<B: RouterBackend>(
     }
     apply_strategies(&mut router, scenario, &population);
 
-    let mut builder = SimulationBuilder::new(Area::square_km(scenario.area_km2), seed)
+    let mut builder = SimulationBuilder::new(Area::square_km(scenario.area_km2), spec.seed)
         .radio(scenario.radio)
         .buffer_capacity(scenario.buffer_bytes)
         .drop_policy(drop_policy)
@@ -183,8 +195,8 @@ pub fn build_world<B: RouterBackend>(
     if let Some(j) = scenario.battery_joules {
         builder = builder.battery_joules(j);
     }
-    if let Some(t) = trace {
-        builder = builder.trace(t);
+    if let Some(capacity) = instrument.trace_capacity {
+        builder = builder.trace(dtn_sim::trace::TraceLog::bounded(capacity));
     }
     if let Some(plan) = scenario.chaos {
         builder = builder.faults(plan);
@@ -195,7 +207,10 @@ pub fn build_world<B: RouterBackend>(
     if let Some(every) = check_every {
         builder = builder.check_invariants_every(every);
     }
-    builder.profile(profile).messages(schedule).build(router)
+    builder
+        .profile(instrument.profile)
+        .messages(schedule)
+        .build(router)
 }
 
 /// Wires the population's strategy assignment (and the mix's defense flag)
@@ -219,70 +234,7 @@ fn apply_strategies<B: RouterBackend>(
     }
 }
 
-/// The incentive overlay over a dynamically chosen routing backend.
-pub type BackendRouter = DcimRouter<Box<dyn RouterBackend>>;
-
-/// The [`Arm`] a given overlay state corresponds to: the overlay axis *is*
-/// the paper's arm split, generalized beyond ChitChat.
-#[must_use]
-pub fn arm_for(overlay: Overlay) -> Arm {
-    match overlay {
-        Overlay::On => Arm::Incentive,
-        Overlay::Off => Arm::ChitChat,
-    }
-}
-
-/// Builds the incentive overlay over an arbitrary routing backend on the
-/// *identical* world and workload as [`build_simulation_checked`]: same
-/// mobility, population (interests, behaviors, classes, roles), message
-/// schedule, chaos plan, recovery policy and drop-policy rule. With
-/// `BackendKind::ChitChat` this reproduces the corresponding `Arm` build
-/// byte-for-byte — that equivalence is pinned by the conformance suite.
-///
-/// # Panics
-///
-/// Panics if the scenario fails validation.
-#[must_use]
-pub fn build_backend_simulation(
-    scenario: &Scenario,
-    kind: BackendKind,
-    overlay: Overlay,
-    seed: u64,
-    check_every: Option<u64>,
-) -> Simulation<BackendRouter> {
-    build_world(
-        scenario,
-        arm_for(overlay),
-        |chitchat| kind.instantiate(scenario.nodes, chitchat),
-        seed,
-        None,
-        check_every,
-        false,
-    )
-}
-
-/// Runs one `(scenario, backend, overlay, seed)` cell to completion.
-#[must_use]
-pub fn run_backend(scenario: &Scenario, kind: BackendKind, overlay: Overlay, seed: u64) -> ArmRun {
-    run_backend_checked(scenario, kind, overlay, seed, None)
-}
-
-/// [`run_backend`] with an optional invariant-audit cadence: the same
-/// token-conservation, rating-bound and no-double-pay audits the paper
-/// arms run under apply to every backend × overlay combination.
-#[must_use]
-pub fn run_backend_checked(
-    scenario: &Scenario,
-    kind: BackendKind,
-    overlay: Overlay,
-    seed: u64,
-    check_every: Option<u64>,
-) -> ArmRun {
-    let sim = build_backend_simulation(scenario, kind, overlay, seed, check_every);
-    run_to_horizon(sim, scenario, false, false).0
-}
-
-/// The result of one arm under one seed.
+/// The result of one run.
 #[derive(Debug, Clone)]
 pub struct ArmRun {
     /// Kernel-level statistics.
@@ -296,72 +248,53 @@ pub struct ArmRun {
     pub attacker_tokens: f64,
 }
 
-/// Runs one `(scenario, arm, seed)` to completion.
+/// Runs one spec to completion under `instrument`, returning the results,
+/// the rendered trace (when `trace_capacity` is set) and the wall-clock
+/// [`PerfReport`] (when `profile` is set).
+///
+/// ChitChat runs statically dispatched over [`ChitChatBackend`]; every
+/// other backend runs as a `Box<dyn RouterBackend>`.
+#[must_use]
+pub fn run(
+    spec: &RunSpec,
+    instrument: &Instrument,
+) -> (ArmRun, Option<String>, Option<PerfReport>) {
+    match spec.backend {
+        BackendKind::ChitChat => run_to_horizon(build_chitchat(spec, instrument), spec, instrument),
+        kind => {
+            let nodes = spec.scenario.nodes;
+            let sim = build_world(spec, instrument, |chitchat| {
+                kind.instantiate(nodes, chitchat)
+            });
+            run_to_horizon(sim, spec, instrument)
+        }
+    }
+}
+
+/// Runs one paper arm to completion, uninstrumented.
 #[must_use]
 pub fn run_once(scenario: &Scenario, arm: Arm, seed: u64) -> ArmRun {
-    run_once_traced(scenario, arm, seed, None).0
+    run(&RunSpec::arm(scenario, arm, seed), &Instrument::default()).0
 }
 
-/// [`run_once`] with an optional kernel event trace: when `trace_capacity`
-/// is set, the run records up to that many events and returns their
-/// rendered text alongside the results (the CLI's `--trace` flag).
-#[must_use]
-pub fn run_once_traced(
-    scenario: &Scenario,
-    arm: Arm,
-    seed: u64,
-    trace_capacity: Option<usize>,
-) -> (ArmRun, Option<String>) {
-    run_once_checked(scenario, arm, seed, trace_capacity, None)
-}
-
-/// [`run_once_traced`] with an optional invariant-audit cadence (see
-/// [`build_simulation_checked`]). A breach panics with the seed, the chaos
-/// spec and a trace excerpt — everything needed for a one-command replay.
-#[must_use]
-pub fn run_once_checked(
-    scenario: &Scenario,
-    arm: Arm,
-    seed: u64,
-    trace_capacity: Option<usize>,
-    check_every: Option<u64>,
-) -> (ArmRun, Option<String>) {
-    let (run, rendered, _) =
-        run_once_observed(scenario, arm, seed, trace_capacity, check_every, false);
-    (run, rendered)
-}
-
-/// The fully instrumented single run: optional trace, optional invariant
-/// audit, optional wall-clock profiling (see [`PerfReport`]) — the CLI's
-/// `run` command with all flags. Profiling changes no simulation outcome.
-#[must_use]
-pub fn run_once_observed(
-    scenario: &Scenario,
-    arm: Arm,
-    seed: u64,
-    trace_capacity: Option<usize>,
-    check_every: Option<u64>,
-    profile: bool,
-) -> (ArmRun, Option<String>, Option<PerfReport>) {
-    let trace = trace_capacity.map(dtn_sim::trace::TraceLog::bounded);
-    let sim = build_simulation_opts(scenario, arm, seed, trace, check_every, profile);
-    run_to_horizon(sim, scenario, trace_capacity.is_some(), profile)
-}
-
-/// Runs a built world to the scenario's horizon and collects the one
-/// [`ArmRun`] every run path reports, plus the rendered trace (when
-/// `render_trace`) and the wall-clock [`PerfReport`] (when `profile`).
+/// Runs a world built by [`build_world`] from `spec` and `instrument` to
+/// the scenario's horizon and collects the one [`ArmRun`] every run path
+/// reports, plus the rendered trace and the [`PerfReport`] the instrument
+/// asked for.
 #[must_use]
 pub fn run_to_horizon<B: RouterBackend>(
     mut sim: Simulation<DcimRouter<B>>,
-    scenario: &Scenario,
-    render_trace: bool,
-    profile: bool,
+    spec: &RunSpec,
+    instrument: &Instrument,
 ) -> (ArmRun, Option<String>, Option<PerfReport>) {
     let t0 = std::time::Instant::now();
-    let _ = sim.run_until(SimTime::from_secs(scenario.duration_secs));
-    let perf = profile.then(|| PerfReport::capture(&sim, t0.elapsed().as_secs_f64()));
-    let rendered = render_trace.then(|| sim.api().trace().render());
+    let _ = sim.run_until(SimTime::from_secs(spec.scenario.duration_secs));
+    let perf = instrument
+        .profile
+        .then(|| PerfReport::capture(&sim, t0.elapsed().as_secs_f64()));
+    let rendered = instrument
+        .trace_capacity
+        .map(|_| sim.api().trace().render());
     let (router, summary) = sim.finish();
     (
         ArmRun {
@@ -376,13 +309,13 @@ pub fn run_to_horizon<B: RouterBackend>(
 }
 
 /// Wall-clock performance report for one or more runs: the observability
-/// record every later perf PR diffs against. Produced by the perf-enabled
-/// run variants ([`run_once_perf`], [`run_seeds_perf`],
-/// [`compare_arms_perf`]) and serialized by the CLI's `--metrics-out` and
-/// `dtn-bench`'s `perf` binary.
+/// record every later perf PR diffs against. Produced by [`run`] with
+/// [`Instrument::profile`] set and by a profiled [`compare`], and
+/// serialized by the CLI's `--metrics-out` and `dtn-bench`'s `perf`
+/// binary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PerfReport {
-    /// Number of `(arm, seed)` runs folded into this report.
+    /// Number of runs folded into this report.
     pub runs: u64,
     /// Total wall-clock seconds spent simulating.
     pub wall_secs: f64,
@@ -502,15 +435,6 @@ impl PerfReport {
     }
 }
 
-/// [`run_once`] with the phase profiler enabled, returning the run's
-/// [`PerfReport`] alongside the results. The simulation outcome is
-/// identical to an unprofiled run of the same `(scenario, arm, seed)`.
-#[must_use]
-pub fn run_once_perf(scenario: &Scenario, arm: Arm, seed: u64) -> (ArmRun, PerfReport) {
-    let (run, _, perf) = run_once_observed(scenario, arm, seed, None, None, true);
-    (run, perf.expect("profiling was enabled"))
-}
-
 /// The worker-thread cap for multi-seed runs: the machine's available
 /// parallelism (at least 1). Unbounded one-thread-per-seed spawning
 /// oversubscribes small machines at `--full` paper scale and skews every
@@ -522,75 +446,44 @@ pub fn seed_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs one arm over several seeds — through the [`crate::sweep`]
-/// executor's shared worker-pool queue — and averages the summaries.
-/// Results are order-stable and identical to a sequential run of the same
-/// seeds (each seed's simulation is deterministic and shares no state).
+/// Runs one paper arm over several seeds and returns the per-seed
+/// summaries in `seeds` order.
+///
+/// Seeds execute on the [`crate::sweep`] executor's worker pool: one
+/// shared queue, no chunk barriers, and memoized — a seed another figure
+/// already simulated is answered from the run cache. Results are identical
+/// to a sequential run of the same seeds (each seed's simulation is
+/// deterministic and shares no state).
 ///
 /// # Panics
 ///
-/// Panics if `seeds` is empty or a worker thread panics.
+/// Panics if a worker thread panics.
 #[must_use]
-pub fn run_seeds(scenario: &Scenario, arm: Arm, seeds: &[u64]) -> RunSummary {
-    RunSummary::mean_of(&run_each_seed(scenario, arm, seeds))
+pub fn run_seeds(scenario: &Scenario, arm: Arm, seeds: &[u64]) -> Vec<RunSummary> {
+    let cells: Vec<Cell> = seeds
+        .iter()
+        .map(|&seed| Cell::arm(scenario.clone(), arm, seed))
+        .collect();
+    run_cells(&cells).into_iter().map(|r| r.summary).collect()
 }
 
-/// Runs every seed and returns the per-seed summaries in `seeds` order.
-///
-/// Seeds execute on the sweep executor's worker pool: one shared queue,
-/// no chunk barriers (the old `chunks(seed_parallelism())` path made every
-/// chunk wait on its slowest seed), and memoized — a seed another figure
-/// already simulated is answered from the run cache.
-///
-/// # Panics
-///
-/// Panics if `seeds` is empty or a worker thread panics.
-#[must_use]
-pub fn run_each_seed(scenario: &Scenario, arm: Arm, seeds: &[u64]) -> Vec<RunSummary> {
-    crate::sweep::run_arm_seeds(scenario, arm, seeds)
-}
-
-/// [`run_seeds`] with profiling: seeds run *sequentially* so the merged
-/// [`PerfReport`]'s wall-clock and throughput numbers measure the kernel,
-/// not thread-scheduler contention.
-///
-/// # Panics
-///
-/// Panics if `seeds` is empty.
-#[must_use]
-pub fn run_seeds_perf(scenario: &Scenario, arm: Arm, seeds: &[u64]) -> (RunSummary, PerfReport) {
-    assert!(!seeds.is_empty(), "need at least one seed");
-    let mut report: Option<PerfReport> = None;
-    let mut runs = Vec::with_capacity(seeds.len());
-    for &seed in seeds {
-        let (run, perf) = run_once_perf(scenario, arm, seed);
-        runs.push(run.summary);
-        match &mut report {
-            Some(r) => r.merge(&perf),
-            None => report = Some(perf),
-        }
-    }
-    (
-        RunSummary::mean_of(&runs),
-        report.expect("at least one seed"),
-    )
-}
-
-/// A paired comparison of the two arms on the same scenario and seeds —
-/// the row format of every figure in the paper.
+/// A paired comparison of the overlay-on and overlay-off runs of one
+/// backend on the same scenario and seeds — over ChitChat, the paper's two
+/// arms and the row format of every figure in the paper.
 #[derive(Debug, Clone)]
 pub struct Comparison {
     /// The condition name.
     pub name: String,
-    /// The Incentive arm's mean summary.
+    /// The overlay-on (Incentive) mean summary.
     pub incentive: RunSummary,
-    /// The ChitChat arm's mean summary.
+    /// The overlay-off (plain routing; ChitChat for the paper) mean
+    /// summary.
     pub chitchat: RunSummary,
 }
 
 impl Comparison {
     /// Percentage of relayed traffic saved by the mechanism relative to
-    /// ChitChat (Fig. 5.2's y-axis).
+    /// plain routing (Fig. 5.2's y-axis).
     #[must_use]
     pub fn traffic_reduction_pct(&self) -> f64 {
         if self.chitchat.relays_completed == 0 {
@@ -600,7 +493,7 @@ impl Comparison {
             / self.chitchat.relays_completed as f64
     }
 
-    /// MDR difference (ChitChat − Incentive); positive means the mechanism
+    /// MDR difference (plain − Incentive); positive means the mechanism
     /// trades some delivery for the traffic savings, as the paper reports.
     #[must_use]
     pub fn mdr_gap(&self) -> f64 {
@@ -608,85 +501,62 @@ impl Comparison {
     }
 }
 
-/// Runs both arms over `seeds` as one sweep plan (every `(arm, seed)`
-/// cell on the shared worker pool) and pairs the averaged results.
+/// Runs overlay-on and overlay-off over `seeds` for one backend and pairs
+/// the averaged results. Over [`BackendKind::ChitChat`] this is the
+/// paper's Incentive-vs-ChitChat comparison.
+///
+/// Unprofiled, every `(overlay, seed)` cell runs as one sweep plan on the
+/// shared worker pool (ChitChat cells share the paper arms' cache
+/// entries). With `profile`, the runs execute sequentially through [`run`]
+/// so the merged [`PerfReport`]'s wall-clock measures the kernel, not
+/// thread-scheduler contention; the comparison itself is identical.
 ///
 /// # Panics
 ///
 /// Panics if `seeds` is empty or a worker thread panics.
 #[must_use]
-pub fn compare_arms(scenario: &Scenario, seeds: &[u64]) -> Comparison {
-    use crate::sweep::{run_cells, Cell};
+pub fn compare(
+    scenario: &Scenario,
+    backend: BackendKind,
+    seeds: &[u64],
+    profile: bool,
+) -> (Comparison, Option<PerfReport>) {
     assert!(!seeds.is_empty(), "need at least one seed");
-    let cells: Vec<Cell> = Arm::BOTH
-        .iter()
-        .flat_map(|&arm| {
-            seeds
-                .iter()
-                .map(move |&seed| Cell::arm(scenario.clone(), arm, seed))
-        })
-        .collect();
-    let results = run_cells(&cells);
-    let (inc, cc) = results.split_at(seeds.len());
-    let mean = |half: &[crate::sweep::CellResult]| {
-        RunSummary::mean_of(&half.iter().map(|r| r.summary.clone()).collect::<Vec<_>>())
+    let specs = Overlay::BOTH.iter().flat_map(|&overlay| {
+        seeds
+            .iter()
+            .map(move |&seed| RunSpec::new(scenario, backend, overlay, seed))
+    });
+    let mut perf: Option<PerfReport> = None;
+    let summaries: Vec<RunSummary> = if profile {
+        let instrument = Instrument {
+            profile: true,
+            ..Instrument::default()
+        };
+        specs
+            .map(|spec| {
+                let (outcome, _, report) = run(&spec, &instrument);
+                let report = report.expect("profiling was enabled");
+                match &mut perf {
+                    Some(total) => total.merge(&report),
+                    None => perf = Some(report),
+                }
+                outcome.summary
+            })
+            .collect()
+    } else {
+        let cells: Vec<Cell> = specs
+            .map(|spec| Cell::backend(scenario.clone(), backend, spec.overlay, spec.seed))
+            .collect();
+        run_cells(&cells).into_iter().map(|r| r.summary).collect()
     };
-    Comparison {
+    let (on, off) = summaries.split_at(seeds.len());
+    let comparison = Comparison {
         name: scenario.name.clone(),
-        incentive: mean(inc),
-        chitchat: mean(cc),
-    }
-}
-
-/// [`compare_arms`] with profiling: both arms run sequentially (seeds
-/// too), and the returned [`PerfReport`] folds the whole comparison's
-/// wall-clock, throughput and phase breakdown together.
-#[must_use]
-pub fn compare_arms_perf(scenario: &Scenario, seeds: &[u64]) -> (Comparison, PerfReport) {
-    let (incentive, mut perf) = run_seeds_perf(scenario, Arm::Incentive, seeds);
-    let (chitchat, cc_perf) = run_seeds_perf(scenario, Arm::ChitChat, seeds);
-    perf.merge(&cc_perf);
-    (
-        Comparison {
-            name: scenario.name.clone(),
-            incentive,
-            chitchat,
-        },
-        perf,
-    )
-}
-
-/// Runs overlay-on and overlay-off over `seeds` for one backend as a
-/// single sweep plan and pairs the averaged results: the generalized form
-/// of [`compare_arms`] ("Incentive vs ChitChat" is exactly
-/// `compare_overlays(_, BackendKind::ChitChat, _)` — and its cells share
-/// the arm cells' cache entries).
-///
-/// # Panics
-///
-/// Panics if `seeds` is empty or a worker thread panics.
-#[must_use]
-pub fn compare_overlays(scenario: &Scenario, kind: BackendKind, seeds: &[u64]) -> Comparison {
-    use crate::sweep::{run_cells, Cell};
-    assert!(!seeds.is_empty(), "need at least one seed");
-    let cells: Vec<Cell> = Overlay::BOTH
-        .iter()
-        .flat_map(|&overlay| {
-            seeds
-                .iter()
-                .map(move |&seed| Cell::backend(scenario.clone(), kind, overlay, seed))
-        })
-        .collect();
-    let results = run_cells(&cells);
-    let (on, off) = results.split_at(seeds.len());
-    let mean = |half: &[crate::sweep::CellResult]| {
-        RunSummary::mean_of(&half.iter().map(|r| r.summary.clone()).collect::<Vec<_>>())
+        incentive: RunSummary::mean_of(on),
+        chitchat: RunSummary::mean_of(off),
     };
-    Comparison {
-        name: scenario.name.clone(),
-        incentive: mean(on),
-        chitchat: mean(off),
-    }
+    (comparison, perf)
 }
 
 #[cfg(test)]
@@ -703,6 +573,22 @@ mod tests {
         s.message_interval_secs = 30.0;
         s.message_ttl_secs = 900.0;
         s.named("tiny")
+    }
+
+    /// Audits every `check_every` steps, records nothing else.
+    fn audited(check_every: u64) -> Instrument {
+        Instrument {
+            check_every: Some(check_every),
+            ..Instrument::default()
+        }
+    }
+
+    /// The world over `spec.backend`, boxed, as `run` builds every
+    /// non-ChitChat world.
+    fn boxed_world(spec: &RunSpec) -> Simulation<DcimRouter<Box<dyn RouterBackend>>> {
+        build_world(spec, &Instrument::default(), |chitchat| {
+            spec.backend.instantiate(spec.scenario.nodes, chitchat)
+        })
     }
 
     #[test]
@@ -741,6 +627,43 @@ mod tests {
     }
 
     #[test]
+    fn every_instrument_combination_leaves_the_run_unchanged() {
+        // Tracing, auditing and profiling observe a run; none may move a
+        // byte of its results, on either dispatch path: ChitChat static,
+        // PRoPHET boxed.
+        let s = tiny();
+        for backend in [BackendKind::ChitChat, BackendKind::Prophet] {
+            let spec = RunSpec::new(&s, backend, Overlay::On, 7);
+            let observed = |instrument: Instrument| {
+                let (outcome, trace, perf) = run(&spec, &instrument);
+                assert_eq!(trace.is_some(), instrument.trace_capacity.is_some());
+                assert_eq!(perf.is_some(), instrument.profile);
+                let json = serde_json::to_string(&(&outcome.summary, &outcome.protocol))
+                    .expect("results serialize");
+                (json, outcome.broke_nodes, outcome.attacker_tokens)
+            };
+            let plain = observed(Instrument::default());
+            for trace_capacity in [None, Some(100_000)] {
+                for check_every in [None, Some(30)] {
+                    for profile in [false, true] {
+                        let instrument = Instrument {
+                            trace_capacity,
+                            check_every,
+                            profile,
+                        };
+                        assert_eq!(
+                            observed(instrument),
+                            plain,
+                            "{} under {instrument:?}",
+                            backend.tag()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn token_exhaustion_gates_receptions() {
         // Fig. 5.2's traffic reduction comes from token exhaustion; the
         // statistically robust form of that claim at tiny scale is that
@@ -775,8 +698,9 @@ mod tests {
                 .parse()
                 .unwrap(),
         );
-        let a = run_once_checked(&s, Arm::Incentive, 5, None, Some(30)).0;
-        let b = run_once_checked(&s, Arm::Incentive, 5, None, Some(30)).0;
+        let spec = RunSpec::arm(&s, Arm::Incentive, 5);
+        let a = run(&spec, &audited(30)).0;
+        let b = run(&spec, &audited(30)).0;
         assert_eq!(a.summary, b.summary);
         assert_eq!(a.protocol, b.protocol);
     }
@@ -787,7 +711,7 @@ mod tests {
         let mut chaotic = tiny();
         chaotic.chaos = Some("crash=8,crashdown=120,wipe,loss=0.2".parse().unwrap());
         let clean = run_once(&s, Arm::Incentive, 7);
-        let faulty = run_once_checked(&chaotic, Arm::Incentive, 7, None, Some(60)).0;
+        let faulty = run(&RunSpec::arm(&chaotic, Arm::Incentive, 7), &audited(60)).0;
         assert_ne!(
             clean.summary, faulty.summary,
             "a hot plan must change the outcome"
@@ -810,9 +734,13 @@ mod tests {
         });
         let sim = build_simulation(&s, Arm::Incentive, 7);
         assert_eq!(sim.recovery_policy(), s.recovery.as_ref());
-        let (run, _, perf) = run_once_observed(&s, Arm::Incentive, 7, None, Some(60), true);
+        let instrument = Instrument {
+            profile: true,
+            ..audited(60)
+        };
+        let (outcome, _, perf) = run(&RunSpec::arm(&s, Arm::Incentive, 7), &instrument);
         assert!(
-            run.summary.transfers_retried > 0,
+            outcome.summary.transfers_retried > 0,
             "loss chaos forces retries"
         );
         let perf = perf.expect("profiled");
@@ -821,7 +749,7 @@ mod tests {
         assert!(rendered.contains("retried"), "recovery counters rendered");
         assert_eq!(
             perf.metrics.counter("kernel.transfers_retried"),
-            run.summary.transfers_retried
+            outcome.summary.transfers_retried
         );
         // An inert policy builds to no recovery at all.
         let mut off = tiny();
@@ -836,11 +764,16 @@ mod tests {
     fn overlay_off_builds_pin_drop_oldest_buffers() {
         use dtn_sim::buffer::DropPolicy;
         let s = tiny();
-        let policy = |sim: &Simulation<BackendRouter>| sim.api().buffer(NodeId(0)).policy();
-        let plain = build_backend_simulation(&s, BackendKind::Epidemic, Overlay::Off, 3, None);
-        assert_eq!(policy(&plain), DropPolicy::DropOldest, "ONE's default");
-        let paid = build_backend_simulation(&s, BackendKind::Epidemic, Overlay::On, 3, None);
-        assert_eq!(policy(&paid), DropPolicy::DropLowestPriority);
+        let policy = |overlay| {
+            let spec = RunSpec::new(&s, BackendKind::Epidemic, overlay, 3);
+            boxed_world(&spec).api().buffer(NodeId(0)).policy()
+        };
+        assert_eq!(
+            policy(Overlay::Off),
+            DropPolicy::DropOldest,
+            "ONE's default"
+        );
+        assert_eq!(policy(Overlay::On), DropPolicy::DropLowestPriority);
         assert_eq!(
             build_simulation(&s, Arm::ChitChat, 3)
                 .api()
@@ -860,19 +793,19 @@ mod tests {
         use dtn_sim::message::Keyword;
         let s = tiny();
         let population = Population::synthesize(&s, &SimRng::new(3));
-        for kind in BackendKind::ALL {
-            let sim = build_backend_simulation(&s, kind, Overlay::Off, 3, None);
-            let backend = sim.protocol().backend();
+        for backend in BackendKind::ALL {
+            let sim = boxed_world(&RunSpec::new(&s, backend, Overlay::Off, 3));
+            let resolver = sim.protocol().backend();
             for keyword in (0..s.keyword_pool).map(Keyword) {
                 let resolved: Vec<NodeId> = (1..s.nodes as u32)
                     .map(NodeId)
-                    .filter(|&n| backend.is_destination(n, &[keyword]))
+                    .filter(|&n| resolver.is_destination(n, &[keyword]))
                     .collect();
                 assert_eq!(
                     resolved,
                     population.destinations_for(&[keyword], NodeId(0)),
                     "{} on keyword {}",
-                    kind.tag(),
+                    backend.tag(),
                     keyword.0
                 );
             }
@@ -882,41 +815,37 @@ mod tests {
     #[test]
     fn mean_across_seeds_uses_all_runs() {
         let s = tiny();
-        let one = run_seeds(&s, Arm::ChitChat, &[1]);
-        let two = run_seeds(&s, Arm::ChitChat, &[1, 2]);
+        let one = RunSummary::mean_of(&run_seeds(&s, Arm::ChitChat, &[1]));
+        let two = RunSummary::mean_of(&run_seeds(&s, Arm::ChitChat, &[1, 2]));
         // Averaging with a second seed must move some field unless the two
         // seeds coincidentally agree everywhere (they do not).
         assert!(one != two);
     }
 
     #[test]
-    fn executor_run_seeds_matches_sequential_merge() {
+    fn executor_run_seeds_matches_sequential_runs() {
         // More seeds than most CI machines have cores, so the executor's
-        // queue actually backs up; the merged result must equal the old
-        // strictly sequential merge, in order. (Seven seeds: the figure
-        // binaries' largest seed family plus headroom, per the chunk-path
-        // removal note.)
+        // queue actually backs up; the per-seed results must equal a
+        // strictly sequential run, in order. (Seven seeds: the figure
+        // binaries' largest seed family plus headroom.)
         let s = tiny();
         let seeds: Vec<u64> = (1..=7).collect();
         crate::sweep::clear_memo();
-        let pooled = run_each_seed(&s, Arm::ChitChat, &seeds);
+        let pooled = run_seeds(&s, Arm::ChitChat, &seeds);
         let sequential: Vec<_> = seeds
             .iter()
             .map(|&seed| run_once(&s, Arm::ChitChat, seed).summary)
             .collect();
         assert_eq!(pooled, sequential);
-        assert_eq!(
-            run_seeds(&s, Arm::ChitChat, &seeds),
-            RunSummary::mean_of(&sequential)
-        );
         assert!(seed_parallelism() >= 1);
     }
 
     #[test]
-    fn compare_arms_routes_both_arms_through_one_plan() {
+    fn compare_routes_both_arms_through_one_plan() {
         let s = tiny();
         crate::sweep::clear_memo();
-        let cmp = compare_arms(&s, &[1, 2]);
+        let (cmp, perf) = compare(&s, BackendKind::ChitChat, &[1, 2], false);
+        assert!(perf.is_none(), "unprofiled");
         assert_eq!(cmp.name, s.name);
         assert_eq!(
             cmp.incentive,
@@ -938,7 +867,12 @@ mod tests {
     fn perf_run_reproduces_unprofiled_results() {
         let s = tiny();
         let plain = run_once(&s, Arm::Incentive, 7);
-        let (profiled, perf) = run_once_perf(&s, Arm::Incentive, 7);
+        let profile = Instrument {
+            profile: true,
+            ..Instrument::default()
+        };
+        let (profiled, _, perf) = run(&RunSpec::arm(&s, Arm::Incentive, 7), &profile);
+        let perf = perf.expect("profiled");
         assert_eq!(
             plain.summary, profiled.summary,
             "metrics collection must not perturb the simulation"
@@ -963,8 +897,16 @@ mod tests {
     #[test]
     fn perf_reports_merge_additively() {
         let s = tiny();
-        let (_, a) = run_once_perf(&s, Arm::ChitChat, 1);
-        let (_, b) = run_once_perf(&s, Arm::ChitChat, 2);
+        let profile = Instrument {
+            profile: true,
+            ..Instrument::default()
+        };
+        let perf_of = |seed| {
+            run(&RunSpec::arm(&s, Arm::ChitChat, seed), &profile)
+                .2
+                .expect("profiled")
+        };
+        let (a, b) = (perf_of(1), perf_of(2));
         let mut merged = a.clone();
         merged.merge(&b);
         assert_eq!(merged.runs, 2);
@@ -978,9 +920,9 @@ mod tests {
         let phase_sum: f64 = merged.phases.iter().map(|p| p.secs).sum();
         let parts: f64 = a.phases.iter().chain(&b.phases).map(|p| p.secs).sum();
         assert!((phase_sum - parts).abs() < 1e-9);
-        // And the comparison helper folds both arms into one report.
-        let (cmp, perf) = compare_arms_perf(&s, &[1]);
-        assert_eq!(perf.runs, 2, "one run per arm");
+        // And a profiled comparison folds both arms into one report.
+        let (cmp, perf) = compare(&s, BackendKind::ChitChat, &[1], true);
+        assert_eq!(perf.expect("profiled").runs, 2, "one run per arm");
         assert!(cmp.incentive != cmp.chitchat);
     }
 }

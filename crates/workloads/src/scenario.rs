@@ -179,11 +179,6 @@ pub struct Scenario {
     /// [`Scenario::effective_backend`].
     #[serde(default)]
     pub backend: Option<dtn_routing::backend::BackendKind>,
-    /// Whether the incentive mechanism wraps the backend (`None` = decided
-    /// by the run's [`Arm`]/overlay argument, as in every paper
-    /// experiment). Read through [`Scenario::effective_overlay`].
-    #[serde(default)]
-    pub overlay: Option<dtn_routing::backend::Overlay>,
     /// Optional economic-adversary population
     /// ([`dtn_core::strategy::StrategyMix`]): free-riders, minority-game
     /// players, tag-farmer rings, whitewashers, and whether the
@@ -293,17 +288,6 @@ impl Scenario {
     pub fn effective_backend(&self) -> dtn_routing::backend::BackendKind {
         self.backend
             .unwrap_or(dtn_routing::backend::BackendKind::ChitChat)
-    }
-
-    /// The overlay state this scenario asks for, given the caller's
-    /// default (callers that predate the backend grid pass their `Arm`
-    /// translated to an overlay).
-    #[must_use]
-    pub fn effective_overlay(
-        &self,
-        fallback: dtn_routing::backend::Overlay,
-    ) -> dtn_routing::backend::Overlay {
-        self.overlay.unwrap_or(fallback)
     }
 
     /// The kernel shard count this scenario asks for (`threads`, default 1).
@@ -472,26 +456,34 @@ mod tests {
 
     #[test]
     fn backend_and_overlay_survive_serde_and_default_when_absent() {
-        use dtn_routing::backend::{BackendKind, Overlay};
+        use dtn_routing::backend::BackendKind;
         let mut s = paper::reduced_scenario();
         s.backend = Some(BackendKind::Prophet);
-        s.overlay = Some(Overlay::On);
         let json = serde_json::to_string(&s).expect("serializable");
         let back: Scenario = serde_json::from_str(&json).expect("deserializable");
         assert_eq!(back.effective_backend(), BackendKind::Prophet);
-        assert_eq!(back.effective_overlay(Overlay::Off), Overlay::On);
         assert_eq!(back, s);
         // Configs written before the backend grid existed still parse (and
-        // mean what they always meant: ChitChat, overlay per the arm).
+        // mean what they always meant: ChitChat).
         let plain = serde_json::to_string(&paper::reduced_scenario()).expect("serializable");
-        let stripped = plain
-            .replace(",\"backend\":null", "")
-            .replace(",\"overlay\":null", "");
-        assert_ne!(stripped, plain, "the fields were present to strip");
+        let stripped = plain.replace(",\"backend\":null", "");
+        assert_ne!(stripped, plain, "the field was present to strip");
         let legacy: Scenario = serde_json::from_str(&stripped).expect("legacy parses");
         assert_eq!(legacy.backend, None);
         assert_eq!(legacy.effective_backend(), BackendKind::ChitChat);
-        assert_eq!(legacy.effective_overlay(Overlay::Off), Overlay::Off);
+        // Documents written while the scenario still had an `overlay` knob
+        // (scenario files and `DTNSNAP v2` bodies) carry it as `null` or a
+        // value; the field is gone and unknown fields are skipped, so they
+        // load and mean the same scenario.
+        for overlay in ["null", "\"On\"", "\"Off\""] {
+            let old = plain.replace(
+                ",\"backend\":null",
+                &format!(",\"backend\":null,\"overlay\":{overlay}"),
+            );
+            assert_ne!(old, plain, "the old key was spliced in");
+            let loaded: Scenario = serde_json::from_str(&old).expect("old documents parse");
+            assert_eq!(loaded, paper::reduced_scenario());
+        }
 
         s.backend = Some(BackendKind::SprayAndWait(0));
         assert!(s.validate().is_err(), "zero spray tickets rejected");

@@ -42,18 +42,18 @@ use serde::{Deserialize, Serialize};
 
 use dtn_routing::backend::{BackendKind, Overlay};
 
-use crate::runner::{self, seed_parallelism};
+use crate::runner::{self, seed_parallelism, Instrument, RunSpec};
 use crate::scenario::{Arm, Scenario};
 
 /// What mechanism a cell runs: one of the paper's two arms or a (backend ×
-/// overlay) grid point.
+/// overlay) grid point. Either way the cell runs through [`runner::run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellKind {
-    /// The mechanism (or the ChitChat baseline) via [`runner::run_once`].
+    /// The mechanism (or the ChitChat baseline).
     Arm(Arm),
-    /// The incentive overlay over an arbitrary routing backend via
-    /// [`runner::run_backend`]. ChitChat-backend cells are canonicalized
-    /// to [`CellKind::Arm`] by [`Cell::backend`], never constructed here.
+    /// The incentive overlay, on or off, over a routing backend other than
+    /// ChitChat. ChitChat-backend cells are canonicalized to
+    /// [`CellKind::Arm`] by [`Cell::backend`], never constructed here.
     Backend {
         /// The routing substrate.
         backend: BackendKind,
@@ -130,13 +130,12 @@ impl Cell {
     /// serializes struct fields in declaration order, so the JSON byte
     /// stream is deterministic.
     ///
-    /// The scenario's own `backend`/`overlay` plumbing fields are removed
-    /// before hashing: the cell's `kind` tag is the authoritative grid
-    /// coordinate (the runner ignores the scenario fields once a cell is
-    /// built), and their absence keeps every pre-grid cache entry
-    /// byte-compatible. Optional fields added later (`strategies`,
-    /// `audit_every`, `selfish_duty_cycle`, `kernel_mode`) are stripped
-    /// only while unset:
+    /// The scenario's own `backend` plumbing field is removed before
+    /// hashing: the cell's `kind` tag is the authoritative grid coordinate
+    /// (the runner ignores the scenario field once a cell is built), and
+    /// its absence keeps every pre-grid cache entry byte-compatible.
+    /// Optional fields added later (`strategies`, `audit_every`,
+    /// `selfish_duty_cycle`, `kernel_mode`) are stripped only while unset:
     /// a scenario that leaves them at their defaults hashes to the key it
     /// always had, while configuring any of them forks the key (they all
     /// change the simulation).
@@ -151,7 +150,7 @@ impl Cell {
         let mut value = Serialize::to_value(&canonical);
         if let serde_json::Value::Map(entries) = &mut value {
             entries.retain(|(key, value)| {
-                if key == "backend" || key == "overlay" {
+                if key == "backend" {
                     return false;
                 }
                 let null_when_unset = matches!(
@@ -184,6 +183,16 @@ impl Cell {
         hash.update(b"\x00");
         hash.update(env!("CARGO_PKG_VERSION").as_bytes());
         hash.finish()
+    }
+
+    /// The run this cell stands for.
+    fn spec(&self) -> RunSpec<'_> {
+        match self.kind {
+            CellKind::Arm(arm) => RunSpec::arm(&self.scenario, arm, self.seed),
+            CellKind::Backend { backend, overlay } => {
+                RunSpec::new(&self.scenario, backend, overlay, self.seed)
+            }
+        }
     }
 }
 
@@ -454,12 +463,7 @@ fn disk_store(dir: &Path, key: u128, result: &CellResult) {
 /// Simulates one cell from scratch (no cache involvement).
 #[must_use]
 pub fn run_cell_uncached(cell: &Cell) -> CellResult {
-    let run = match cell.kind {
-        CellKind::Arm(arm) => runner::run_once(&cell.scenario, arm, cell.seed),
-        CellKind::Backend { backend, overlay } => {
-            runner::run_backend(&cell.scenario, backend, overlay, cell.seed)
-        }
-    };
+    let (run, _, _) = runner::run(&cell.spec(), &Instrument::default());
     CellResult {
         summary: run.summary,
         settlements: run.protocol.settlements,
@@ -556,22 +560,6 @@ pub fn run_cells(cells: &[Cell]) -> Vec<CellResult> {
     keys.iter()
         .map(|key| resolved.get(key).expect("every key resolved").clone())
         .collect()
-}
-
-/// Runs one arm over several seeds through the executor, returning the
-/// per-seed summaries in `seeds` order.
-///
-/// # Panics
-///
-/// Panics if `seeds` is empty.
-#[must_use]
-pub fn run_arm_seeds(scenario: &Scenario, arm: Arm, seeds: &[u64]) -> Vec<RunSummary> {
-    assert!(!seeds.is_empty(), "need at least one seed");
-    let cells: Vec<Cell> = seeds
-        .iter()
-        .map(|&seed| Cell::arm(scenario.clone(), arm, seed))
-        .collect();
-    run_cells(&cells).into_iter().map(|r| r.summary).collect()
 }
 
 #[cfg(test)]
@@ -726,14 +714,13 @@ mod tests {
 
     #[test]
     fn scenario_plumbing_fields_do_not_fork_the_cache_key() {
-        // `Scenario::backend`/`overlay` are defaults consumed when the plan
-        // is built; the cell's kind is authoritative, so setting them must
-        // not split the cache (and their absence from the hash keeps
-        // pre-grid disk entries valid).
+        // `Scenario::backend` is a default consumed when the plan is built;
+        // the cell's kind is authoritative, so setting it must not split
+        // the cache (and its absence from the hash keeps pre-grid disk
+        // entries valid).
         let bare = Cell::arm(tiny("plumb"), Arm::Incentive, 9);
         let mut annotated_scenario = tiny("plumb");
         annotated_scenario.backend = Some(BackendKind::Prophet);
-        annotated_scenario.overlay = Some(Overlay::Off);
         let annotated = Cell::arm(annotated_scenario, Arm::Incentive, 9);
         assert_eq!(bare.cache_key(), annotated.cache_key());
     }

@@ -13,7 +13,6 @@ use dtn_sim::time::{SimDuration, SimTime};
 use dtn_sim::transfer::{RecoveryPolicy, TransferEngine};
 use dtn_sim::world::NodeId;
 use dtn_workloads::prelude::*;
-use dtn_workloads::runner::{build_simulation_checked, run_once_checked};
 use proptest::prelude::*;
 
 /// Audit cadence for these tests: every 15 simulated steps. The rating
@@ -27,7 +26,11 @@ fn chaotic(spec: &str) -> Scenario {
 }
 
 fn run_audited(s: &Scenario, arm: Arm, seed: u64) -> ArmRun {
-    run_once_checked(s, arm, seed, None, Some(AUDIT_EVERY)).0
+    let audited = Instrument {
+        check_every: Some(AUDIT_EVERY),
+        ..Instrument::default()
+    };
+    run(&RunSpec::arm(s, arm, seed), &audited).0
 }
 
 /// Named fault regimes covering every fault class the plan grammar can
@@ -106,7 +109,11 @@ fn the_checker_itself_never_perturbs_a_run() {
     // checker on costs time, never fidelity.
     let s = fast_scenario();
     let plain = run_once(&s, Arm::Incentive, 13);
-    let audited = run_once_checked(&s, Arm::Incentive, 13, None, Some(1)).0;
+    let every_step = Instrument {
+        check_every: Some(1),
+        ..Instrument::default()
+    };
+    let audited = run(&RunSpec::arm(&s, Arm::Incentive, 13), &every_step).0;
     assert_eq!(plain.summary, audited.summary);
     assert_eq!(plain.protocol, audited.protocol);
 }
@@ -115,8 +122,9 @@ fn the_checker_itself_never_perturbs_a_run() {
 fn injected_faults_actually_fire() {
     // Guard against a silently inert layer: the heavy regime must inject
     // a visible volume of every configured fault class.
-    let s = chaotic("crash=4,crashdown=60,wipe,cut=10,cutdown=20,loss=0.1");
-    let mut sim = build_simulation_checked(&s, Arm::Incentive, 3, None, Some(AUDIT_EVERY));
+    let mut s = chaotic("crash=4,crashdown=60,wipe,cut=10,cutdown=20,loss=0.1");
+    s.audit_every = Some(AUDIT_EVERY);
+    let mut sim = build_simulation(&s, Arm::Incentive, 3);
     let _ = sim.run_until(dtn_sim::time::SimTime::from_secs(s.duration_secs));
     let stats = sim.fault_stats().expect("chaos enabled");
     assert!(stats.crashes > 0, "crashes fired: {stats:?}");
@@ -324,8 +332,8 @@ proptest! {
         let mut s = tiny_scenario();
         plan.validate().expect("generated plans are valid");
         s.chaos = Some(plan);
-        let run = run_once_checked(&s, Arm::Incentive, seed, None, Some(AUDIT_EVERY)).0;
-        prop_assert!((0.0..=1.0).contains(&run.summary.delivery_ratio));
+        let outcome = run_audited(&s, Arm::Incentive, seed);
+        prop_assert!((0.0..=1.0).contains(&outcome.summary.delivery_ratio));
     }
 
     /// Replay determinism holds for arbitrary plans, not only the named
@@ -337,8 +345,8 @@ proptest! {
     ) {
         let mut s = tiny_scenario();
         s.chaos = Some(plan);
-        let a = run_once_checked(&s, Arm::Incentive, seed, None, Some(AUDIT_EVERY)).0;
-        let b = run_once_checked(&s, Arm::Incentive, seed, None, Some(AUDIT_EVERY)).0;
+        let a = run_audited(&s, Arm::Incentive, seed);
+        let b = run_audited(&s, Arm::Incentive, seed);
         prop_assert_eq!(a.summary, b.summary);
         prop_assert_eq!(a.protocol, b.protocol);
     }
@@ -376,7 +384,12 @@ fn checkpoint_eviction_under_pressure_stays_settlement_safe() {
 
     // The profiled twin exposes the kernel counters; the observability
     // layer must not change results.
-    let (profiled, perf) = dtn_workloads::runner::run_once_perf(&s, Arm::Incentive, 9);
+    let profile = Instrument {
+        profile: true,
+        ..Instrument::default()
+    };
+    let (profiled, _, perf) = run(&RunSpec::arm(&s, Arm::Incentive, 9), &profile);
+    let perf = perf.expect("profiled");
     assert_eq!(audited.summary, profiled.summary, "observers are inert");
     assert!(
         perf.metrics.counter("kernel.checkpoints_evicted") > 0,
@@ -384,7 +397,8 @@ fn checkpoint_eviction_under_pressure_stays_settlement_safe() {
     );
 
     // Deterministic replay, evictions included.
-    let (replay, perf2) = dtn_workloads::runner::run_once_perf(&s, Arm::Incentive, 9);
+    let (replay, _, perf2) = run(&RunSpec::arm(&s, Arm::Incentive, 9), &profile);
+    let perf2 = perf2.expect("profiled");
     assert_eq!(profiled.summary, replay.summary);
     assert_eq!(
         perf.metrics.counter("kernel.checkpoints_evicted"),
@@ -399,6 +413,8 @@ fn checkpoint_eviction_under_pressure_stays_settlement_safe() {
         checkpoint_capacity: 0,
         ..RecoveryPolicy::default()
     });
-    let (_, perf3) = dtn_workloads::runner::run_once_perf(&unbounded, Arm::Incentive, 9);
+    let perf3 = run(&RunSpec::arm(&unbounded, Arm::Incentive, 9), &profile)
+        .2
+        .expect("profiled");
     assert_eq!(perf3.metrics.counter("kernel.checkpoints_evicted"), 0);
 }

@@ -2,6 +2,7 @@
 //! simulation → protocol → statistics) exercised at small scale.
 
 use dtn_integration_tests::fast_scenario;
+use dtn_sim::stats::RunSummary;
 use dtn_workloads::prelude::*;
 
 #[test]
@@ -52,8 +53,8 @@ fn selfish_nodes_depress_delivery_in_both_arms() {
     let mut high = fast_scenario();
     high.selfish_fraction = 0.8;
     for arm in Arm::BOTH {
-        let lo = run_seeds(&low, arm, &[1, 2]);
-        let hi = run_seeds(&high, arm, &[1, 2]);
+        let lo = RunSummary::mean_of(&run_seeds(&low, arm, &[1, 2]));
+        let hi = RunSummary::mean_of(&run_seeds(&high, arm, &[1, 2]));
         assert!(
             hi.delivery_ratio < lo.delivery_ratio,
             "{arm:?}: 80% selfish must hurt MDR ({} vs {})",
@@ -73,7 +74,7 @@ fn incentive_mdr_stays_close_to_chitchat() {
     let mut s = fast_scenario();
     s.selfish_fraction = 0.4;
     s.protocol.enrichment_enabled = false; // isolate the economic effect
-    let cmp = compare_arms(&s, &[1, 2, 3]);
+    let (cmp, _) = compare(&s, BackendKind::ChitChat, &[1, 2, 3], false);
     assert!(cmp.incentive.delivery_ratio > 0.0);
     assert!(
         cmp.mdr_gap().abs() < 0.15,

@@ -5,6 +5,7 @@
 
 use dtn_core::protocol::MALICIOUS_RATING_SERIES;
 use dtn_integration_tests::fast_scenario;
+use dtn_sim::stats::RunSummary;
 use dtn_workloads::prelude::*;
 
 const SEEDS: [u64; 2] = [11, 22];
@@ -15,7 +16,7 @@ fn fig5_1_shape_mdr_decreases_with_selfishness() {
     let mdr_at = |frac: f64| {
         let mut s = fast_scenario();
         s.selfish_fraction = frac;
-        run_seeds(&s, Arm::Incentive, &SEEDS).delivery_ratio
+        RunSummary::mean_of(&run_seeds(&s, Arm::Incentive, &SEEDS)).delivery_ratio
     };
     let lo = mdr_at(0.0);
     let mid = mdr_at(0.5);
@@ -45,7 +46,9 @@ fn fig5_2_shape_saving_grows_with_selfishness() {
     let reduction_at = |frac: f64| {
         let mut s = fast_scenario();
         s.selfish_fraction = frac;
-        compare_arms(&s, &SAVING_SEEDS).traffic_reduction_pct()
+        compare(&s, BackendKind::ChitChat, &SAVING_SEEDS, false)
+            .0
+            .traffic_reduction_pct()
     };
     let low = reduction_at(0.0);
     let high = reduction_at(0.4);
@@ -64,7 +67,7 @@ fn fig5_3_shape_more_tokens_more_delivery() {
         let mut s = fast_scenario();
         s.selfish_fraction = 0.4;
         s.protocol.incentive.initial_tokens = tokens;
-        run_seeds(&s, Arm::Incentive, &SEEDS).delivery_ratio
+        RunSummary::mean_of(&run_seeds(&s, Arm::Incentive, &SEEDS)).delivery_ratio
     };
     let poor = mdr_with_tokens(4.0);
     let rich = mdr_with_tokens(200.0);
@@ -81,7 +84,7 @@ fn fig5_4_shape_malicious_rating_decays() {
     let mut s = fast_scenario();
     s.malicious_fraction = 0.25;
     s.protocol.rating_prob = 0.5;
-    let summary = run_seeds(&s, Arm::Incentive, &SEEDS);
+    let summary = RunSummary::mean_of(&run_seeds(&s, Arm::Incentive, &SEEDS));
     let series = summary
         .series
         .get(MALICIOUS_RATING_SERIES)
@@ -101,7 +104,7 @@ fn fig5_5_shape_density_helps_and_closes_the_gap() {
         let mut s = fast_scenario();
         s.nodes = nodes;
         s.selfish_fraction = 0.3;
-        compare_arms(&s, &SEEDS)
+        compare(&s, BackendKind::ChitChat, &SEEDS, false).0
     };
     let sparse = cmp_at(12);
     let dense = cmp_at(36);
@@ -127,7 +130,7 @@ fn fig5_6_shape_high_priority_favored() {
     // Contention so prioritization matters: small buffers.
     s.buffer_bytes = 8_000_000;
     s.message_interval_secs = 10.0;
-    let cmp = compare_arms(&s, &SEEDS);
+    let (cmp, _) = compare(&s, BackendKind::ChitChat, &SEEDS, false);
     let inc_high = cmp.incentive.delivery_ratio_by_priority[&1];
     let inc_low = cmp
         .incentive

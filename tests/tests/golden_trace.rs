@@ -199,7 +199,11 @@ impl serde::Deserialize for RawValue {
 /// One golden record: everything the refactor must preserve about a run.
 fn capture(scenario: &Scenario, arm: Arm, seed: u64) -> serde_json::Value {
     use serde::Serialize as _;
-    let (run, trace) = dtn_workloads::runner::run_once_traced(scenario, arm, seed, Some(1_000_000));
+    let traced = Instrument {
+        trace_capacity: Some(1_000_000),
+        ..Instrument::default()
+    };
+    let (run, trace, _) = dtn_workloads::runner::run(&RunSpec::arm(scenario, arm, seed), &traced);
     let trace = trace.expect("trace requested");
     serde_json::Value::Map(vec![
         (

@@ -17,7 +17,6 @@ use dtn_sim::events::KernelMode;
 use dtn_sim::snapshot::SnapshotError;
 use dtn_sim::time::SimTime;
 use dtn_workloads::prelude::*;
-use dtn_workloads::runner::{build_simulation_opts, run_once_checked};
 
 const TRACE_CAPACITY: usize = 200_000;
 const SEEDS: [u64; 3] = [101, 202, 303];
@@ -36,9 +35,14 @@ fn observable_output(
     let mut s = scenario.clone();
     s.threads = Some(threads);
     s.kernel_mode = Some(mode);
-    let (run, trace) = run_once_checked(&s, arm, seed, Some(TRACE_CAPACITY), Some(60));
-    let summary = serde_json::to_string(&run.summary).expect("summary serializes");
-    let protocol = format!("{:?}", run.protocol);
+    let instrument = Instrument {
+        trace_capacity: Some(TRACE_CAPACITY),
+        check_every: Some(60),
+        profile: false,
+    };
+    let (outcome, trace, _) = run(&RunSpec::arm(&s, arm, seed), &instrument);
+    let summary = serde_json::to_string(&outcome.summary).expect("summary serializes");
+    let protocol = format!("{:?}", outcome.protocol);
     (trace.expect("trace attached"), summary + &protocol)
 }
 
@@ -99,14 +103,14 @@ fn cross_mode_resume_is_rejected() {
     ] {
         let mut source = scenario.clone();
         source.kernel_mode = Some(taken_on);
-        let mut sim = build_simulation_opts(&source, Arm::Incentive, 101, None, None, false);
+        let mut sim = build_simulation(&source, Arm::Incentive, 101);
         sim.run_until(SimTime::from_secs(600.0));
         let snap = sim.snapshot();
         assert_eq!(snap.kernel_mode, taken_on, "snapshot records its core");
 
         let mut target = scenario.clone();
         target.kernel_mode = Some(resumed_on);
-        let mut other = build_simulation_opts(&target, Arm::Incentive, 101, None, None, false);
+        let mut other = build_simulation(&target, Arm::Incentive, 101);
         match other.restore(&snap) {
             Err(SnapshotError::Mismatch { detail }) => {
                 assert!(
@@ -127,10 +131,10 @@ fn cross_mode_resume_is_rejected() {
 fn same_mode_resume_still_works() {
     let mut scenario = fast_scenario();
     scenario.kernel_mode = Some(KernelMode::EventDriven);
-    let mut sim = build_simulation_opts(&scenario, Arm::Incentive, 101, None, None, false);
+    let mut sim = build_simulation(&scenario, Arm::Incentive, 101);
     sim.run_until(SimTime::from_secs(600.0));
     let snap = sim.snapshot();
-    let mut resumed = build_simulation_opts(&scenario, Arm::Incentive, 101, None, None, false);
+    let mut resumed = build_simulation(&scenario, Arm::Incentive, 101);
     resumed
         .restore(&snap)
         .expect("same-mode restore is accepted");

@@ -3,10 +3,9 @@
 //! round-trip with the fields downstream tooling depends on.
 
 use dtn_integration_tests::fast_scenario;
-use dtn_workloads::runner::{
-    compare_arms, compare_arms_perf, run_once_perf, run_seeds, run_seeds_perf, PerfReport,
-};
-use dtn_workloads::scenario::Arm;
+use dtn_sim::stats::RunSummary;
+use dtn_workloads::prelude::*;
+use dtn_workloads::runner::PerfReport;
 
 /// The golden non-perturbation guarantee at workload level: a profiled
 /// multi-seed aggregate equals the unprofiled one exactly, field for
@@ -15,8 +14,9 @@ use dtn_workloads::scenario::Arm;
 fn profiled_comparison_is_byte_identical_to_unprofiled() {
     let scenario = fast_scenario();
     let seeds = [101, 202];
-    let plain = compare_arms(&scenario, &seeds);
-    let (profiled, perf) = compare_arms_perf(&scenario, &seeds);
+    let (plain, _) = compare(&scenario, BackendKind::ChitChat, &seeds, false);
+    let (profiled, perf) = compare(&scenario, BackendKind::ChitChat, &seeds, true);
+    let perf = perf.expect("profiled");
     assert_eq!(
         serde_json::to_string(&plain.incentive).expect("json"),
         serde_json::to_string(&profiled.incentive).expect("json"),
@@ -36,7 +36,13 @@ fn profiled_comparison_is_byte_identical_to_unprofiled() {
 #[test]
 fn perf_report_json_round_trips() {
     let scenario = fast_scenario();
-    let (_, report) = run_once_perf(&scenario, Arm::Incentive, 101);
+    let profile = Instrument {
+        profile: true,
+        ..Instrument::default()
+    };
+    let report = run(&RunSpec::arm(&scenario, Arm::Incentive, 101), &profile)
+        .2
+        .expect("profiled");
     let json = serde_json::to_string_pretty(&report).expect("serializes");
     let back: PerfReport = serde_json::from_str(&json).expect("deserializes");
     assert_eq!(back.runs, 1);
@@ -51,19 +57,19 @@ fn perf_report_json_round_trips() {
     assert!(back.metrics.counter("kernel.steps") > 0);
 }
 
-/// The sequential perf path and the bounded-parallel plain path agree on
-/// the aggregate summary: parallelism is an implementation detail, not a
+/// The sequential perf path and the pooled plain path agree on the
+/// aggregate summary: parallelism is an implementation detail, not a
 /// statistical one.
 #[test]
 fn perf_aggregate_matches_parallel_aggregate() {
     let scenario = fast_scenario();
     let seeds = [101, 202, 303];
-    let parallel = run_seeds(&scenario, Arm::Incentive, &seeds);
-    let (sequential, report) = run_seeds_perf(&scenario, Arm::Incentive, &seeds);
+    let parallel = RunSummary::mean_of(&run_seeds(&scenario, Arm::Incentive, &seeds));
+    let (sequential, report) = compare(&scenario, BackendKind::ChitChat, &seeds, true);
     assert_eq!(
         serde_json::to_string(&parallel).expect("json"),
-        serde_json::to_string(&sequential).expect("json"),
+        serde_json::to_string(&sequential.incentive).expect("json"),
         "parallel and sequential seed runs diverged"
     );
-    assert_eq!(report.runs, 3);
+    assert_eq!(report.expect("profiled").runs, 6, "two arms x three seeds");
 }

@@ -15,7 +15,6 @@ use dtn_routing::exchange::KeywordSet;
 use dtn_routing::interests::ChitChatParams;
 use dtn_sim::message::{Keyword, MessageId};
 use dtn_sim::time::SimTime;
-use dtn_sim::trace::TraceLog;
 use dtn_sim::world::NodeId;
 use dtn_workloads::prelude::*;
 use dtn_workloads::runner::{build_world, run_to_horizon};
@@ -129,22 +128,20 @@ fn observe<B: RouterBackend>(
     seed: u64,
     backend: impl FnOnce(&ChitChatParams) -> B,
 ) -> (String, String, String, ProtocolStats) {
-    let trace = Some(TraceLog::unbounded());
-    let sim = build_world(
-        scenario,
-        arm,
-        backend,
-        seed,
-        trace,
-        Some(AUDIT_EVERY),
-        false,
-    );
-    let (run, trace, _) = run_to_horizon(sim, scenario, true, false);
+    let spec = RunSpec::arm(scenario, arm, seed);
+    let instrument = Instrument {
+        // No event is ever dropped: the whole trace is compared.
+        trace_capacity: Some(usize::MAX),
+        check_every: Some(AUDIT_EVERY),
+        profile: false,
+    };
+    let sim = build_world(&spec, &instrument, backend);
+    let (outcome, trace, _) = run_to_horizon(sim, &spec, &instrument);
     (
         trace.expect("trace attached"),
-        serde_json::to_string(&run.summary).expect("summary serializes"),
-        serde_json::to_string(&run.protocol).expect("stats serialize"),
-        run.protocol,
+        serde_json::to_string(&outcome.summary).expect("summary serializes"),
+        serde_json::to_string(&outcome.protocol).expect("stats serialize"),
+        outcome.protocol,
     )
 }
 

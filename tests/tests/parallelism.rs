@@ -13,7 +13,6 @@ use dtn_sim::time::{SimDuration, SimTime};
 use dtn_sim::transfer::TransferEngine;
 use dtn_sim::world::NodeId;
 use dtn_workloads::prelude::*;
-use dtn_workloads::runner::run_once_checked;
 use proptest::prelude::*;
 
 const TRACE_CAPACITY: usize = 200_000;
@@ -26,9 +25,14 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 fn observable_output(scenario: &Scenario, arm: Arm, seed: u64, threads: usize) -> (String, String) {
     let mut s = scenario.clone();
     s.threads = Some(threads);
-    let (run, trace) = run_once_checked(&s, arm, seed, Some(TRACE_CAPACITY), Some(60));
-    let summary = serde_json::to_string(&run.summary).expect("summary serializes");
-    let protocol = format!("{:?}", run.protocol);
+    let instrument = Instrument {
+        trace_capacity: Some(TRACE_CAPACITY),
+        check_every: Some(60),
+        profile: false,
+    };
+    let (outcome, trace, _) = run(&RunSpec::arm(&s, arm, seed), &instrument);
+    let summary = serde_json::to_string(&outcome.summary).expect("summary serializes");
+    let protocol = format!("{:?}", outcome.protocol);
     (trace.expect("trace attached"), summary + &protocol)
 }
 

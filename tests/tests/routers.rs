@@ -16,11 +16,26 @@
 use dtn_integration_tests::fast_scenario;
 use dtn_sim::faults::FaultPlan;
 use dtn_workloads::prelude::*;
-use dtn_workloads::runner::{run_backend_checked, run_once_checked};
+use dtn_workloads::runner::{build_world, run_to_horizon};
 use proptest::prelude::*;
 
 /// Audit cadence: every 15 simulated steps (same as the chaos suite).
 const AUDIT_EVERY: u64 = 15;
+
+/// Runs one grid cell, auditing every `check_every` steps when set.
+fn run_cell(
+    s: &Scenario,
+    kind: BackendKind,
+    overlay: Overlay,
+    seed: u64,
+    check_every: Option<u64>,
+) -> ArmRun {
+    let instrument = Instrument {
+        check_every,
+        ..Instrument::default()
+    };
+    run(&RunSpec::new(s, kind, overlay, seed), &instrument).0
+}
 
 /// A grid-sized world: Table 5.1 density, 16 nodes, 15 simulated minutes —
 /// small enough that the full 12-cell grid stays in test-suite budget,
@@ -40,8 +55,8 @@ fn every_grid_cell_survives_chaos_with_the_audit_on() {
     s.chaos = Some("cut=10,cutdown=20,loss=0.05".parse().expect("valid spec"));
     for &backend in BackendKind::ALL.iter() {
         for &overlay in Overlay::BOTH.iter() {
-            let run = run_backend_checked(&s, backend, overlay, 42, Some(AUDIT_EVERY));
-            let ratio = run.summary.delivery_ratio;
+            let outcome = run_cell(&s, backend, overlay, 42, Some(AUDIT_EVERY));
+            let ratio = outcome.summary.delivery_ratio;
             assert!(
                 ratio.is_finite() && (0.0..=1.0).contains(&ratio),
                 "{}+{}: delivery ratio {ratio} out of range",
@@ -49,7 +64,7 @@ fn every_grid_cell_survives_chaos_with_the_audit_on() {
                 overlay.tag()
             );
             assert!(
-                run.summary.created > 10,
+                outcome.summary.created > 10,
                 "{}+{}: workload still generated",
                 backend.tag(),
                 overlay.tag()
@@ -62,26 +77,36 @@ fn every_grid_cell_survives_chaos_with_the_audit_on() {
 fn chitchat_backend_reproduces_the_paper_arms_byte_for_byte() {
     // The grid's ChitChat rows ARE the paper's two arms: same world, same
     // RNG draws, same books. The golden suite pins the arms against the
-    // pre-refactor fixture; this test pins the backend path against the
-    // arm path, closing the loop.
+    // pre-refactor fixture; this test pins the boxed backend path — every
+    // `Box<dyn RouterBackend>` forwarder, the offer-keyword bound included
+    // — against the statically dispatched arm path `run` takes.
     let s = grid_scenario();
-    for &overlay in Overlay::BOTH.iter() {
-        let via_backend =
-            run_backend_checked(&s, BackendKind::ChitChat, overlay, 7, Some(AUDIT_EVERY));
-        let via_arm = run_once_checked(&s, arm_for(overlay), 7, None, Some(AUDIT_EVERY)).0;
+    let instrument = Instrument {
+        trace_capacity: Some(1_000_000),
+        check_every: Some(AUDIT_EVERY),
+        profile: false,
+    };
+    for arm in Arm::BOTH {
+        let spec = RunSpec::arm(&s, arm, 7);
+        let boxed = build_world(&spec, &instrument, |chitchat| {
+            BackendKind::ChitChat.instantiate(s.nodes, chitchat)
+        });
+        let (via_box, box_trace, _) = run_to_horizon(boxed, &spec, &instrument);
+        let (via_arm, arm_trace, _) = run(&spec, &instrument);
+        assert_eq!(box_trace, arm_trace, "traces diverge on {}", arm.label());
         assert_eq!(
-            via_backend.summary,
+            via_box.summary,
             via_arm.summary,
-            "kernel stats diverge on overlay {}",
-            overlay.tag()
+            "kernel stats diverge on {}",
+            arm.label()
         );
         assert_eq!(
-            via_backend.protocol,
+            via_box.protocol,
             via_arm.protocol,
-            "mechanism stats diverge on overlay {}",
-            overlay.tag()
+            "mechanism stats diverge on {}",
+            arm.label()
         );
-        assert_eq!(via_backend.broke_nodes, via_arm.broke_nodes);
+        assert_eq!(via_box.broke_nodes, via_arm.broke_nodes);
     }
 }
 
@@ -96,8 +121,8 @@ fn grid_cells_replay_byte_for_byte() {
         (BackendKind::Prophet, Overlay::On),
         (BackendKind::SprayAndWait(8), Overlay::Off),
     ] {
-        let a = run_backend_checked(&s, backend, overlay, 101, Some(AUDIT_EVERY));
-        let b = run_backend_checked(&s, backend, overlay, 101, Some(AUDIT_EVERY));
+        let a = run_cell(&s, backend, overlay, 101, Some(AUDIT_EVERY));
+        let b = run_cell(&s, backend, overlay, 101, Some(AUDIT_EVERY));
         assert_eq!(a.summary, b.summary, "{}: kernel replay", backend.tag());
         assert_eq!(
             a.protocol,
@@ -115,7 +140,7 @@ fn relay_volumes_order_sanely_across_backends() {
     // in between (inclusive — small worlds can saturate it).
     let s = grid_scenario();
     let relays = |kind| {
-        run_backend_checked(&s, kind, Overlay::Off, 5, None)
+        run_cell(&s, kind, Overlay::Off, 5, None)
             .summary
             .relays_completed
     };
@@ -211,8 +236,8 @@ proptest! {
         s.chaos = Some(plan);
         let backend = BackendKind::ALL[backend_idx];
         let overlay = if overlay_on { Overlay::On } else { Overlay::Off };
-        let run = run_backend_checked(&s, backend, overlay, seed, Some(1));
-        let ratio = run.summary.delivery_ratio;
+        let outcome = run_cell(&s, backend, overlay, seed, Some(1));
+        let ratio = outcome.summary.delivery_ratio;
         prop_assert!(
             ratio.is_finite() && (0.0..=1.0).contains(&ratio),
             "{}+{}: ratio {} out of range",
