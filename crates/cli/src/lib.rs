@@ -444,8 +444,8 @@ SNAPSHOTS:
 
 PARALLELISM:
     --threads N shards the kernel's data-parallel step phases (mobility
-    stepping, contact detection) over N shards, overriding the
-    scenario's `threads` field. Output is byte-identical at any value —
+    stepping, the event core's contact regions) over N shards, overriding
+    the scenario's `threads` field. Output is byte-identical at any value —
     traces, summaries and metrics match the serial run exactly; only
     wall-clock changes.
 
@@ -453,7 +453,8 @@ KERNEL MODE:
     --kernel-mode picks the simulation core, overriding the scenario's
     `kernel_mode` field: event-driven (the default) detects contacts with
     predicted cell-crossing events so idle geometry costs nothing;
-    time-stepped sweeps the whole world every step. Both cores are
+    time-stepped sweeps the whole world every step, serially, and is the
+    oracle the event core is checked against. Both cores are
     byte-identical — traces, summaries and metrics match exactly. A
     snapshot records the core that wrote it and only resumes on that core.
 

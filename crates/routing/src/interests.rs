@@ -343,14 +343,6 @@ impl InterestTable {
         self.entries.iter().map(|r| (r.keyword, r.entry()))
     }
 
-    /// Records that a currently-connected device shares `keyword` (updates
-    /// `T_l`, freezing decay for this interest while the peer is around).
-    pub fn mark_shared(&mut self, keyword: Keyword, now: SimTime) {
-        if let Ok(i) = self.position(keyword) {
-            self.entries[i].last_shared = now;
-        }
-    }
-
     /// Algorithm 1 — decays every interest not currently shared by a
     /// connected device.
     ///

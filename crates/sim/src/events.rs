@@ -55,11 +55,12 @@ use crate::world::NodeId;
 ///
 /// Both modes produce byte-identical traces and summaries on every
 /// scenario (the conformance suite asserts this); they differ only in
-/// wall-clock cost. The time-stepped sweep remains available for one
-/// release as the equivalence oracle.
+/// wall-clock cost. The time-stepped sweep is the serial oracle the event
+/// core is checked against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum KernelMode {
-    /// The original per-step world sweep (grid rebuild + full pair scan).
+    /// The original per-step world sweep (grid rebuild + full pair scan),
+    /// serial at any thread count.
     TimeStepped,
     /// The predicted-crossing event core (this module). The default.
     #[default]

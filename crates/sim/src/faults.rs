@@ -226,18 +226,6 @@ pub struct FaultStats {
     pub transfers_corrupted: u64,
 }
 
-impl FaultStats {
-    /// Total number of injected fault events (wipes count via their crash).
-    #[must_use]
-    pub fn total_injected(&self) -> u64 {
-        self.crashes
-            + self.link_cuts
-            + self.battery_spikes
-            + self.transfers_lost
-            + self.transfers_corrupted
-    }
-}
-
 /// A node-level fault the kernel must apply this step.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NodeFault {

@@ -433,24 +433,41 @@ impl SimApi {
             return false;
         }
         let bytes = copy.size_bytes();
-        // With resume enabled, an enqueue that picks up a saved checkpoint
-        // counts as a resumed transfer (checkpoints only exist under a
-        // recovery policy, so this path is inert otherwise).
+        self.enqueue(from, to, message, bytes)
+    }
+
+    /// Queues `bytes` of `message` from `from` to `to` in the transfer
+    /// engine, returning whether it was queued. An enqueue that picks up a
+    /// saved checkpoint of the same size counts as one resumed transfer
+    /// (checkpoints only exist under a recovery policy, so this path is
+    /// inert otherwise).
+    fn enqueue(&mut self, from: NodeId, to: NodeId, message: MessageId, bytes: u64) -> bool {
         let resumes = self
             .transfers
             .checkpoint_of(from, to, message)
             .is_some_and(|c| c.bytes_total == bytes);
-        if self.transfers.enqueue(from, to, message, bytes, self.now) {
-            if resumes {
-                self.counters.transfers_resumed += 1;
-                self.stats.record_resume();
-                let now = self.now;
-                self.trace
-                    .record(now, TraceEvent::TransferResumed { message, from, to });
-            }
-            true
-        } else {
-            false
+        let queued = self.transfers.enqueue(from, to, message, bytes, self.now);
+        if queued && resumes {
+            self.counters.transfers_resumed += 1;
+            self.trace
+                .record(self.now, TraceEvent::TransferResumed { message, from, to });
+        }
+        queued
+    }
+
+    /// The run summary: the collector's delivery and traffic figures, plus
+    /// the counts whose one ledger is elsewhere — the kernel events in
+    /// [`KernelCounters`] and the depleted nodes in the energy meter.
+    fn summary(&self) -> RunSummary {
+        let c = &self.counters;
+        RunSummary {
+            transfers_aborted: c.transfers_aborted,
+            transfers_retried: c.transfers_retried,
+            transfers_resumed: c.transfers_resumed,
+            transfers_abandoned: c.transfers_abandoned,
+            ttl_expiries: c.ttl_expiries,
+            depleted_nodes: self.depleted_count() as u64,
+            ..self.stats.summarize()
         }
     }
 
@@ -500,7 +517,6 @@ impl SimApi {
     pub fn cancel_send(&mut self, from: NodeId, to: NodeId, message: MessageId) -> bool {
         if self.transfers.cancel(from, to, message).is_some() {
             self.counters.note_abort(AbortReason::Cancelled);
-            self.stats.record_abort();
             true
         } else {
             false
@@ -566,12 +582,6 @@ impl SimApi {
     #[must_use]
     pub fn depleted_count(&self) -> usize {
         self.energy.depleted_count()
-    }
-
-    /// A deterministic RNG substream for protocol component `label`.
-    #[must_use]
-    pub fn protocol_rng(&self, label: u64) -> SimRng {
-        self.rng_root.stream(0x5052_4F54_0000_0000 | label)
     }
 
     /// The event trace (empty unless enabled at build time).
@@ -650,18 +660,20 @@ impl SimulationBuilder {
     /// Selects the contact-detection core (default:
     /// [`KernelMode::EventDriven`], the predicted-crossing scheduler).
     /// Both modes produce byte-identical traces and summaries; the
-    /// time-stepped sweep remains selectable as the equivalence oracle.
+    /// time-stepped sweep is the serial oracle the event core is checked
+    /// against.
     #[must_use]
     pub fn kernel_mode(mut self, mode: KernelMode) -> Self {
         self.kernel_mode = mode;
         self
     }
 
-    /// Sets the shard count for the data-parallel step phases (mobility
-    /// stepping and striped contact detection). Default 1 = the serial
-    /// path. Output is byte-identical at any value: sharding changes who
-    /// computes each node's step, never what is computed — see DESIGN.md
-    /// §10 for the determinism argument.
+    /// Sets the shard count for the data-parallel step phases: mobility
+    /// stepping, and the event core's contact regions (the time-stepped
+    /// sweep is serial). Default 1 = the serial path. Output is
+    /// byte-identical at any value: sharding changes who computes each
+    /// node's step, never what is computed — see DESIGN.md §10 for the
+    /// determinism argument.
     ///
     /// # Panics
     ///
@@ -857,7 +869,6 @@ impl SimulationBuilder {
             .zip(node_rngs.iter_mut())
             .map(|(m, r)| m.initial_position(self.area, r))
             .collect();
-        let grid_cell = self.radio.range_m.max(1.0);
         // SoA fast path: a homogeneous Random Waypoint population (the
         // paper's only mobility model) packs into column vectors; mixed
         // populations keep the boxed models. Both layouts step nodes
@@ -866,24 +877,24 @@ impl SimulationBuilder {
             Some(fleet) => MobilityStore::Fleet(fleet),
             None => MobilityStore::Boxed(self.mobilities),
         };
-        let contact_engine = (self.kernel_mode == KernelMode::EventDriven).then(|| {
-            let vmax: Vec<f64> = (0..n)
-                .map(|i| mobility.speed_cap(i).unwrap_or(f64::INFINITY))
-                .collect();
-            ContactEngine::new(
-                self.area,
-                self.radio.range_m,
-                self.step.as_secs(),
-                self.threads,
-                &positions,
-                vmax,
-            )
-        });
-        let grid = SpatialGrid::new(self.area, grid_cell);
-        // Stripe count for the time-stepped sweep is a pure function of
-        // the static grid geometry and the threads knob, so it is fixed
-        // here instead of being re-derived (and buffer-resized) per step.
-        let stripes = self.threads.min(grid.row_count()).max(1);
+        let core = match self.kernel_mode {
+            KernelMode::EventDriven => {
+                let vmax: Vec<f64> = (0..n)
+                    .map(|i| mobility.speed_cap(i).unwrap_or(f64::INFINITY))
+                    .collect();
+                ContactCore::Events(ContactEngine::new(
+                    self.area,
+                    self.radio.range_m,
+                    self.step.as_secs(),
+                    self.threads,
+                    &positions,
+                    vmax,
+                ))
+            }
+            KernelMode::TimeStepped => {
+                ContactCore::Sweep(SpatialGrid::new(self.area, self.radio.range_m.max(1.0)))
+            }
+        };
         let faults = self
             .faults
             .map(|plan| FaultInjector::new(plan, &rng_root, n));
@@ -922,7 +933,6 @@ impl SimulationBuilder {
             protocol,
             mobility,
             node_rngs,
-            grid,
             threads: self.threads,
             // OS threads actually spawned per phase: capped by the host's
             // core count. Purely a wall-clock decision — shard boundaries
@@ -931,11 +941,8 @@ impl SimulationBuilder {
             workers: self
                 .threads
                 .min(std::thread::available_parallelism().map_or(1, usize::from)),
-            kernel_mode: self.kernel_mode,
-            contact_engine,
+            core,
             scratch_in_range: Vec::new(),
-            stripes,
-            stripe_buffers: vec![Vec::new(); stripes],
             schedule: self.schedule,
             next_scheduled: 0,
             next_message_id: 0,
@@ -967,7 +974,7 @@ impl SimulationBuilder {
 /// [`SnapshotError::Mismatch`] instead of silently steering the run.
 ///
 /// Deliberately *not* captured, because it is derived or wall-clock-only:
-/// the spatial grid (rebuilt from positions every step), scratch pair
+/// the contact core's state (rebuilt from positions), scratch pair
 /// buffers, the worker count, and the phase profiler.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorldState {
@@ -1013,6 +1020,8 @@ pub struct WorldState {
     /// Per-node energy spent and the depleted-node drain record.
     pub energy: EnergyMeterState,
     /// The metrics collector (delivery bookkeeping, counters, series).
+    /// Its kernel event counts are copies of `counters`, written from them
+    /// and checked against them on restore.
     pub stats: StatsState,
     /// The event trace ring.
     pub trace: TraceLogState,
@@ -1071,6 +1080,29 @@ impl MobilityStore {
     }
 }
 
+/// The contact-detection core of a world and the state it derives from
+/// node positions. Neither core's state is serialized: the sweep rebuilds
+/// its grid every step, and a restore rebuilds the engine from the
+/// restored positions.
+#[derive(Debug)]
+enum ContactCore {
+    /// [`KernelMode::EventDriven`]: the predicted-crossing scheduler.
+    Events(ContactEngine),
+    /// [`KernelMode::TimeStepped`]: the serial grid sweep, rebuilt from
+    /// positions every step — the oracle the event core is checked
+    /// against.
+    Sweep(SpatialGrid),
+}
+
+impl ContactCore {
+    fn mode(&self) -> KernelMode {
+        match self {
+            ContactCore::Events(_) => KernelMode::EventDriven,
+            ContactCore::Sweep(_) => KernelMode::TimeStepped,
+        }
+    }
+}
+
 /// A running simulation: kernel state plus the protocol under test.
 #[derive(Debug)]
 pub struct Simulation<P> {
@@ -1078,26 +1110,15 @@ pub struct Simulation<P> {
     protocol: P,
     mobility: MobilityStore,
     node_rngs: Vec<SimRng>,
-    grid: SpatialGrid,
     /// Configured shard count for the data-parallel phases (≥ 1).
     threads: usize,
     /// OS threads actually used (`min(threads, host cores)`); wall-clock
     /// only, never affects output.
     workers: usize,
-    /// Which contact-detection core this world runs on.
-    kernel_mode: KernelMode,
-    /// The predicted-crossing scheduler; present iff the mode is
-    /// [`KernelMode::EventDriven`]. Derived state — rebuilt, not
-    /// serialized, on snapshot restore.
-    contact_engine: Option<ContactEngine>,
+    /// The contact-detection core this world runs on, with its state.
+    core: ContactCore,
     /// In-range pair buffer reused across steps (was allocated per step).
     scratch_in_range: Vec<ContactKey>,
-    /// Stripe count for the time-stepped sweep, fixed at build time from
-    /// the static grid geometry (hoisted out of the per-step path).
-    stripes: usize,
-    /// Per-stripe pair buffers for sharded contact detection, reused
-    /// across steps and merged in fixed stripe order.
-    stripe_buffers: Vec<Vec<ContactKey>>,
     schedule: Vec<ScheduledMessage>,
     next_scheduled: usize,
     next_message_id: u64,
@@ -1140,7 +1161,7 @@ impl<P: Protocol> Simulation<P> {
     /// Which contact-detection core this world runs on.
     #[must_use]
     pub fn kernel_mode(&self) -> KernelMode {
-        self.kernel_mode
+        self.core.mode()
     }
 
     /// The attached fault plan, if any.
@@ -1223,10 +1244,11 @@ impl<P: Protocol> Simulation<P> {
         let mut bodies: Vec<MessageBody> =
             self.api.bodies.values().map(|b| (**b).clone()).collect();
         bodies.sort_unstable_by_key(|b| b.id);
+        let c = &self.api.counters;
         WorldState {
             seed: self.seed,
             node_count: self.api.positions.len() as u64,
-            kernel_mode: self.kernel_mode,
+            kernel_mode: self.kernel_mode(),
             now: self.api.now,
             last_sweep: self.last_sweep,
             started: self.started,
@@ -1244,7 +1266,16 @@ impl<P: Protocol> Simulation<P> {
             contacts: self.api.contacts.export_state(),
             transfers: self.api.transfers.export_state(),
             energy: self.api.energy.export_state(),
-            stats: self.api.stats.export_state(),
+            // The v2 body keeps the kernel event counts in `stats` too;
+            // their one ledger is the counters.
+            stats: StatsState {
+                transfers_aborted: c.transfers_aborted,
+                transfers_retried: c.transfers_retried,
+                transfers_resumed: c.transfers_resumed,
+                transfers_abandoned: c.transfers_abandoned,
+                ttl_expiries: c.ttl_expiries,
+                ..self.api.stats.export_state()
+            },
             trace: self.api.trace.export_state(),
             counters: self.api.counters,
             retries: self.retries.as_ref().map(RetryScheduler::export_state),
@@ -1261,11 +1292,12 @@ impl<P: Protocol> Simulation<P> {
     /// # Errors
     ///
     /// [`SnapshotError::Mismatch`] when the document does not pair with
-    /// this world: a different seed or node count, an optional subsystem
-    /// (fault plan, recovery policy, invariant checker) present on only
-    /// one side, or per-module state that fails its own consistency
-    /// checks. On error the world may be partially overwritten — rebuild
-    /// it before using it again.
+    /// this world: a different seed, node count or kernel mode, an
+    /// optional subsystem (fault plan, recovery policy, invariant checker)
+    /// present on only one side, a kernel event count whose copy in
+    /// `stats` disagrees with `counters`, or per-module state that fails
+    /// its own consistency checks. On error the world may be partially
+    /// overwritten — rebuild it before using it again.
     pub fn restore(&mut self, state: &WorldState) -> Result<(), SnapshotError> {
         fn mismatch(detail: String) -> SnapshotError {
             SnapshotError::Mismatch { detail }
@@ -1283,10 +1315,11 @@ impl<P: Protocol> Simulation<P> {
                 state.node_count
             )));
         }
-        if state.kernel_mode != self.kernel_mode {
+        if state.kernel_mode != self.kernel_mode() {
             return Err(mismatch(format!(
                 "snapshot was taken on the {} core, this world runs {}",
-                state.kernel_mode, self.kernel_mode
+                state.kernel_mode,
+                self.kernel_mode()
             )));
         }
         for (name, len) in [
@@ -1328,6 +1361,36 @@ impl<P: Protocol> Simulation<P> {
                     ("this world", "the snapshot")
                 };
                 return Err(mismatch(format!("{with} has a {name}, {without} does not")));
+            }
+        }
+        let (s, c) = (&state.stats, &state.counters);
+        for (name, in_stats, in_counters) in [
+            (
+                "transfers_aborted",
+                s.transfers_aborted,
+                c.transfers_aborted,
+            ),
+            (
+                "transfers_retried",
+                s.transfers_retried,
+                c.transfers_retried,
+            ),
+            (
+                "transfers_resumed",
+                s.transfers_resumed,
+                c.transfers_resumed,
+            ),
+            (
+                "transfers_abandoned",
+                s.transfers_abandoned,
+                c.transfers_abandoned,
+            ),
+            ("ttl_expiries", s.ttl_expiries, c.ttl_expiries),
+        ] {
+            if in_stats != in_counters {
+                return Err(mismatch(format!(
+                    "stats.{name} is {in_stats}, counters.{name} is {in_counters}"
+                )));
             }
         }
         let bodies: HashMap<MessageId, Arc<MessageBody>> = state
@@ -1392,7 +1455,7 @@ impl<P: Protocol> Simulation<P> {
         // The predicted-crossing watch set is derived state: rebuilding a
         // fresh (superset) watch set from the restored positions yields
         // the same exact in-range list as the uninterrupted engine.
-        if let Some(engine) = self.contact_engine.as_mut() {
+        if let ContactCore::Events(engine) = &mut self.core {
             engine.rebuild(&self.api.positions, state.counters.steps);
         }
         Ok(())
@@ -1527,72 +1590,23 @@ impl<P: Protocol> Simulation<P> {
         // in-range pair list: the event engine tracks a conservative
         // superset of near pairs and distance-checks exactly the pairs
         // that could be in range this step; the time-stepped sweep
-        // re-enumerates the whole grid. The sweep is sharded across row
-        // stripes: each stripe enumerates the pairs whose home cell lies
-        // in its rows into its own buffer, buffers are merged in
-        // ascending stripe order, and the merged list is sorted — the
-        // same unique pair set in the same final order as the serial
-        // sweep, whatever the stripe count.
+        // re-enumerates the whole grid, serially.
         let scope = self.profiler.start();
         self.scratch_in_range.clear();
         let energy = &self.api.energy;
         let positions = &self.api.positions;
-        let range = self.api.radio.range_m;
-        if let Some(engine) = self.contact_engine.as_mut() {
-            engine.collect(
+        match &mut self.core {
+            ContactCore::Events(engine) => engine.collect(
                 self.api.counters.steps,
                 positions,
                 energy,
                 self.workers,
                 &mut self.scratch_in_range,
-            );
-        } else {
-            self.grid.rebuild(positions);
-            let rows = self.grid.row_count();
-            let stripes = self.stripes;
-            if stripes > 1 {
-                let per = rows.div_ceil(stripes);
-                let grid = &self.grid;
-                let sweep_stripe = |si: usize, buf: &mut Vec<ContactKey>| {
-                    buf.clear();
-                    grid.for_each_pair_in_rows(
-                        positions,
-                        range,
-                        si * per,
-                        (si + 1) * per,
-                        |a, b| {
-                            // A depleted radio forms no links
-                            // (finite-battery model).
-                            if !energy.is_depleted(a) && !energy.is_depleted(b) {
-                                buf.push(ContactKey(a, b));
-                            }
-                        },
-                    );
-                };
-                let bufs = &mut self.stripe_buffers[..stripes];
-                if self.workers > 1 {
-                    let per_worker = stripes.div_ceil(self.workers);
-                    std::thread::scope(|s| {
-                        for (w, worker_bufs) in bufs.chunks_mut(per_worker).enumerate() {
-                            let sweep_stripe = &sweep_stripe;
-                            s.spawn(move || {
-                                for (off, buf) in worker_bufs.iter_mut().enumerate() {
-                                    sweep_stripe(w * per_worker + off, buf);
-                                }
-                            });
-                        }
-                    });
-                } else {
-                    for (si, buf) in bufs.iter_mut().enumerate() {
-                        sweep_stripe(si, buf);
-                    }
-                }
-                for buf in &self.stripe_buffers[..stripes] {
-                    self.scratch_in_range.extend_from_slice(buf);
-                }
-            } else {
+            ),
+            ContactCore::Sweep(grid) => {
+                grid.rebuild(positions);
                 let in_range = &mut self.scratch_in_range;
-                self.grid.for_each_pair_within(positions, range, |a, b| {
+                grid.for_each_pair_within(positions, self.api.radio.range_m, |a, b| {
                     // A depleted radio forms no links (finite-battery model).
                     if !energy.is_depleted(a) && !energy.is_depleted(b) {
                         in_range.push(ContactKey(a, b));
@@ -1640,7 +1654,6 @@ impl<P: Protocol> Simulation<P> {
                         self.api.transfers.checkpoints_evicted();
                     for a in aborted {
                         self.api.counters.note_abort(a.reason);
-                        self.api.stats.record_abort();
                         self.api.trace.record(
                             now,
                             TraceEvent::Aborted {
@@ -1699,7 +1712,6 @@ impl<P: Protocol> Simulation<P> {
         };
         for a in aborted {
             self.api.counters.note_abort(a.reason);
-            self.api.stats.record_abort();
             self.api.trace.record(
                 now,
                 TraceEvent::Aborted {
@@ -1728,7 +1740,6 @@ impl<P: Protocol> Simulation<P> {
                     .energy
                     .charge_transfer(c.from, c.to, c.airtime, c.distance_m);
                 self.api.counters.note_abort(AbortReason::Injected);
-                self.api.stats.record_abort();
                 let event = match kind {
                     TransferFault::Loss => TraceEvent::TransferLost {
                         message: c.message,
@@ -1773,7 +1784,6 @@ impl<P: Protocol> Simulation<P> {
                 // processed): the payload is unusable — an abort, not a
                 // relay.
                 self.api.counters.note_abort(AbortReason::SourceGone);
-                self.api.stats.record_abort();
             }
             let outcome = match arriving {
                 Some(copy) => self.api.buffers[c.to.index()].insert(copy),
@@ -1817,7 +1827,6 @@ impl<P: Protocol> Simulation<P> {
                 let expired = self.api.buffers[i].sweep_expired(now);
                 if !expired.is_empty() {
                     self.api.counters.ttl_expiries += expired.len() as u64;
-                    self.api.stats.record_expiries(expired.len());
                     for &m in &expired {
                         self.api.trace.record(
                             now,
@@ -1869,7 +1878,6 @@ impl<P: Protocol> Simulation<P> {
         };
         if let Some(attempt) = rs.on_abort(a, now) {
             self.api.counters.transfers_retried += 1;
-            self.api.stats.record_retry();
             self.api.trace.record(
                 now,
                 TraceEvent::RetryScheduled {
@@ -1903,7 +1911,6 @@ impl<P: Protocol> Simulation<P> {
                 || self.api.stats.is_delivered(r.message, r.to);
             if !copy_alive || demand_gone {
                 self.api.counters.transfers_abandoned += 1;
-                self.api.stats.record_abandon();
                 self.api.trace.record(
                     now,
                     TraceEvent::RetryAbandoned {
@@ -1922,29 +1929,8 @@ impl<P: Protocol> Simulation<P> {
             }
             let bytes = self.api.buffers[r.from.index()]
                 .get(r.message)
-                .map_or(0, crate::message::MessageCopy::size_bytes);
-            let resumes = self
-                .api
-                .transfers
-                .checkpoint_of(r.from, r.to, r.message)
-                .is_some_and(|c| c.bytes_total == bytes);
-            if self
-                .api
-                .transfers
-                .enqueue(r.from, r.to, r.message, bytes, now)
-                && resumes
-            {
-                self.api.counters.transfers_resumed += 1;
-                self.api.stats.record_resume();
-                self.api.trace.record(
-                    now,
-                    TraceEvent::TransferResumed {
-                        message: r.message,
-                        from: r.from,
-                        to: r.to,
-                    },
-                );
-            }
+                .map_or(0, MessageCopy::size_bytes);
+            self.api.enqueue(r.from, r.to, r.message, bytes);
         }
         rs.queue = keep;
     }
@@ -2008,9 +1994,7 @@ impl<P: Protocol> Simulation<P> {
                 self.enforce_invariants();
             }
         }
-        let mut summary = self.api.stats.summarize();
-        summary.depleted_nodes = self.api.depleted_count() as u64;
-        summary
+        self.api.summary()
     }
 
     /// Consumes the simulation, returning the protocol (for post-run
@@ -2019,8 +2003,7 @@ impl<P: Protocol> Simulation<P> {
         if !self.finished {
             self.protocol.on_finish(&mut self.api);
         }
-        let mut summary = self.api.stats.summarize();
-        summary.depleted_nodes = self.api.depleted_count() as u64;
+        let summary = self.api.summary();
         (self.protocol, summary)
     }
 }
@@ -2302,6 +2285,70 @@ mod tests {
             .build(NullProtocol);
         let err = with_recovery.restore(&world).unwrap_err();
         assert!(err.to_string().contains("recovery policy"), "{err}");
+    }
+
+    /// A flooding world under link cuts and payload loss, with recovery
+    /// on and messages that expire before the horizon: its run bumps
+    /// every kernel event count the summary carries.
+    fn eventful_sim() -> Simulation<PushAll> {
+        SimulationBuilder::new(Area::new(2000.0, 2000.0), 99)
+            .nodes(20, || {
+                Box::new(crate::mobility::RandomWaypoint::pedestrian())
+            })
+            .messages((0..10).map(|i| ScheduledMessage {
+                size_bytes: 5_000_000, // 20 s of airtime: contacts break mid-transfer
+                ttl_secs: 600.0,
+                expected_destinations: vec![NodeId((i as u32 + 1) % 20)],
+                ..msg(i as f64 * 30.0, i as u32 % 20)
+            }))
+            .faults("cut=20,cutdown=15,loss=0.2".parse().unwrap())
+            .recovery(RecoveryPolicy::default())
+            .build(PushAll)
+    }
+
+    #[test]
+    fn summary_event_counts_are_the_counters() {
+        let mut sim = eventful_sim();
+        let s = sim.run_until(SimTime::from_secs(1800.0));
+        let c = sim.api().counters();
+        let in_counters = [
+            c.transfers_aborted,
+            c.transfers_retried,
+            c.transfers_resumed,
+            c.transfers_abandoned,
+            c.ttl_expiries,
+        ];
+        assert!(in_counters.iter().all(|&n| n > 0), "{in_counters:?}");
+        let in_summary = [
+            s.transfers_aborted,
+            s.transfers_retried,
+            s.transfers_resumed,
+            s.transfers_abandoned,
+            s.ttl_expiries,
+        ];
+        assert_eq!(in_summary, in_counters);
+    }
+
+    #[test]
+    fn restore_rejects_stats_counts_that_disagree_with_the_counters() {
+        let mut donor = eventful_sim();
+        while donor.api().now() < SimTime::from_secs(900.0) {
+            donor.step_once();
+        }
+        let world = donor.snapshot();
+        assert_eq!(
+            world.stats.transfers_retried,
+            world.counters.transfers_retried
+        );
+        eventful_sim()
+            .restore(&world)
+            .expect("a faithful snapshot restores");
+
+        let mut edited = world;
+        edited.stats.transfers_retried += 1;
+        let err = eventful_sim().restore(&edited).unwrap_err();
+        assert!(matches!(err, SnapshotError::Mismatch { .. }), "{err}");
+        assert!(err.to_string().contains("transfers_retried"), "{err}");
     }
 
     #[test]

@@ -20,7 +20,6 @@
 //! traces and summaries (asserted by tests).
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
@@ -420,35 +419,6 @@ impl PhaseProfiler {
             })
             .collect()
     }
-
-    /// A human-readable phase table (the CLI's `--verbose` output).
-    #[must_use]
-    pub fn render_table(&self) -> String {
-        let total = self.total_secs().max(1e-12);
-        let mut out = String::from("phase              wall (s)    share   scopes\n");
-        for t in self.timings() {
-            let _ = writeln!(
-                out,
-                "  {:<16} {:>9.4}   {:>5.1}%  {:>7}",
-                t.phase,
-                t.secs,
-                100.0 * t.secs / total,
-                t.calls
-            );
-        }
-        let steps = self.step_wall_us.count();
-        if steps > 0 {
-            let _ = writeln!(
-                out,
-                "  {:<16} {:>9.4}   100.0%  {:>7}  (mean {:.0} µs/step)",
-                "total",
-                total,
-                steps,
-                self.step_wall_us.mean()
-            );
-        }
-        out
-    }
 }
 
 /// Always-on kernel event tallies, maintained as plain field increments in
@@ -493,7 +463,7 @@ pub struct KernelCounters {
     /// Copies purged by the TTL sweep.
     pub ttl_expiries: u64,
     /// In-range pairs emitted by contact detection, summed over all steps
-    /// (the sharded sweep's workload measure). Not part of [`Self::events`]
+    /// (the contact diff's workload measure). Not part of [`Self::events`]
     /// — pairs are an input to the diff, not a kernel event.
     pub contact_pairs: u64,
     /// Senders visited by the batched transfer pass, summed over all steps.
@@ -669,9 +639,6 @@ mod tests {
         let t = timings.iter().find(|t| t.phase == "transfers").unwrap();
         assert_eq!(t.calls, 1);
         assert!(t.secs > 0.0);
-        let table = p.render_table();
-        assert!(table.contains("transfers"));
-        assert!(table.contains("total"));
     }
 
     #[test]

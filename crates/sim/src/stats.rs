@@ -3,8 +3,11 @@
 //! The collector tracks exactly the quantities the paper's evaluation
 //! reports: message delivery ratio (overall and per priority class, Figs.
 //! 5.1/5.3/5.5/5.6), relayed traffic (Fig. 5.2), plus auxiliary health
-//! metrics (drops, expiries, aborted transfers, latency) and named time
-//! series pushed by the protocol layer (Fig. 5.4's malicious-rating curve).
+//! metrics (evictions, latency) and named time series pushed by the
+//! protocol layer (Fig. 5.4's malicious-rating curve). Kernel event counts
+//! (aborts, retries, resumes, abandons, TTL expiries) are not kept here:
+//! their one ledger is [`KernelCounters`](crate::metrics::KernelCounters),
+//! and the kernel copies them into the [`RunSummary`] at finalization.
 //!
 //! Delivery in a data-centric DTN is interest-based: a message has no named
 //! destination, so the workload registers the *expected destination set* —
@@ -39,12 +42,7 @@ pub struct StatsCollector {
     latency_count: u64,
     relays_completed: u64,
     relay_bytes: u64,
-    transfers_aborted: u64,
-    transfers_retried: u64,
-    transfers_resumed: u64,
-    transfers_abandoned: u64,
     buffer_evictions: u64,
-    ttl_expiries: u64,
     series: BTreeMap<String, Vec<(f64, f64)>>,
 }
 
@@ -176,34 +174,9 @@ impl StatsCollector {
         self.relay_bytes += bytes;
     }
 
-    /// Records an aborted transfer.
-    pub fn record_abort(&mut self) {
-        self.transfers_aborted += 1;
-    }
-
-    /// Records a retry scheduled by the recovery layer.
-    pub fn record_retry(&mut self) {
-        self.transfers_retried += 1;
-    }
-
-    /// Records an enqueue that resumed from a saved checkpoint.
-    pub fn record_resume(&mut self) {
-        self.transfers_resumed += 1;
-    }
-
-    /// Records a retry abandoned before release.
-    pub fn record_abandon(&mut self) {
-        self.transfers_abandoned += 1;
-    }
-
     /// Records `n` buffer evictions.
     pub fn record_evictions(&mut self, n: usize) {
         self.buffer_evictions += n as u64;
-    }
-
-    /// Records `n` TTL expiries.
-    pub fn record_expiries(&mut self, n: usize) {
-        self.ttl_expiries += n as u64;
     }
 
     /// Appends a sample to the named time series.
@@ -221,7 +194,10 @@ impl StatsCollector {
     }
 
     /// Captures the collector's full state for a snapshot. Hash-based sets
-    /// and maps are emitted sorted so the image is deterministic.
+    /// and maps are emitted sorted so the image is deterministic. The
+    /// kernel event counts are left zero: the collector does not keep
+    /// them, and the kernel writes them from its
+    /// [`KernelCounters`](crate::metrics::KernelCounters).
     #[must_use]
     pub fn export_state(&self) -> StatsState {
         let mut expected_dests: Vec<(MessageId, Vec<NodeId>)> = self
@@ -259,17 +235,18 @@ impl StatsCollector {
             latency_count: self.latency_count,
             relays_completed: self.relays_completed,
             relay_bytes: self.relay_bytes,
-            transfers_aborted: self.transfers_aborted,
-            transfers_retried: self.transfers_retried,
-            transfers_resumed: self.transfers_resumed,
-            transfers_abandoned: self.transfers_abandoned,
+            transfers_aborted: 0,
+            transfers_retried: 0,
+            transfers_resumed: 0,
+            transfers_abandoned: 0,
             buffer_evictions: self.buffer_evictions,
-            ttl_expiries: self.ttl_expiries,
+            ttl_expiries: 0,
             series: self.series.clone(),
         }
     }
 
-    /// Overwrites the collector's state from a snapshot.
+    /// Overwrites the collector's state from a snapshot. The kernel event
+    /// counts are not read: the kernel restores them into its counters.
     pub fn import_state(&mut self, state: &StatsState) {
         self.created = state.created;
         self.created_by_priority = state.created_by_priority.clone();
@@ -290,16 +267,15 @@ impl StatsCollector {
         self.latency_count = state.latency_count;
         self.relays_completed = state.relays_completed;
         self.relay_bytes = state.relay_bytes;
-        self.transfers_aborted = state.transfers_aborted;
-        self.transfers_retried = state.transfers_retried;
-        self.transfers_resumed = state.transfers_resumed;
-        self.transfers_abandoned = state.transfers_abandoned;
         self.buffer_evictions = state.buffer_evictions;
-        self.ttl_expiries = state.ttl_expiries;
         self.series = state.series.clone();
     }
 
-    /// Finalizes the run into a summary.
+    /// Finalizes the run into a summary. The kernel event counts
+    /// (`transfers_aborted`, `transfers_retried`, `transfers_resumed`,
+    /// `transfers_abandoned`, `ttl_expiries`) and `depleted_nodes` are left
+    /// zero: the collector does not keep them, and the kernel fills them
+    /// in at finalization from its counters and energy meter.
     #[must_use]
     pub fn summarize(&self) -> RunSummary {
         let ratio = |num: u64, den: u64| {
@@ -334,14 +310,12 @@ impl StatsCollector {
             latency_count: self.latency_count,
             relays_completed: self.relays_completed,
             relay_bytes: self.relay_bytes,
-            transfers_aborted: self.transfers_aborted,
-            transfers_retried: self.transfers_retried,
-            transfers_resumed: self.transfers_resumed,
-            transfers_abandoned: self.transfers_abandoned,
+            transfers_aborted: 0,
+            transfers_retried: 0,
+            transfers_resumed: 0,
+            transfers_abandoned: 0,
             buffer_evictions: self.buffer_evictions,
-            ttl_expiries: self.ttl_expiries,
-            // Depletion lives in the energy meter, not the collector; the
-            // kernel stamps it onto the summary at finalization.
+            ttl_expiries: 0,
             depleted_nodes: 0,
             series: self.series.clone(),
         }
@@ -350,6 +324,11 @@ impl StatsCollector {
 
 /// The full dynamic state of a [`StatsCollector`], with hash-based
 /// containers flattened into sorted vectors for a deterministic image.
+///
+/// The five kernel event counts are not collector state. They stay in the
+/// document so `DTNSNAP v2` bodies keep their shape: the kernel writes
+/// them from its [`KernelCounters`](crate::metrics::KernelCounters) and
+/// rejects a restore whose copies disagree with the counters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StatsState {
     /// Messages created.
@@ -647,22 +626,52 @@ mod tests {
         let mut s = StatsCollector::new();
         s.record_relay(1000);
         s.record_relay(500);
-        s.record_abort();
-        s.record_retry();
-        s.record_retry();
-        s.record_resume();
-        s.record_abandon();
         s.record_evictions(3);
-        s.record_expiries(2);
         let sum = s.summarize();
         assert_eq!(sum.relays_completed, 2);
         assert_eq!(sum.relay_bytes, 1500);
-        assert_eq!(sum.transfers_aborted, 1);
-        assert_eq!(sum.transfers_retried, 2);
-        assert_eq!(sum.transfers_resumed, 1);
-        assert_eq!(sum.transfers_abandoned, 1);
         assert_eq!(sum.buffer_evictions, 3);
-        assert_eq!(sum.ttl_expiries, 2);
+    }
+
+    /// `DTNSNAP v2` bodies carry `StatsState` with these keys in this
+    /// order, the kernel event counts included: dropping or moving one
+    /// changes the wire shape and needs a `FORMAT_VERSION` bump.
+    #[test]
+    fn stats_state_keys_are_pinned() {
+        let doc = serde::Serialize::to_value(&StatsCollector::new().export_state());
+        let keys: Vec<&str> = doc
+            .as_map()
+            .expect("an object")
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "created",
+                "created_by_priority",
+                "expected_pairs",
+                "expected_pairs_by_priority",
+                "expected_dests",
+                "priority_of",
+                "delivered_pairs",
+                "delivered_expected",
+                "delivered_expected_by_priority",
+                "delivered_unexpected",
+                "messages_with_delivery",
+                "latency_sum_secs",
+                "latency_count",
+                "relays_completed",
+                "relay_bytes",
+                "transfers_aborted",
+                "transfers_retried",
+                "transfers_resumed",
+                "transfers_abandoned",
+                "buffer_evictions",
+                "ttl_expiries",
+                "series",
+            ]
+        );
     }
 
     #[test]

@@ -85,40 +85,16 @@ impl SpatialGrid {
         }
     }
 
-    /// Number of cell rows in the grid — the sharding axis for
-    /// [`Self::for_each_pair_in_rows`].
-    #[must_use]
-    pub fn row_count(&self) -> usize {
-        self.rows
-    }
-
     /// Visits every unordered pair of nodes whose distance is at most
     /// `range`. Each pair is visited exactly once, with `a < b`.
     pub fn for_each_pair_within(
         &self,
         positions: &[Point],
         range: f64,
-        visit: impl FnMut(NodeId, NodeId),
-    ) {
-        self.for_each_pair_in_rows(positions, range, 0, self.rows, visit);
-    }
-
-    /// Visits every unordered pair whose *home* cell (the "here" cell of the
-    /// forward-neighbour sweep) lies in rows `[row_start, row_end)`. A stripe
-    /// only reads into row `row_end` (the forward neighbours SW/S/SE), never
-    /// writes, so disjoint stripes can be enumerated concurrently; visiting
-    /// all stripes in ascending row order reproduces
-    /// [`Self::for_each_pair_within`] exactly, pair for pair.
-    pub fn for_each_pair_in_rows(
-        &self,
-        positions: &[Point],
-        range: f64,
-        row_start: usize,
-        row_end: usize,
         mut visit: impl FnMut(NodeId, NodeId),
     ) {
         let range_sq = range * range;
-        for cy in row_start..row_end.min(self.rows) {
+        for cy in 0..self.rows {
             for cx in 0..self.cols {
                 let here = &self.cells[cy * self.cols + cx];
                 if here.is_empty() {
@@ -221,47 +197,6 @@ mod tests {
         let area = Area::new(10.0, 10.0);
         assert!(grid_pairs(&[], area, 5.0).is_empty());
         assert!(grid_pairs(&[Point::ORIGIN], area, 5.0).is_empty());
-    }
-
-    #[test]
-    fn striped_enumeration_matches_full_sweep_in_order() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(77);
-        let area = Area::new(900.0, 700.0);
-        for _ in 0..10 {
-            let n = rng.gen_range(2..80);
-            let positions: Vec<Point> = (0..n)
-                .map(|_| {
-                    Point::new(
-                        rng.gen_range(0.0..area.width),
-                        rng.gen_range(0.0..area.height),
-                    )
-                })
-                .collect();
-            let range = rng.gen_range(20.0..250.0);
-            let mut grid = SpatialGrid::new(area, range);
-            grid.rebuild(&positions);
-
-            let mut full = Vec::new();
-            grid.for_each_pair_within(&positions, range, |a, b| full.push((a, b)));
-
-            // Any stripe partition, concatenated in ascending row order,
-            // must reproduce the full sweep pair-for-pair.
-            for stripes in [1usize, 2, 3, 7, grid.row_count().max(1)] {
-                let rows = grid.row_count();
-                let per = rows.div_ceil(stripes);
-                let mut merged = Vec::new();
-                let mut start = 0;
-                while start < rows {
-                    let end = (start + per).min(rows);
-                    grid.for_each_pair_in_rows(&positions, range, start, end, |a, b| {
-                        merged.push((a, b));
-                    });
-                    start = end;
-                }
-                assert_eq!(merged, full, "stripes={stripes}");
-            }
-        }
     }
 
     #[test]

@@ -168,10 +168,11 @@ pub struct Scenario {
     #[serde(default)]
     pub recovery: Option<dtn_sim::transfer::RecoveryPolicy>,
     /// Shard count for the kernel's data-parallel step phases (mobility,
-    /// striped contact detection). `None` = 1 = the serial kernel. Output
-    /// is byte-identical at any value — this is a wall-clock knob only, so
-    /// it is fair to sweep it on one scenario and compare against a serial
-    /// baseline. Read through [`Scenario::effective_threads`].
+    /// the event core's contact regions; the time-stepped sweep is
+    /// serial). `None` = 1 = the serial kernel. Output is byte-identical at
+    /// any value — this is a wall-clock knob only, so it is fair to sweep
+    /// it on one scenario and compare against a serial baseline. Read
+    /// through [`Scenario::effective_threads`].
     #[serde(default)]
     pub threads: Option<usize>,
     /// The routing backend the incentive overlay composes with (`None` =

@@ -10,7 +10,8 @@
 //! stack, then check that a snapshot taken on one core refuses to
 //! restore into the other with a typed error rather than undefined
 //! drift (the cores agree on *observable* state but not on derived
-//! scheduler state, so a cross-mode resume is an identity mismatch).
+//! scheduler state, so a cross-mode resume is an identity mismatch),
+//! while a resume on the same core finishes byte-identically.
 
 use dtn_integration_tests::fast_scenario;
 use dtn_sim::events::KernelMode;
@@ -125,17 +126,45 @@ fn cross_mode_resume_is_rejected() {
     }
 }
 
-/// Same-mode restore of the same snapshot stays accepted — the rejection
-/// above is about the mode, not the snapshot.
+/// Same-mode restore stays accepted — the rejection above is about the
+/// mode, not the snapshot — and on either core a world resumed from a
+/// mid-run snapshot finishes with the uninterrupted run's rendered trace
+/// and summary, byte for byte.
 #[test]
 fn same_mode_resume_still_works() {
-    let mut scenario = fast_scenario();
-    scenario.kernel_mode = Some(KernelMode::EventDriven);
-    let mut sim = build_simulation(&scenario, Arm::Incentive, 101);
-    sim.run_until(SimTime::from_secs(600.0));
-    let snap = sim.snapshot();
-    let mut resumed = build_simulation(&scenario, Arm::Incentive, 101);
-    resumed
-        .restore(&snap)
-        .expect("same-mode restore is accepted");
+    for mode in [KernelMode::EventDriven, KernelMode::TimeStepped] {
+        let mut scenario = fast_scenario();
+        scenario.kernel_mode = Some(mode);
+        let horizon = SimTime::from_secs(scenario.duration_secs);
+        let meta = RunMeta {
+            scenario,
+            arm: Arm::Incentive,
+            seed: 101,
+            trace_capacity: Some(TRACE_CAPACITY),
+            check_every: None,
+        };
+        let mut uninterrupted = meta.build(false);
+        let golden = uninterrupted.run_until(horizon);
+
+        let mut killed = meta.build(false);
+        while killed.api().now() < SimTime::from_secs(600.0) {
+            killed.step_once();
+        }
+        let snap = killed.snapshot();
+        let mut resumed = meta.build(false);
+        resumed
+            .restore(&snap)
+            .expect("same-mode restore is accepted");
+        let summary = resumed.run_until(horizon);
+        assert_eq!(
+            resumed.api().trace().render(),
+            uninterrupted.api().trace().render(),
+            "{mode}: resumed trace differs from the uninterrupted run"
+        );
+        assert_eq!(
+            serde_json::to_string(&summary).expect("summary serializes"),
+            serde_json::to_string(&golden).expect("summary serializes"),
+            "{mode}: resumed summary differs from the uninterrupted run"
+        );
+    }
 }

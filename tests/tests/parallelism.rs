@@ -1,11 +1,12 @@
 //! Determinism under parallelism.
 //!
-//! The kernel's `threads` knob shards mobility stepping and contact
-//! detection, and the transfer engine steps an incrementally-maintained
-//! active-sender index instead of scanning every queue. None of that may
-//! change a single byte of output: these tests pit sharded runs against
-//! the serial path at the trace level, and the batched index against a
-//! brute-force queue scan under arbitrary op interleavings.
+//! The kernel's `threads` knob shards mobility stepping and the event
+//! core's contact regions, and the transfer engine steps an
+//! incrementally-maintained active-sender index instead of scanning every
+//! queue. None of that may change a single byte of output: these tests
+//! pit sharded runs against the serial path at the trace level, and the
+//! batched index against a brute-force queue scan under arbitrary op
+//! interleavings.
 
 use dtn_integration_tests::fast_scenario;
 use dtn_sim::message::MessageId;
@@ -81,8 +82,8 @@ fn threads_do_not_change_chaotic_recovery_runs() {
     }
 }
 
-/// Thread counts exceeding both the node count and the grid's row count
-/// degrade gracefully to however many stripes exist.
+/// A thread count far above the node count, which leaves most event-core
+/// regions empty, changes nothing.
 #[test]
 fn more_threads_than_work_is_fine() {
     let mut scenario = fast_scenario();
