@@ -1,8 +1,13 @@
 //! Contact (link) tracking.
 //!
 //! A *contact* exists between two nodes while they are within radio range of
-//! each other. The kernel recomputes in-range pairs every step and diffs
-//! against the active set, producing up/down events for the protocol layer.
+//! each other. Each step the kernel turns the table into that step's contact
+//! set and receives the up/down events for the protocol layer, in one of two
+//! ways. The event core ([`crate::events`]) hands over only the step's
+//! transitions, through [`ContactTable::apply`]. The time-stepped oracle
+//! hands over the full in-range list, and [`ContactTable::diff`] finds the
+//! transitions itself. Both emit the same events in the same order: downs
+//! sorted by pair, then ups sorted by pair.
 
 use crate::fxhash::{FxHashMap, FxHashSet};
 
@@ -59,9 +64,10 @@ pub enum ContactEvent {
 pub struct ContactTable {
     active: FxHashMap<ContactKey, SimTime>,
     /// Per-node sorted neighbour lists, maintained incrementally by
-    /// [`Self::diff`] so [`Self::peers_of`] is O(degree) instead of a scan
-    /// over every active contact (the protocol layer calls it per node per
-    /// exchange, which made the scan quadratic in dense worlds).
+    /// [`Self::diff`] and [`Self::apply`] so [`Self::peers_of`] is
+    /// O(degree) instead of a scan over every active contact (the protocol
+    /// layer calls it per node per exchange, which made the scan quadratic
+    /// in dense worlds).
     adjacency: FxHashMap<NodeId, Vec<NodeId>>,
     /// Scratch reused across [`Self::diff`] calls to avoid rebuilding a
     /// `HashSet` allocation every step.
@@ -160,11 +166,23 @@ impl ContactTable {
         self.total_contacts
     }
 
+    /// The active contacts, sorted by pair.
+    #[must_use]
+    pub(crate) fn open_sorted(&self) -> Vec<ContactKey> {
+        let mut open: Vec<ContactKey> = self.active.keys().copied().collect();
+        open.sort_unstable();
+        open
+    }
+
     /// Diffs the active set against `now_in_range` (the pairs within range
-    /// this step), returning up/down events sorted deterministically.
+    /// this step), returning the events in order: a down for every active
+    /// contact missing from `now_in_range`, sorted by pair, then an up for
+    /// every pair of `now_in_range` not yet active, in `now_in_range`'s
+    /// order.
     ///
     /// `now_in_range` must contain normalized keys (smaller id first), which
-    /// [`crate::world::SpatialGrid::for_each_pair_within`] guarantees.
+    /// [`crate::world::SpatialGrid::for_each_pair_within`] guarantees; the
+    /// kernel sorts it, so its ups are sorted too.
     pub fn diff(&mut self, now_in_range: &[ContactKey], now: SimTime) -> Vec<ContactEvent> {
         let mut events = Vec::new();
         // Downs: active contacts no longer in range. Indexed lookup — a
@@ -183,25 +201,62 @@ impl ContactTable {
         self.scratch_downs.sort_unstable();
         for i in 0..self.scratch_downs.len() {
             let k = self.scratch_downs[i];
-            let since = self
-                .active
-                .remove(&k)
-                .expect("a pair collected from `active` stays present until removed here");
-            adj_remove(&mut self.adjacency, k.0, k.1);
-            adj_remove(&mut self.adjacency, k.1, k.0);
-            events.push(ContactEvent::Down(k, since));
+            events.push(self.close(k));
         }
         // Ups: in-range pairs not yet active.
         for &k in now_in_range {
-            if let std::collections::hash_map::Entry::Vacant(e) = self.active.entry(k) {
-                e.insert(now);
-                adj_insert(&mut self.adjacency, k.0, k.1);
-                adj_insert(&mut self.adjacency, k.1, k.0);
-                self.total_contacts += 1;
-                events.push(ContactEvent::Up(k));
+            if !self.active.contains_key(&k) {
+                events.push(self.open(k, now));
             }
         }
         events
+    }
+
+    /// Applies one step's transitions and returns their events in the
+    /// order [`Self::diff`] would: a down for each pair of `downs`, then an
+    /// up for each pair of `ups`. Both lists must be sorted, every pair of
+    /// `downs` must be active and no pair of `ups` may be.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pair of `downs` is not active or a pair of `ups` already
+    /// is: the transitions do not describe this table.
+    pub fn apply(
+        &mut self,
+        downs: &[ContactKey],
+        ups: &[ContactKey],
+        now: SimTime,
+    ) -> Vec<ContactEvent> {
+        let mut events = Vec::with_capacity(downs.len() + ups.len());
+        for &k in downs {
+            events.push(self.close(k));
+        }
+        for &k in ups {
+            events.push(self.open(k, now));
+        }
+        events
+    }
+
+    /// Closes active contact `k`.
+    fn close(&mut self, k: ContactKey) -> ContactEvent {
+        let Some(since) = self.active.remove(&k) else {
+            panic!("down for {k:?}, which is not up");
+        };
+        adj_remove(&mut self.adjacency, k.0, k.1);
+        adj_remove(&mut self.adjacency, k.1, k.0);
+        ContactEvent::Down(k, since)
+    }
+
+    /// Opens contact `k`, which is not active, at `now`.
+    fn open(&mut self, k: ContactKey, now: SimTime) -> ContactEvent {
+        assert!(
+            self.active.insert(k, now).is_none(),
+            "up for {k:?}, which is already up"
+        );
+        adj_insert(&mut self.adjacency, k.0, k.1);
+        adj_insert(&mut self.adjacency, k.1, k.0);
+        self.total_contacts += 1;
+        ContactEvent::Up(k)
     }
 
     /// Captures the table's dynamic state for a snapshot: the active
@@ -281,7 +336,7 @@ mod tests {
     }
 
     #[test]
-    fn diff_produces_ups_then_downs() {
+    fn diff_emits_downs_then_ups() {
         let mut t = ContactTable::new();
         let t0 = SimTime::from_secs(10.0);
         let ev = t.diff(&[k(0, 1), k(1, 2)], t0);
@@ -301,6 +356,37 @@ mod tests {
         );
         assert!(!t.is_up(NodeId(0), NodeId(1)));
         assert_eq!(t.total_contacts(), 3);
+    }
+
+    #[test]
+    fn apply_emits_what_diff_emits() {
+        let t0 = SimTime::from_secs(10.0);
+        let t1 = SimTime::from_secs(20.0);
+        let mut diffed = ContactTable::new();
+        let mut applied = ContactTable::new();
+        let ups = [k(0, 1), k(1, 2), k(2, 4)];
+        assert_eq!(applied.apply(&[], &ups, t0), diffed.diff(&ups, t0));
+        let ev = applied.apply(&[k(0, 1), k(2, 4)], &[k(2, 3)], t1);
+        assert_eq!(ev, diffed.diff(&[k(1, 2), k(2, 3)], t1));
+        assert_eq!(
+            ev,
+            vec![
+                ContactEvent::Down(k(0, 1), t0),
+                ContactEvent::Down(k(2, 4), t0),
+                ContactEvent::Up(k(2, 3)),
+            ]
+        );
+        assert_eq!(applied.export_state(), diffed.export_state());
+        assert_eq!(applied.peers_of(NodeId(2)), vec![NodeId(1), NodeId(3)]);
+        applied.audit_adjacency().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "already up")]
+    fn apply_rejects_an_up_for_an_open_contact() {
+        let mut t = ContactTable::new();
+        t.apply(&[], &[k(0, 1)], SimTime::ZERO);
+        t.apply(&[], &[k(0, 1)], SimTime::ZERO);
     }
 
     #[test]

@@ -39,6 +39,9 @@ pub struct EnergyMeter {
     drained: Vec<f64>,
     /// Joules available per node; `None` models mains/ideal power.
     battery_joules: Option<f64>,
+    /// Nodes whose battery ran out since the last
+    /// [`Self::take_depleted`]. Derived from the totals on import.
+    newly_depleted: Vec<NodeId>,
 }
 
 impl EnergyMeter {
@@ -50,6 +53,7 @@ impl EnergyMeter {
             per_node: vec![EnergyUse::default(); node_count],
             drained: vec![0.0; node_count],
             battery_joules: None,
+            newly_depleted: Vec::new(),
         }
     }
 
@@ -63,6 +67,7 @@ impl EnergyMeter {
     pub fn set_battery(&mut self, joules: f64) {
         assert!(joules > 0.0, "battery budget must be positive");
         self.battery_joules = Some(joules);
+        self.rescan_depleted();
     }
 
     /// The configured battery budget, if any.
@@ -91,7 +96,9 @@ impl EnergyMeter {
             joules.is_finite() && joules >= 0.0,
             "drain must be finite and non-negative"
         );
+        let was_depleted = self.is_depleted(node);
         self.drained[node.index()] += joules;
+        self.note_depletion(node, was_depleted);
     }
 
     /// Joules drained from `node` by battery spikes so far.
@@ -100,10 +107,34 @@ impl EnergyMeter {
         self.drained[node.index()]
     }
 
-    /// Whether `node`'s battery is exhausted.
+    /// Whether `node`'s battery is exhausted. Batteries only drain, so a
+    /// depleted node stays depleted.
     #[must_use]
     pub fn is_depleted(&self, node: NodeId) -> bool {
         self.remaining_joules(node).is_some_and(|r| r <= 0.0)
+    }
+
+    /// The nodes whose battery ran out since the last call, in the order
+    /// they ran out. A node depletes once, so it is returned once — except
+    /// that after [`Self::import_state`] or [`Self::set_battery`] every
+    /// depleted node is returned again, because the world may not have
+    /// closed its contacts yet. Always empty on ideal power.
+    pub(crate) fn take_depleted(&mut self) -> Vec<NodeId> {
+        std::mem::take(&mut self.newly_depleted)
+    }
+
+    /// Reports every depleted node at the next [`Self::take_depleted`].
+    fn rescan_depleted(&mut self) {
+        self.newly_depleted = (0..self.per_node.len() as u32)
+            .map(NodeId)
+            .filter(|&n| self.is_depleted(n))
+            .collect();
+    }
+
+    fn note_depletion(&mut self, node: NodeId, was_depleted: bool) {
+        if !was_depleted && self.is_depleted(node) {
+            self.newly_depleted.push(node);
+        }
     }
 
     /// Number of depleted nodes.
@@ -134,8 +165,11 @@ impl EnergyMeter {
         let secs = airtime.as_secs();
         let tx = self.radio.tx_power_w * secs;
         let rx = self.radio.rx_power(distance_m) * secs;
+        let was_depleted = (self.is_depleted(from), self.is_depleted(to));
         self.per_node[from.index()].tx_joules += tx;
         self.per_node[to.index()].rx_joules += rx;
+        self.note_depletion(from, was_depleted.0);
+        self.note_depletion(to, was_depleted.1);
         (tx, rx)
     }
 
@@ -166,6 +200,7 @@ impl EnergyMeter {
         }
         self.per_node = state.per_node.clone();
         self.drained = state.drained.clone();
+        self.rescan_depleted();
         Ok(())
     }
 
@@ -247,6 +282,29 @@ mod tests {
         assert!(m.is_depleted(NodeId(0)));
         assert_eq!(m.depleted_count(), 1);
         assert_eq!(m.remaining_joules(NodeId(1)), Some(1.0));
+    }
+
+    #[test]
+    fn depletion_is_reported_once() {
+        let mut m = EnergyMeter::new(3, RadioConfig::paper_default());
+        m.drain(NodeId(0), 5.0);
+        assert!(m.take_depleted().is_empty(), "ideal power never depletes");
+        m.set_battery(1.0);
+        m.drain(NodeId(2), 0.6);
+        m.charge_transfer(NodeId(1), NodeId(0), SimDuration::from_secs(20.0), 50.0);
+        m.drain(NodeId(2), 0.6);
+        assert_eq!(m.take_depleted(), vec![NodeId(0), NodeId(1), NodeId(2)]);
+        m.drain(NodeId(2), 1.0);
+        m.charge_transfer(NodeId(0), NodeId(1), SimDuration::from_secs(1.0), 50.0);
+        assert!(m.take_depleted().is_empty(), "each node is reported once");
+        // A restored meter reports every depleted node again.
+        let mut restored = EnergyMeter::new(3, RadioConfig::paper_default());
+        restored.set_battery(1.0);
+        restored.import_state(&m.export_state()).unwrap();
+        assert_eq!(
+            restored.take_depleted(),
+            vec![NodeId(0), NodeId(1), NodeId(2)]
+        );
     }
 
     #[test]

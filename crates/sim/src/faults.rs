@@ -20,7 +20,7 @@ use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
-use crate::contact::ContactKey;
+use crate::contact::{ContactKey, ContactTable};
 use crate::rng::{RngState, SimRng};
 use crate::time::{SimDuration, SimTime};
 use crate::world::NodeId;
@@ -360,7 +360,9 @@ impl FaultInjector {
     /// Filters this step's in-range pairs: removes pairs touching a crashed
     /// node or a still-blocked cut link, then rolls fresh cuts on pairs
     /// whose contact is currently up. Returns the freshly cut links so the
-    /// kernel can trace them.
+    /// kernel can trace them. The time-stepped core's filter; the event
+    /// core filters transitions through `expire_cuts`, `admits` and
+    /// `roll_cuts`, with the same rolls.
     pub fn veto_links(
         &mut self,
         in_range: &mut Vec<ContactKey>,
@@ -393,6 +395,63 @@ impl FaultInjector {
         cuts
     }
 
+    /// Lifts the link cuts that have expired by `now`, appending the freed
+    /// pairs to `freed` in no particular order. The event core calls this
+    /// once per step in place of the pruning [`Self::veto_links`] does: a
+    /// freed pair still in range may come back up this step.
+    pub(crate) fn expire_cuts(&mut self, now: SimTime, freed: &mut Vec<ContactKey>) {
+        self.blocked_until.retain(|&key, until| {
+            let blocked = *until > now;
+            if !blocked {
+                freed.push(key);
+            }
+            blocked
+        });
+    }
+
+    /// Whether `key` may form a link: neither endpoint is crashed and no
+    /// cut blocks the pair — the two vetoes [`Self::veto_links`] applies
+    /// before rolling cuts.
+    #[must_use]
+    pub(crate) fn admits(&self, key: ContactKey) -> bool {
+        !self.is_down(key.0) && !self.is_down(key.1) && !self.blocked_until.contains_key(&key)
+    }
+
+    /// Rolls fresh cuts on the contacts that stay up this step — the event
+    /// core's half of [`Self::veto_links`]. `closing` lists, sorted, the
+    /// active contacts that go down this step for another reason (out of
+    /// range, a depleted radio, a crashed endpoint). Every other active
+    /// contact of `contacts` draws one roll, in pair order, which is
+    /// exactly the rolls `veto_links` draws on the in-range list. A hit
+    /// blocks the pair. Returns the freshly cut pairs, sorted.
+    pub(crate) fn roll_cuts(
+        &mut self,
+        contacts: &ContactTable,
+        closing: &[ContactKey],
+        now: SimTime,
+        dt: SimDuration,
+    ) -> Vec<ContactKey> {
+        let cut_p = Self::step_prob(self.plan.link_cut_per_hour, dt);
+        let mut cuts = Vec::new();
+        if cut_p == 0.0 {
+            return cuts;
+        }
+        let mut closing = closing.iter().peekable();
+        for key in contacts.open_sorted() {
+            while closing.next_if(|&&k| k < key).is_some() {}
+            if closing.next_if_eq(&&key).is_some() {
+                continue;
+            }
+            if self.rng.chance(cut_p) {
+                self.blocked_until
+                    .insert(key, now + SimDuration::from_secs(self.plan.link_cut_secs));
+                self.stats.link_cuts += 1;
+                cuts.push(key);
+            }
+        }
+        cuts
+    }
+
     /// Captures the injector's dynamic state (RNG position, crash/cut
     /// machines, landed-fault counters) for a snapshot. The plan itself is
     /// rebuilt from the scenario on restore.
@@ -417,13 +476,23 @@ impl FaultInjector {
     ///
     /// # Errors
     ///
-    /// Rejects a state sized for a different node count.
+    /// Rejects a state sized for a different node count, and a cut link
+    /// that is not a normalized pair of this world's nodes.
     pub fn import_state(&mut self, state: &FaultInjectorState) -> Result<(), String> {
-        if state.down_until.len() != self.down_until.len() {
+        let nodes = self.down_until.len();
+        if state.down_until.len() != nodes {
             return Err(format!(
-                "snapshot fault state covers {} nodes, world has {}",
+                "snapshot fault state covers {} nodes, world has {nodes}",
                 state.down_until.len(),
-                self.down_until.len()
+            ));
+        }
+        if let Some(&(a, b, _)) = state
+            .blocked_until
+            .iter()
+            .find(|&&(a, b, _)| a >= b || b.index() >= nodes)
+        {
+            return Err(format!(
+                "snapshot cut link ({a}, {b}) is not a normalized pair of the world's {nodes} nodes"
             ));
         }
         self.rng = SimRng::from_state(state.rng);
@@ -605,6 +674,56 @@ mod tests {
         let mut in_range = vec![ContactKey(NodeId(0), NodeId(1))];
         let _ = inj.veto_links(&mut in_range, |_| false, SimTime::from_secs(10.0), dt);
         assert_eq!(in_range.len(), 1, "block expired; pair passes (not up yet)");
+    }
+
+    #[test]
+    fn import_rejects_cuts_outside_the_world() {
+        let root = SimRng::new(7);
+        let mut inj = FaultInjector::new("cut=4".parse().unwrap(), &root, 3);
+        let mut state = inj.export_state();
+        state
+            .blocked_until
+            .push((NodeId(1), NodeId(3), SimTime::ZERO));
+        let err = inj.import_state(&state).unwrap_err();
+        assert!(err.contains("(n1, n3)"), "{err}");
+        state.blocked_until = vec![(NodeId(2), NodeId(1), SimTime::ZERO)];
+        assert!(inj.import_state(&state).is_err(), "unnormalized pair");
+        state.blocked_until = vec![(NodeId(1), NodeId(2), SimTime::ZERO)];
+        inj.import_state(&state)
+            .expect("a pair of the world's nodes");
+    }
+
+    /// The event core's two halves of `veto_links` make its exact rolls:
+    /// one per active contact that stays up, in pair order.
+    #[test]
+    fn rolled_cuts_match_the_veto() {
+        let key = |a: u32, b: u32| ContactKey(NodeId(a), NodeId(b));
+        let plan: FaultPlan = "cut=1800,cutdown=10".parse().unwrap();
+        let dt = SimDuration::from_secs(1.0);
+        let mut table = ContactTable::new();
+        let open = [key(0, 1), key(0, 2), key(1, 3), key(2, 3), key(3, 4)];
+        table.diff(&open, SimTime::ZERO);
+        // (1, 3) leaves range this step; (1, 4) comes into range.
+        let in_range = vec![key(0, 1), key(0, 2), key(1, 4), key(2, 3), key(3, 4)];
+        let root = SimRng::new(3);
+        let mut veto = FaultInjector::new(plan, &root, 5);
+        let mut kept = in_range.clone();
+        let cut = veto.veto_links(&mut kept, |k| table.is_up(k.0, k.1), SimTime::ZERO, dt);
+        let mut events = FaultInjector::new(plan, &root, 5);
+        let rolled = events.roll_cuts(&table, &[key(1, 3)], SimTime::ZERO, dt);
+        assert_eq!(rolled, cut);
+        assert!(
+            !cut.is_empty() && cut.len() < 4,
+            "half the rolls should hit"
+        );
+        assert_eq!(events.export_state(), veto.export_state());
+        for k in &cut {
+            assert!(!events.admits(*k), "a fresh cut blocks its pair");
+        }
+        let mut freed = Vec::new();
+        events.expire_cuts(SimTime::from_secs(10.0), &mut freed);
+        freed.sort_unstable();
+        assert_eq!(freed, cut, "cuts expire after cutdown");
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! The time-stepped simulation kernel.
 //!
 //! [`Simulation`] advances the world in fixed steps (default 1 s, matching
-//! ONE's pedestrian scenarios): move nodes → diff contacts → release
+//! ONE's pedestrian scenarios): move nodes → detect contacts → release
 //! scheduled messages → progress transfers → sweep TTLs → tick the protocol.
 //! All state a protocol may touch lives in [`SimApi`]; the protocol object
 //! itself is a sibling field so Rust's split borrows let the two interact
 //! without interior mutability.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -882,18 +882,24 @@ impl SimulationBuilder {
                 let vmax: Vec<f64> = (0..n)
                     .map(|i| mobility.speed_cap(i).unwrap_or(f64::INFINITY))
                     .collect();
-                ContactCore::Events(ContactEngine::new(
-                    self.area,
-                    self.radio.range_m,
-                    self.step.as_secs(),
-                    self.threads,
-                    &positions,
-                    vmax,
-                ))
+                ContactCore::Events {
+                    engine: Box::new(ContactEngine::new(
+                        self.area,
+                        self.radio.range_m,
+                        self.step.as_secs(),
+                        self.threads,
+                        &positions,
+                        vmax,
+                    )),
+                    downs: Vec::new(),
+                    ups: Vec::new(),
+                    freed: Vec::new(),
+                }
             }
-            KernelMode::TimeStepped => {
-                ContactCore::Sweep(SpatialGrid::new(self.area, self.radio.range_m.max(1.0)))
-            }
+            KernelMode::TimeStepped => ContactCore::Sweep {
+                grid: SpatialGrid::new(self.area, self.radio.range_m.max(1.0)),
+                in_range: Vec::new(),
+            },
         };
         let faults = self
             .faults
@@ -942,7 +948,6 @@ impl SimulationBuilder {
                 .threads
                 .min(std::thread::available_parallelism().map_or(1, usize::from)),
             core,
-            scratch_in_range: Vec::new(),
             schedule: self.schedule,
             next_scheduled: 0,
             next_message_id: 0,
@@ -975,7 +980,8 @@ impl SimulationBuilder {
 ///
 /// Deliberately *not* captured, because it is derived or wall-clock-only:
 /// the contact core's state (rebuilt from positions), scratch pair
-/// buffers, the worker count, and the phase profiler.
+/// buffers, the worker count, the phase profiler, and the event core's
+/// pair-check count.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorldState {
     /// The scenario seed the world was built with (pairing check).
@@ -1080,25 +1086,37 @@ impl MobilityStore {
     }
 }
 
-/// The contact-detection core of a world and the state it derives from
-/// node positions. Neither core's state is serialized: the sweep rebuilds
-/// its grid every step, and a restore rebuilds the engine from the
-/// restored positions.
+/// The contact-detection core of a world, the state it derives from node
+/// positions, and its reusable pair buffers. Neither core's state is
+/// serialized: the sweep rebuilds its grid every step, and a restore
+/// rebuilds the engine from the restored positions.
 #[derive(Debug)]
 enum ContactCore {
-    /// [`KernelMode::EventDriven`]: the predicted-crossing scheduler.
-    Events(ContactEngine),
+    /// [`KernelMode::EventDriven`]: the predicted-crossing scheduler,
+    /// which reports only the step's transitions.
+    Events {
+        engine: Box<ContactEngine>,
+        /// This step's contacts going down, then sorted.
+        downs: Vec<ContactKey>,
+        /// This step's contacts coming up, then sorted.
+        ups: Vec<ContactKey>,
+        /// Pairs whose link cut expired this step.
+        freed: Vec<ContactKey>,
+    },
     /// [`KernelMode::TimeStepped`]: the serial grid sweep, rebuilt from
-    /// positions every step — the oracle the event core is checked
-    /// against.
-    Sweep(SpatialGrid),
+    /// positions every step, with its full in-range list — the oracle the
+    /// event core is checked against.
+    Sweep {
+        grid: SpatialGrid,
+        in_range: Vec<ContactKey>,
+    },
 }
 
 impl ContactCore {
     fn mode(&self) -> KernelMode {
         match self {
-            ContactCore::Events(_) => KernelMode::EventDriven,
-            ContactCore::Sweep(_) => KernelMode::TimeStepped,
+            ContactCore::Events { .. } => KernelMode::EventDriven,
+            ContactCore::Sweep { .. } => KernelMode::TimeStepped,
         }
     }
 }
@@ -1117,8 +1135,6 @@ pub struct Simulation<P> {
     workers: usize,
     /// The contact-detection core this world runs on, with its state.
     core: ContactCore,
-    /// In-range pair buffer reused across steps (was allocated per step).
-    scratch_in_range: Vec<ContactKey>,
     schedule: Vec<ScheduledMessage>,
     next_scheduled: usize,
     next_message_id: u64,
@@ -1205,10 +1221,18 @@ impl<P: Protocol> Simulation<P> {
     /// Exports kernel counters, peak buffer occupancy and — when profiling
     /// is on — phase timings and the per-step wall-clock histogram into a
     /// fresh [`MetricsRegistry`].
+    ///
+    /// On the event core, `kernel.pair_checks` counts the engine's exact
+    /// pair distance tests (see [`ContactEngine::pair_checks`]). Like the
+    /// phase timings it is not part of a snapshot: a restored world counts
+    /// from zero.
     #[must_use]
     pub fn export_metrics(&self) -> MetricsRegistry {
         let mut registry = MetricsRegistry::new();
         self.api.counters.export(&mut registry);
+        if let ContactCore::Events { engine, .. } = &self.core {
+            registry.add("kernel.pair_checks", engine.pair_checks());
+        }
         registry.set_gauge("kernel.threads", self.threads as f64);
         self.protocol.export_metrics(&mut registry);
         if self.profiler.is_enabled() {
@@ -1295,9 +1319,12 @@ impl<P: Protocol> Simulation<P> {
     /// this world: a different seed, node count or kernel mode, an
     /// optional subsystem (fault plan, recovery policy, invariant checker)
     /// present on only one side, a kernel event count whose copy in
-    /// `stats` disagrees with `counters`, or per-module state that fails
-    /// its own consistency checks. On error the world may be partially
-    /// overwritten — rebuild it before using it again.
+    /// `stats` disagrees with `counters`, an open contact the restored
+    /// world cannot explain (a node id outside the world, endpoints out of
+    /// range at the restored positions, a crashed endpoint or a cut
+    /// link), or per-module state that fails its own consistency checks.
+    /// On error the world may be partially overwritten — rebuild it before
+    /// using it again.
     pub fn restore(&mut self, state: &WorldState) -> Result<(), SnapshotError> {
         fn mismatch(detail: String) -> SnapshotError {
             SnapshotError::Mismatch { detail }
@@ -1393,6 +1420,42 @@ impl<P: Protocol> Simulation<P> {
                 )));
             }
         }
+        // Every open contact must be one the restored world explains: a
+        // pair of its nodes, in range at the restored positions (only the
+        // mobility phase moves nodes, and it runs before contact
+        // detection), with no crashed endpoint and no cut between them.
+        // The event core closes contacts only through transitions, so it
+        // would keep any other open forever.
+        let range = self.api.radio.range_m;
+        let faults = state.faults.as_ref();
+        let cut: HashSet<(NodeId, NodeId)> = faults
+            .map(|f| f.blocked_until.iter().map(|&(a, b, _)| (a, b)).collect())
+            .unwrap_or_default();
+        let crashed = |n: NodeId| {
+            faults.is_some_and(|f| f.down_until.get(n.index()).is_some_and(Option::is_some))
+        };
+        for &(a, b, _) in &state.contacts.active {
+            let pair = format!("open contact ({a}, {b})");
+            if a.index() >= nodes || b.index() >= nodes {
+                return Err(mismatch(format!(
+                    "{pair} names a node outside this world of {nodes}"
+                )));
+            }
+            let d_sq = state.positions[a.index()].distance_sq_to(state.positions[b.index()]);
+            let in_range = d_sq <= range * range;
+            if !in_range {
+                return Err(mismatch(format!(
+                    "{pair} is {:.3} m apart at the restored positions, beyond the {range} m range",
+                    d_sq.sqrt()
+                )));
+            }
+            if crashed(a) || crashed(b) {
+                return Err(mismatch(format!("{pair} has a crashed endpoint")));
+            }
+            if cut.contains(&(a, b)) {
+                return Err(mismatch(format!("{pair} is blocked by a link cut")));
+            }
+        }
         let bodies: HashMap<MessageId, Arc<MessageBody>> = state
             .bodies
             .iter()
@@ -1454,8 +1517,8 @@ impl<P: Protocol> Simulation<P> {
         self.next_message_id = state.next_message_id;
         // The predicted-crossing watch set is derived state: rebuilding a
         // fresh (superset) watch set from the restored positions yields
-        // the same exact in-range list as the uninterrupted engine.
-        if let ContactCore::Events(engine) = &mut self.core {
+        // the same transitions as the uninterrupted engine.
+        if let ContactCore::Events { engine, .. } = &mut self.core {
             engine.rebuild(&self.api.positions, state.counters.steps);
         }
         Ok(())
@@ -1550,7 +1613,7 @@ impl<P: Protocol> Simulation<P> {
             .as_mut()
             .map(|inj| inj.step_nodes(now, dt))
             .unwrap_or_default();
-        for fault in node_faults {
+        for &fault in &node_faults {
             match fault {
                 NodeFault::Crashed { node, wipe } => {
                     self.api.trace.record(now, TraceEvent::NodeCrashed { node });
@@ -1586,55 +1649,10 @@ impl<P: Protocol> Simulation<P> {
         }
         self.profiler.stop(Phase::FaultInjection, scope);
 
-        // 2. Contact detection. Either core produces the same sorted
-        // in-range pair list: the event engine tracks a conservative
-        // superset of near pairs and distance-checks exactly the pairs
-        // that could be in range this step; the time-stepped sweep
-        // re-enumerates the whole grid, serially.
+        // 2. Contact detection, link faults and the contact table update
+        // (see `detect_contacts`).
         let scope = self.profiler.start();
-        self.scratch_in_range.clear();
-        let energy = &self.api.energy;
-        let positions = &self.api.positions;
-        match &mut self.core {
-            ContactCore::Events(engine) => engine.collect(
-                self.api.counters.steps,
-                positions,
-                energy,
-                self.workers,
-                &mut self.scratch_in_range,
-            ),
-            ContactCore::Sweep(grid) => {
-                grid.rebuild(positions);
-                let in_range = &mut self.scratch_in_range;
-                grid.for_each_pair_within(positions, self.api.radio.range_m, |a, b| {
-                    // A depleted radio forms no links (finite-battery model).
-                    if !energy.is_depleted(a) && !energy.is_depleted(b) {
-                        in_range.push(ContactKey(a, b));
-                    }
-                });
-            }
-        }
-        self.scratch_in_range.sort_unstable();
-        // 2b. Link-level fault injection: crashed nodes form no links,
-        // blocked (cut) pairs stay apart, and active links may be freshly
-        // cut. Vetoed pairs fall out of `in_range`, so the ordinary
-        // contact-down machinery (transfer aborts included) fires below.
-        if let Some(inj) = self.faults.as_mut() {
-            let contacts = &self.api.contacts;
-            let cuts = inj.veto_links(
-                &mut self.scratch_in_range,
-                |k| contacts.is_up(k.0, k.1),
-                now,
-                dt,
-            );
-            for key in cuts {
-                self.api
-                    .trace
-                    .record(now, TraceEvent::LinkCut { a: key.0, b: key.1 });
-            }
-        }
-        self.api.counters.contact_pairs += self.scratch_in_range.len() as u64;
-        let events = self.api.contacts.diff(&self.scratch_in_range, now);
+        let events = self.detect_contacts(now, dt, &node_faults);
         self.profiler.stop(Phase::ContactDiff, scope);
         // 2c. Protocol exchange: contact transitions dispatch into the
         // protocol (directory/offer exchange, transfer aborts on teardown).
@@ -1868,6 +1886,115 @@ impl<P: Protocol> Simulation<P> {
         }
         self.profiler.stop_step(step_scope);
         self.api.now += dt;
+    }
+
+    /// Stage 2 of a step: finds the step's contact transitions, filters
+    /// them through dead radios and the fault plan, and applies them to the
+    /// contact table. Returns the contact events: downs, then ups, each
+    /// sorted by pair. Both cores return the same events and draw the same
+    /// fault rolls (the kernel-mode suite checks this byte for byte).
+    fn detect_contacts(
+        &mut self,
+        now: SimTime,
+        dt: SimDuration,
+        node_faults: &[NodeFault],
+    ) -> Vec<ContactEvent> {
+        let api = &mut self.api;
+        let (events, cuts) = match &mut self.core {
+            // The oracle: the full in-range list, minus depleted radios,
+            // crashed nodes and cut links, diffed against the table.
+            ContactCore::Sweep { grid, in_range } => {
+                in_range.clear();
+                grid.rebuild(&api.positions);
+                let energy = &api.energy;
+                grid.for_each_pair_within(&api.positions, api.radio.range_m, |a, b| {
+                    // A depleted radio forms no links (finite-battery model).
+                    if !energy.is_depleted(a) && !energy.is_depleted(b) {
+                        in_range.push(ContactKey(a, b));
+                    }
+                });
+                in_range.sort_unstable();
+                let cuts = match self.faults.as_mut() {
+                    Some(inj) => {
+                        let contacts = &api.contacts;
+                        inj.veto_links(in_range, |k| contacts.is_up(k.0, k.1), now, dt)
+                    }
+                    None => Vec::new(),
+                };
+                (api.contacts.diff(in_range, now), cuts)
+            }
+            // The event core: the engine's geometric transitions, plus the
+            // transitions the dead-radio rule and the fault plan cause.
+            ContactCore::Events {
+                engine,
+                downs,
+                ups,
+                freed,
+            } => {
+                let positions = &api.positions;
+                let contacts = &api.contacts;
+                let open_pairs = |node: NodeId| {
+                    contacts
+                        .peers_of_slice(node)
+                        .iter()
+                        .map(move |&peer| ContactKey::new(node, peer))
+                };
+                engine.collect(api.counters.steps, positions, self.workers, downs, ups);
+                // Leaving range closes only an open contact: a pair kept
+                // apart by a dead radio, a crash or a cut has none.
+                downs.retain(|k| contacts.is_up(k.0, k.1));
+                // A radio dies once. Its open contacts close on the first
+                // step it is seen depleted, and its ups are dropped below.
+                let batteries = api.energy.battery_joules().is_some();
+                if batteries {
+                    for node in api.energy.take_depleted() {
+                        downs.extend(open_pairs(node));
+                    }
+                }
+                if let Some(inj) = self.faults.as_mut() {
+                    // A crash closes the node's contacts. A reboot, or a
+                    // cut that expires, lets pairs still in range come back.
+                    for fault in node_faults {
+                        match *fault {
+                            NodeFault::Crashed { node, .. } => downs.extend(open_pairs(node)),
+                            NodeFault::Rebooted { node } => {
+                                engine.pairs_in_range(node, positions, ups);
+                            }
+                            NodeFault::BatterySpike { .. } => {}
+                        }
+                    }
+                    freed.clear();
+                    inj.expire_cuts(now, freed);
+                    ups.extend(freed.iter().filter(|&&k| engine.in_range(k, positions)));
+                    ups.retain(|&k| inj.admits(k));
+                }
+                if batteries {
+                    let energy = &api.energy;
+                    ups.retain(|k| !energy.is_depleted(k.0) && !energy.is_depleted(k.1));
+                }
+                downs.sort_unstable();
+                downs.dedup();
+                ups.sort_unstable();
+                ups.dedup();
+                // Every contact that stays up draws its cut roll, as in
+                // `veto_links`.
+                let cuts = match self.faults.as_mut() {
+                    Some(inj) => inj.roll_cuts(contacts, downs, now, dt),
+                    None => Vec::new(),
+                };
+                if !cuts.is_empty() {
+                    downs.extend_from_slice(&cuts);
+                    downs.sort_unstable();
+                }
+                (api.contacts.apply(downs, ups, now), cuts)
+            }
+        };
+        for key in cuts {
+            api.trace
+                .record(now, TraceEvent::LinkCut { a: key.0, b: key.1 });
+        }
+        api.counters.contact_pairs += api.contacts.active_count() as u64;
+        events
     }
 
     /// Offers an aborted transfer to the retry scheduler; records the trace
@@ -2349,6 +2476,100 @@ mod tests {
         let err = eventful_sim().restore(&edited).unwrap_err();
         assert!(matches!(err, SnapshotError::Mismatch { .. }), "{err}");
         assert!(err.to_string().contains("transfers_retried"), "{err}");
+    }
+
+    /// Restore refuses an open contact the restored world cannot explain,
+    /// with a typed error and no panic: a node outside the world,
+    /// endpoints out of range at the restored positions, a crashed
+    /// endpoint, or a cut between them. The event core would otherwise
+    /// hold such a contact open forever.
+    #[test]
+    fn restore_rejects_open_contacts_the_world_cannot_explain() {
+        let mut donor = eventful_sim();
+        while donor.api().now() < SimTime::from_secs(900.0) {
+            donor.step_once();
+        }
+        let world = donor.snapshot();
+        let range = donor.api().radio().range_m;
+        let rejects = |edit: &dyn Fn(&mut WorldState), needle: &str| {
+            let mut edited = world.clone();
+            edit(&mut edited);
+            let err = eventful_sim().restore(&edited).unwrap_err();
+            assert!(matches!(err, SnapshotError::Mismatch { .. }), "{err}");
+            assert!(err.to_string().contains(needle), "{needle}: {err}");
+        };
+        let now = world.now;
+        rejects(
+            &|w| w.contacts.active.push((NodeId(3), NodeId(27), now)),
+            "outside this world",
+        );
+        // An out-of-range pair whose second node has no open contact, so
+        // moving that node below breaks no other contact.
+        let lonely = |n: NodeId| {
+            !world
+                .contacts
+                .active
+                .iter()
+                .any(|&(x, y, _)| n == x || n == y)
+        };
+        let (a, b) = (0..20u32)
+            .flat_map(|a| (a + 1..20).map(move |b| (NodeId(a), NodeId(b))))
+            .find(|&(a, b)| {
+                lonely(b)
+                    && world.positions[a.index()].distance_to(world.positions[b.index()]) > range
+            })
+            .expect("some pair is out of range");
+        rejects(
+            &|w| w.contacts.active.push((a, b, now)),
+            "beyond the 100 m range",
+        );
+        // A pair moved into range is explained by geometry, but not while
+        // an endpoint is crashed or a cut blocks it.
+        let in_range = |w: &mut WorldState| {
+            w.positions[b.index()] = w.positions[a.index()];
+            w.contacts.active.push((a, b, now));
+        };
+        let mut explained = world.clone();
+        in_range(&mut explained);
+        explained.contacts.active.sort_by_key(|&(a, b, _)| (a, b));
+        eventful_sim()
+            .restore(&explained)
+            .expect("an open pair in range is explained");
+        rejects(
+            &|w| {
+                in_range(w);
+                w.faults.as_mut().unwrap().down_until[a.index()] = Some(now);
+            },
+            "crashed endpoint",
+        );
+        rejects(
+            &|w| {
+                in_range(w);
+                w.faults.as_mut().unwrap().blocked_until.push((a, b, now));
+            },
+            "blocked by a link cut",
+        );
+    }
+
+    /// The event core's distance-test count is a function of the world
+    /// alone: the same at one thread and at three.
+    #[test]
+    fn pair_checks_do_not_depend_on_threads() {
+        let checks = |threads: usize| {
+            let mut sim = SimulationBuilder::new(Area::new(600.0, 600.0), 5)
+                .threads(threads)
+                .nodes(60, || {
+                    Box::new(crate::mobility::RandomWaypoint::pedestrian())
+                })
+                .build(NullProtocol);
+            for _ in 0..300 {
+                sim.step_once();
+            }
+            sim.export_metrics().counter("kernel.pair_checks")
+        };
+        let serial = checks(1);
+        assert!(serial > 0, "the engine tests pairs");
+        assert_eq!(checks(3), serial);
     }
 
     #[test]

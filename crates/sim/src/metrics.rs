@@ -239,7 +239,9 @@ pub enum Phase {
     Mobility,
     /// Node-level fault injection: crashes, wipes, battery spikes (1b).
     FaultInjection,
-    /// Spatial-grid rebuild, range query, link vetoes and contact diff (2).
+    /// Contact detection (2): the event core's transitions, or the
+    /// time-stepped sweep's in-range list and diff; the dead-radio and
+    /// link-fault filters; the contact table update.
     ContactDiff,
     /// Contact up/down dispatch into the protocol (directory/offer
     /// exchange in the DCIM router).
@@ -462,9 +464,12 @@ pub struct KernelCounters {
     pub checkpoints_evicted: u64,
     /// Copies purged by the TTL sweep.
     pub ttl_expiries: u64,
-    /// In-range pairs emitted by contact detection, summed over all steps
-    /// (the contact diff's workload measure). Not part of [`Self::events`]
-    /// — pairs are an input to the diff, not a kernel event.
+    /// Open contacts after contact detection, summed over all steps (so
+    /// `contact_pairs / steps` is the mean number of open contacts). Not
+    /// part of [`Self::events`]: it measures the contact table, not kernel
+    /// events. The event core's detection work is the separate
+    /// `kernel.pair_checks` metric of
+    /// [`crate::kernel::Simulation::export_metrics`].
     pub contact_pairs: u64,
     /// Senders visited by the batched transfer pass, summed over all steps.
     /// Under the active-pair index this counts only populated queues; the

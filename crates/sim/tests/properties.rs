@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use dtn_sim::buffer::{Buffer, DropPolicy, InsertOutcome};
-use dtn_sim::contact::{ContactKey, ContactTable};
+use dtn_sim::contact::{ContactEvent, ContactKey, ContactTable};
 use dtn_sim::geometry::{Area, Point};
 use dtn_sim::message::{Keyword, MessageBody, MessageCopy, MessageId, Priority, Quality};
 use dtn_sim::mobility::{MobilityModel, RandomWalk, RandomWaypoint};
@@ -157,6 +157,51 @@ proptest! {
             for k in &keys {
                 prop_assert!(table.is_up(k.0, k.1));
             }
+        }
+    }
+
+    /// `apply` fed with `diff`'s events rebuilds the same table: the
+    /// active set, every `up_since`, `total_contacts` and the adjacency
+    /// index all match after every frame.
+    #[test]
+    fn apply_replays_diff(
+        frames in prop::collection::vec(
+            prop::collection::btree_set((0u32..8, 0u32..8), 0..10),
+            1..20
+        )
+    ) {
+        let mut diffed = ContactTable::new();
+        let mut applied = ContactTable::new();
+        for (t, frame) in frames.into_iter().enumerate() {
+            let keys: Vec<ContactKey> = frame
+                .into_iter()
+                .filter(|(a, b)| a != b)
+                .map(|(a, b)| ContactKey::new(NodeId(a), NodeId(b)))
+                .collect::<std::collections::BTreeSet<_>>()
+                .into_iter()
+                .collect();
+            let now = SimTime::from_secs(t as f64);
+            let events = diffed.diff(&keys, now);
+            let (mut downs, mut ups) = (Vec::new(), Vec::new());
+            for ev in &events {
+                match *ev {
+                    ContactEvent::Down(k, _) => downs.push(k),
+                    ContactEvent::Up(k) => ups.push(k),
+                }
+            }
+            prop_assert_eq!(applied.apply(&downs, &ups, now), events);
+            prop_assert_eq!(applied.export_state(), diffed.export_state());
+            prop_assert_eq!(applied.total_contacts(), diffed.total_contacts());
+            for a in 0..8u32 {
+                for b in 0..8u32 {
+                    prop_assert_eq!(
+                        applied.up_since(NodeId(a), NodeId(b)),
+                        diffed.up_since(NodeId(a), NodeId(b))
+                    );
+                }
+                prop_assert_eq!(applied.peers_of(NodeId(a)), diffed.peers_of(NodeId(a)));
+            }
+            prop_assert!(applied.audit_adjacency().is_ok());
         }
     }
 

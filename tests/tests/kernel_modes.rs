@@ -7,14 +7,17 @@
 //! replaced. These tests pit the two modes against each other at the
 //! byte level — rendered trace, run summary, protocol state — across
 //! seeds, thread counts, and a chaos + recovery + adversary-strategy
-//! stack, then check that a snapshot taken on one core refuses to
-//! restore into the other with a typed error rather than undefined
-//! drift (the cores agree on *observable* state but not on derived
-//! scheduler state, so a cross-mode resume is an identity mismatch),
-//! while a resume on the same core finishes byte-identically.
+//! stack and a finite-battery world where radios die, then check that a
+//! snapshot taken on one core refuses to restore into the other with a
+//! typed error rather than undefined drift (the cores agree on
+//! *observable* state but not on derived scheduler state, so a
+//! cross-mode resume is an identity mismatch), while a resume on the same
+//! core finishes byte-identically, from several points of a run.
 
+use dtn_core::protocol::DcimRouter;
 use dtn_integration_tests::fast_scenario;
 use dtn_sim::events::KernelMode;
+use dtn_sim::kernel::Simulation;
 use dtn_sim::snapshot::SnapshotError;
 use dtn_sim::time::SimTime;
 use dtn_workloads::prelude::*;
@@ -165,6 +168,159 @@ fn same_mode_resume_still_works() {
             serde_json::to_string(&summary).expect("summary serializes"),
             serde_json::to_string(&golden).expect("summary serializes"),
             "{mode}: resumed summary differs from the uninterrupted run"
+        );
+    }
+}
+
+/// The battery regime of the chaos suite plus link cuts: spikes and
+/// transfers drain 120 J batteries until radios die, crashes churn nodes,
+/// and cuts block pairs. It exercises the event core's depletion event
+/// and its fault filter on transitions.
+fn battery_chaos_scenario() -> Scenario {
+    let mut s = fast_scenario();
+    s.battery_joules = Some(120.0);
+    s.chaos = Some(
+        "spike=30,spikej=40,crash=2,crashdown=60,cut=6,cutdown=30"
+            .parse()
+            .expect("valid spec"),
+    );
+    s
+}
+
+/// 10 J batteries that transfers alone drain: a radio dies during the
+/// transfer phase while its contacts are still up, and they close at the
+/// next step. In the spike regime above, radios die before contact
+/// detection and close their contacts within the same step.
+fn transfer_drained_scenario() -> Scenario {
+    let mut s = fast_scenario();
+    s.battery_joules = Some(10.0);
+    s.chaos = Some(
+        "crash=2,crashdown=60,cut=6,cutdown=30"
+            .parse()
+            .expect("valid spec"),
+    );
+    s
+}
+
+/// Both cores agree byte for byte on worlds whose radios die mid-run.
+#[test]
+fn modes_agree_on_finite_batteries_under_chaos() {
+    for (label, scenario) in [
+        ("battery+chaos", battery_chaos_scenario()),
+        ("transfer-drained", transfer_drained_scenario()),
+    ] {
+        for seed in SEEDS {
+            let (outcome, _, _) = run(
+                &RunSpec::arm(&scenario, Arm::Incentive, seed),
+                &Instrument::default(),
+            );
+            assert!(
+                outcome.summary.depleted_nodes > 0,
+                "{label}, seed {seed}: no radio died, so the depletion event went untested"
+            );
+        }
+        assert_modes_agree(&scenario, Arm::Incentive, label);
+    }
+}
+
+/// Runs `scenario` on `mode` to the horizon, and again from a snapshot
+/// taken after every step at which `pick` names a resume point. Each
+/// resumed run must finish with the uninterrupted run's rendered trace
+/// and summary, byte for byte. Returns the points resumed from.
+fn resume_at(
+    scenario: &Scenario,
+    mode: KernelMode,
+    mut pick: impl FnMut(&Simulation<DcimRouter>) -> Option<&'static str>,
+) -> Vec<&'static str> {
+    let mut scenario = scenario.clone();
+    scenario.kernel_mode = Some(mode);
+    let horizon = SimTime::from_secs(scenario.duration_secs);
+    let meta = RunMeta {
+        scenario,
+        arm: Arm::Incentive,
+        seed: 101,
+        trace_capacity: Some(TRACE_CAPACITY),
+        check_every: None,
+    };
+    let mut uninterrupted = meta.build(false);
+    let golden =
+        serde_json::to_string(&uninterrupted.run_until(horizon)).expect("summary serializes");
+    let golden_trace = uninterrupted.api().trace().render();
+
+    let mut probe = meta.build(false);
+    let mut points = Vec::new();
+    while probe.api().now() < horizon {
+        probe.step_once();
+        let Some(point) = pick(&probe) else {
+            continue;
+        };
+        let at = probe.api().now();
+        let mut resumed = meta.build(false);
+        resumed
+            .restore(&probe.snapshot())
+            .unwrap_or_else(|e| panic!("{mode}: restore after {point}: {e}"));
+        let summary =
+            serde_json::to_string(&resumed.run_until(horizon)).expect("summary serializes");
+        assert_eq!(
+            resumed.api().trace().render(),
+            golden_trace,
+            "{mode}: trace resumed after {point} (t={at}) differs from the uninterrupted run"
+        );
+        assert_eq!(
+            summary, golden,
+            "{mode}: summary resumed after {point} (t={at}) differs from the uninterrupted run"
+        );
+        points.push(point);
+    }
+    points
+}
+
+/// On either core, a finite-battery chaos world resumed from a snapshot
+/// finishes byte-identically. Snapshots are taken just after the first
+/// radio dies, while the first link cut still blocks its pair, mid-run,
+/// and — in the transfer-drained world — while a dead radio still holds
+/// contacts that the next step must close.
+#[test]
+fn battery_worlds_resume_from_several_points() {
+    for mode in [KernelMode::EventDriven, KernelMode::TimeStepped] {
+        let (mut depleted, mut cut, mut mid) = (false, false, false);
+        let points = resume_at(&battery_chaos_scenario(), mode, |sim| {
+            if !depleted && sim.api().depleted_count() > 0 {
+                depleted = true;
+                Some("the first depletion")
+            } else if !cut && sim.fault_stats().is_some_and(|f| f.link_cuts > 0) {
+                cut = true;
+                // The cut lasts 30 s, so it still blocks its pair.
+                assert!(sim
+                    .snapshot()
+                    .faults
+                    .is_some_and(|f| !f.blocked_until.is_empty()));
+                Some("the first link cut")
+            } else if !mid && sim.api().now() >= SimTime::from_secs(900.0) {
+                mid = true;
+                Some("mid-run")
+            } else {
+                None
+            }
+        });
+        assert_eq!(points.len(), 3, "{mode}: every resume point was reached");
+
+        let mut pending = false;
+        let points = resume_at(&transfer_drained_scenario(), mode, |sim| {
+            let api = sim.api();
+            let dead_but_linked = api
+                .node_ids()
+                .any(|n| api.is_depleted(n) && !api.peers_of_slice(n).is_empty());
+            if pending || !dead_but_linked {
+                return None;
+            }
+            pending = true;
+            Some("a depletion with contacts still up")
+        });
+        assert_eq!(
+            points.len(),
+            1,
+            "{mode}: a dead radio held contacts at a step's end"
         );
     }
 }
