@@ -12,7 +12,10 @@
 //! cargo run --release -p dtn-bench --bin all               # everything
 //! ```
 //!
-//! Criterion performance benchmarks live under `benches/`.
+//! Performance lives in two binaries: `benchmark`, the repository
+//! benchmark and perf ledger (`src/bin/benchmark/`, pinned by
+//! `BENCHMARK.json`), and `perf`, the scale gates no benchmark workload
+//! covers.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

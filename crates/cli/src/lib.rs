@@ -1230,6 +1230,35 @@ mod tests {
     }
 
     #[test]
+    fn run_returns_validation_errors_the_kernel_would_panic_on() {
+        let dir = scratch_dir("run-invalid");
+        let path = dir.join("invalid.json");
+        let broken = |edit: fn(&mut Scenario)| {
+            let mut s = reduced_scenario();
+            edit(&mut s);
+            s
+        };
+        for (field, s) in [
+            ("buffer_bytes", broken(|s| s.buffer_bytes = 0)),
+            ("radio.range_m", broken(|s| s.radio.range_m = 0.0)),
+            (
+                "radio.link_speed_bps",
+                broken(|s| s.radio.link_speed_bps = -1.0),
+            ),
+            ("message_ttl_secs", broken(|s| s.message_ttl_secs = 0.0)),
+        ] {
+            std::fs::write(&path, serde_json::to_string(&s).expect("json")).expect("write");
+            let run = parse_args(&["run".to_owned(), path.to_str().expect("utf8").to_owned()])
+                .expect("run parses");
+            let err = execute(run).expect_err("an invalid scenario must not run");
+            assert!(
+                err.contains("is invalid") && err.contains(field),
+                "{field}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn metrics_out_writes_a_valid_perf_report() {
         let mut s = reduced_scenario();
         s.nodes = 12;

@@ -12,12 +12,14 @@
 //! *before* the body is parsed — a damaged snapshot is reported as a typed
 //! [`SnapshotError`], never a panic or a silently wrong world. Writes go
 //! through a `.tmp` file renamed into place, so a crash mid-write can never
-//! leave a half-written file at the target path (the same discipline as the
-//! sweep cache).
+//! leave a half-written file at the target path.
 //!
 //! This module owns only the *container*; what goes inside is any
 //! [`Serialize`]/[`Deserialize`] document — the kernel's
-//! [`crate::kernel::WorldState`], or a workload-level wrapper around it.
+//! [`crate::kernel::WorldState`], a workload-level wrapper around it, or
+//! a sweep cache entry. It also owns the one FNV-128 implementation
+//! ([`Fnv128`]), which the sweep's cache keys and the golden trace
+//! fingerprints share with the header digest.
 
 use std::fmt;
 use std::io;
@@ -161,46 +163,52 @@ pub fn save<T: Serialize>(doc: &T, path: &Path) -> Result<(), SnapshotError> {
 /// Any [`SnapshotError`] variant except [`SnapshotError::Mismatch`]
 /// (pairing the document with a world is the caller's job).
 pub fn load<T: Deserialize>(path: &Path) -> Result<T, SnapshotError> {
-    let raw = std::fs::read_to_string(path).map_err(|source| SnapshotError::Io {
+    let raw = std::fs::read(path).map_err(|source| SnapshotError::Io {
         path: path.to_path_buf(),
         source,
     })?;
-    let Some((header, body)) = raw.split_once('\n') else {
+    let Some(newline) = raw.iter().position(|&b| b == b'\n') else {
         return Err(SnapshotError::Truncated {
             path: path.to_path_buf(),
         });
     };
-    let mut fields = header.split_ascii_whitespace();
+    let (header, body) = (&raw[..newline], &raw[newline + 1..]);
     let malformed = |detail: String| SnapshotError::Malformed {
         path: path.to_path_buf(),
         detail,
     };
-    let magic = fields.next().unwrap_or("");
-    if magic != MAGIC {
+    let mut fields = header
+        .split(u8::is_ascii_whitespace)
+        .filter(|f| !f.is_empty());
+    let magic = fields.next().unwrap_or_default();
+    if magic != MAGIC.as_bytes() {
         return Err(malformed(format!(
-            "header opens with `{magic}`, expected `{MAGIC}`"
+            "header opens with `{}`, expected `{MAGIC}`",
+            String::from_utf8_lossy(magic)
         )));
     }
     let version = fields
         .next()
         .ok_or_else(|| malformed("header is missing the version field".to_string()))?;
-    if version != FORMAT_VERSION {
+    if version != FORMAT_VERSION.as_bytes() {
         return Err(SnapshotError::VersionMismatch {
             path: path.to_path_buf(),
-            found: version.to_string(),
+            found: String::from_utf8_lossy(version).into_owned(),
         });
     }
     let expected = fields
         .next()
         .ok_or_else(|| malformed("header is missing the checksum field".to_string()))?;
-    let actual = fnv128_hex(body.as_bytes());
-    if expected != actual {
+    let actual = fnv128_hex(body);
+    if expected != actual.as_bytes() {
         return Err(SnapshotError::Corrupt {
             path: path.to_path_buf(),
-            expected: expected.to_string(),
+            expected: String::from_utf8_lossy(expected).into_owned(),
             actual,
         });
     }
+    let body =
+        std::str::from_utf8(body).map_err(|e| malformed(format!("body is not UTF-8: {e}")))?;
     let value = serde_json::from_str(body)
         .map_err(|e| malformed(format!("body is not valid JSON: {e}")))?;
     T::from_value(&value).map_err(|e| malformed(format!("body does not parse: {e}")))
@@ -215,17 +223,52 @@ fn tmp_path(path: &Path) -> PathBuf {
     PathBuf::from(name)
 }
 
-/// 128-bit FNV-1a, hex-encoded: stable across platforms and runs, same
-/// digest the sweep cache uses for payload integrity.
-fn fnv128_hex(bytes: &[u8]) -> String {
+/// Incremental 128-bit FNV-1a: stable across platforms and runs (unlike
+/// `DefaultHasher`, which randomizes per process), and wide enough that
+/// no realistic set of snapshots, cache cells or traces collides. Any
+/// single changed byte always changes the digest: each step XORs one
+/// byte and multiplies by an odd prime, both bijections on the state.
+#[derive(Debug, Clone)]
+pub struct Fnv128 {
+    state: u128,
+}
+
+impl Fnv128 {
     const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
     const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-    let mut state = OFFSET;
-    for &b in bytes {
-        state ^= u128::from(b);
-        state = state.wrapping_mul(PRIME);
+
+    /// Feeds `bytes`; feeding a sequence of slices hashes their
+    /// concatenation.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.state ^= u128::from(b);
+            self.state = self.state.wrapping_mul(Self::PRIME);
+        }
     }
-    format!("{state:032x}")
+
+    /// The digest of everything fed so far.
+    #[must_use]
+    pub fn finish(&self) -> u128 {
+        self.state
+    }
+}
+
+impl Default for Fnv128 {
+    /// A hasher over the empty input.
+    fn default() -> Self {
+        Fnv128 {
+            state: Self::OFFSET,
+        }
+    }
+}
+
+/// The FNV-128 digest of `bytes` as 32 lowercase hex digits: the form
+/// snapshot headers carry.
+#[must_use]
+pub fn fnv128_hex(bytes: &[u8]) -> String {
+    let mut hash = Fnv128::default();
+    hash.update(bytes);
+    format!("{:032x}", hash.finish())
 }
 
 #[cfg(test)]

@@ -410,7 +410,7 @@ mod tests {
             "{} {} {}\n",
             snapshot::MAGIC,
             snapshot::FORMAT_VERSION,
-            crate::sweep::fnv128_hex(body.as_bytes())
+            snapshot::fnv128_hex(body.as_bytes())
         );
         let path = dir.join("nested.dtnsnap");
         std::fs::write(&path, header + &body).unwrap();

@@ -214,6 +214,7 @@ impl Scenario {
     /// # Errors
     ///
     /// Returns the first violated constraint.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must fail `> 0.0`
     pub fn validate(&self) -> Result<(), String> {
         if self.nodes == 0 {
             return Err("a scenario needs nodes".into());
@@ -223,6 +224,18 @@ impl Scenario {
         }
         if self.duration_secs <= 0.0 {
             return Err("duration must be positive".into());
+        }
+        if self.buffer_bytes == 0 {
+            return Err("buffer_bytes must be positive".into());
+        }
+        if !(self.radio.range_m > 0.0) {
+            return Err("radio.range_m must be positive".into());
+        }
+        if !(self.radio.link_speed_bps > 0.0) {
+            return Err("radio.link_speed_bps must be positive".into());
+        }
+        if !(self.message_ttl_secs > 0.0) {
+            return Err("message_ttl_secs must be positive".into());
         }
         if self.interests_per_node as u32 > self.keyword_pool {
             return Err("cannot assign more interests than the pool holds".into());
@@ -378,6 +391,45 @@ mod tests {
             ..dtn_sim::transfer::RecoveryPolicy::default()
         });
         assert!(s.validate().is_err(), "invalid recovery policy rejected");
+    }
+
+    /// Asserts that `set` applied to a valid scenario fails validation
+    /// with a message naming `field`, for each of `values`.
+    fn rejects<T: Copy + std::fmt::Debug>(field: &str, values: &[T], set: fn(&mut Scenario, T)) {
+        for &v in values {
+            let mut s = paper::reduced_scenario();
+            set(&mut s, v);
+            let err = s
+                .validate()
+                .expect_err(&format!("{field} = {v:?} must be rejected"));
+            assert!(err.contains(field), "{field} = {v:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn empty_buffer_is_rejected() {
+        rejects("buffer_bytes", &[0u64], |s, v| s.buffer_bytes = v);
+    }
+
+    #[test]
+    fn non_positive_radio_range_is_rejected() {
+        rejects("radio.range_m", &[0.0, -100.0, f64::NAN], |s, v| {
+            s.radio.range_m = v;
+        });
+    }
+
+    #[test]
+    fn non_positive_link_speed_is_rejected() {
+        rejects("radio.link_speed_bps", &[0.0, -1.0, f64::NAN], |s, v| {
+            s.radio.link_speed_bps = v;
+        });
+    }
+
+    #[test]
+    fn non_positive_message_ttl_is_rejected() {
+        rejects("message_ttl_secs", &[0.0, -60.0, f64::NAN], |s, v| {
+            s.message_ttl_secs = v;
+        });
     }
 
     #[test]

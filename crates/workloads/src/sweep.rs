@@ -10,12 +10,12 @@
 //! On top of the executor sits a memoized run cache: each cell is keyed by
 //! a content hash of its canonicalized scenario, its arm/backend tag, its
 //! seed, and the crate version. Within a process the cache lives in
-//! memory; with [`set_cache_dir`] it is additionally persisted as one JSON
-//! file per cell under `results/.sweep-cache/`, each entry carrying an
-//! integrity hash so corrupted or truncated files are detected and re-run
-//! rather than trusted. Cache hits return the exact `CellResult` the
-//! original run produced (bit-identical summaries; golden-checked in the
-//! test suite).
+//! memory; with [`set_cache_dir`] it is additionally persisted as one file
+//! per cell under `results/.sweep-cache/`, each a checksummed
+//! [`dtn_sim::snapshot`] container, so corrupted or truncated files are
+//! detected and re-run rather than trusted. Cache hits return the exact
+//! `CellResult` the original run produced (bit-identical summaries;
+//! golden-checked in the test suite).
 //!
 //! ## Queue design
 //!
@@ -31,12 +31,14 @@
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::sync::OnceLock;
 
 use dtn_sim::metrics::MetricsRegistry;
+use dtn_sim::snapshot::{self, Fnv128, SnapshotError};
 use dtn_sim::stats::RunSummary;
 use serde::{Deserialize, Serialize};
 
@@ -174,7 +176,7 @@ impl Cell {
         }
         let scenario_json =
             serde_json::to_string(&RawJson(value)).expect("scenario serializes to JSON");
-        let mut hash = Fnv128::new();
+        let mut hash = Fnv128::default();
         hash.update(scenario_json.as_bytes());
         hash.update(b"\x00");
         hash.update(self.kind.tag().as_bytes());
@@ -224,43 +226,6 @@ impl Serialize for RawJson {
     fn to_value(&self) -> serde_json::Value {
         self.0.clone()
     }
-}
-
-/// 128-bit FNV-1a: stable across platforms and runs (unlike `DefaultHasher`,
-/// which randomizes per process), with enough width that the figure grid
-/// (hundreds of cells) cannot realistically collide.
-struct Fnv128 {
-    state: u128,
-}
-
-impl Fnv128 {
-    const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-    const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-
-    fn new() -> Self {
-        Fnv128 {
-            state: Self::OFFSET,
-        }
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u128::from(b);
-            self.state = self.state.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    fn finish(&self) -> u128 {
-        self.state
-    }
-}
-
-/// Hex digest of arbitrary bytes, used as the on-disk integrity hash (the
-/// same FNV-128 digest `DTNSNAP` headers carry).
-pub(crate) fn fnv128_hex(bytes: &[u8]) -> String {
-    let mut h = Fnv128::new();
-    h.update(bytes);
-    format!("{:032x}", h.finish())
 }
 
 // ---------------------------------------------------------------------------
@@ -375,84 +340,43 @@ pub fn export_metrics(registry: &mut MetricsRegistry) {
 // Disk persistence.
 // ---------------------------------------------------------------------------
 
-/// On-disk cache entry: the payload is stored as an *encoded string* so
-/// the integrity hash is computed over exactly the bytes that will be
-/// re-parsed — any flipped or missing byte changes the digest.
-#[derive(Debug, Serialize, Deserialize)]
-struct DiskEntry {
-    /// The cell's cache key, hex — a moved/renamed file is rejected.
-    key: String,
-    /// FNV-128 hex digest of `payload`.
-    payload_hash: String,
-    /// JSON-encoded [`CellResult`].
-    payload: String,
-}
-
 fn disk_path(dir: &Path, key: u128) -> PathBuf {
     dir.join(format!("{key:032x}.json"))
 }
 
-/// Loads a cell result from disk, verifying the integrity hash. Corrupted,
-/// truncated, or mismatched entries are discarded (and counted) — the
-/// cell re-runs instead of trusting the bytes.
+/// Loads a cell result from disk. An entry is a [`snapshot`] container
+/// whose body is `[key, result]`, so truncation, bit rot and a renamed
+/// file are all detected. A missing entry is a plain miss; any other
+/// failure is discarded (and counted), and the cell re-runs instead of
+/// trusting the bytes.
 fn disk_load(dir: &Path, key: u128) -> Option<CellResult> {
     let path = disk_path(dir, key);
-    let raw = std::fs::read_to_string(&path).ok()?;
-    let parsed: Result<DiskEntry, _> = serde_json::from_str(&raw);
-    let rejected = |why: &str| {
-        DISK_REJECTED.fetch_add(1, Ordering::SeqCst);
-        eprintln!(
-            "sweep-cache: discarding {} ({why}); the cell will re-run",
-            path.display()
-        );
-        None
+    let why = match snapshot::load::<(String, CellResult)>(&path) {
+        Ok((stored, result)) if stored == format!("{key:032x}") => return Some(result),
+        Ok(_) => "key mismatch".to_string(),
+        Err(SnapshotError::Io { source, .. }) if source.kind() == ErrorKind::NotFound => {
+            return None
+        }
+        Err(e) => e.to_string(),
     };
-    let entry = match parsed {
-        Ok(e) => e,
-        Err(_) => return rejected("unparseable or truncated"),
-    };
-    if entry.key != format!("{key:032x}") {
-        return rejected("key mismatch");
-    }
-    if fnv128_hex(entry.payload.as_bytes()) != entry.payload_hash {
-        return rejected("payload hash mismatch");
-    }
-    match serde_json::from_str::<CellResult>(&entry.payload) {
-        Ok(result) => Some(result),
-        Err(_) => rejected("payload undecodable"),
-    }
+    DISK_REJECTED.fetch_add(1, Ordering::SeqCst);
+    eprintln!(
+        "sweep-cache: discarding {} ({why}); the cell will re-run",
+        path.display()
+    );
+    None
 }
 
-/// Persists a cell result; failures are warnings, never errors (the cache
+/// Persists a cell result through the snapshot container's
+/// tmp-then-rename write; failures are warnings, never errors (the cache
 /// is an accelerator, not a dependency).
 fn disk_store(dir: &Path, key: u128, result: &CellResult) {
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("sweep-cache: cannot create {}: {e}", dir.display());
         return;
     }
-    let payload = match serde_json::to_string(result) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("sweep-cache: cannot encode cell result: {e}");
-            return;
-        }
-    };
-    let entry = DiskEntry {
-        key: format!("{key:032x}"),
-        payload_hash: fnv128_hex(payload.as_bytes()),
-        payload,
-    };
-    let encoded = serde_json::to_string(&entry).expect("disk entry serializes");
-    let path = disk_path(dir, key);
-    // Write-then-rename so a crash mid-write leaves no truncated entry
-    // under the final name (and a truncated temp file fails the hash
-    // check anyway).
-    let tmp = path.with_extension("tmp");
-    if std::fs::write(&tmp, encoded)
-        .and_then(|()| std::fs::rename(&tmp, &path))
-        .is_err()
-    {
-        eprintln!("sweep-cache: cannot write {}", path.display());
+    if let Err(e) = snapshot::save(&(format!("{key:032x}"), result), &disk_path(dir, key)) {
+        eprintln!("sweep-cache: {e}");
     }
 }
 

@@ -13,6 +13,7 @@ use dtn_sim::kernel::{ScheduledMessage, SimApi, Simulation, SimulationBuilder};
 use dtn_sim::message::{Keyword, MessageId, Priority, Quality};
 use dtn_sim::mobility::ScriptedWaypoints;
 use dtn_sim::protocol::{Protocol, Reception};
+use dtn_sim::snapshot::fnv128_hex;
 use dtn_sim::time::SimTime;
 use dtn_sim::trace::TraceLog;
 use dtn_sim::world::NodeId;
@@ -167,19 +168,6 @@ fn paper_golden_scenario(chaos: Option<&str>) -> Scenario {
     s.named(format!("golden-paper-{label}"))
 }
 
-/// 128-bit FNV-1a, hex-rendered: a content fingerprint for trace text too
-/// large to embed in the fixture.
-fn fnv128_hex(text: &str) -> String {
-    const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-    const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-    let mut hash = OFFSET;
-    for byte in text.as_bytes() {
-        hash ^= u128::from(*byte);
-        hash = hash.wrapping_mul(PRIME);
-    }
-    format!("{hash:032x}")
-}
-
 /// A [`serde_json::Value`] carried verbatim through the vendored serde
 /// facade (which has no blanket `Serialize`/`Deserialize` for `Value`).
 struct RawValue(serde_json::Value);
@@ -208,7 +196,7 @@ fn capture(scenario: &Scenario, arm: Arm, seed: u64) -> serde_json::Value {
     serde_json::Value::Map(vec![
         (
             "trace_fnv128".to_string(),
-            serde_json::Value::Str(fnv128_hex(&trace)),
+            serde_json::Value::Str(fnv128_hex(trace.as_bytes())),
         ),
         ("summary".to_string(), run.summary.to_value()),
         (

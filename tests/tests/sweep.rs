@@ -1,5 +1,6 @@
 //! Sweep-executor suite: worker-count invariance, disk-cache round-trips,
-//! and corruption detection.
+//! and corruption detection in the cache and the snapshot container it
+//! shares.
 //!
 //! The executor's contract is that its output is a pure function of the
 //! plan — not of the worker count, not of completion order, and not of
@@ -15,6 +16,7 @@
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
+use dtn_sim::snapshot::SnapshotError;
 use dtn_workloads::prelude::*;
 use dtn_workloads::sweep;
 use proptest::prelude::*;
@@ -150,6 +152,96 @@ fn corrupted_and_truncated_disk_entries_are_rerun() {
     assert_eq!(pristine, warm);
     assert_eq!(after.disk_hits - before.disk_hits, 1);
     assert_eq!(after.cells_run - before.cells_run, 0);
+    sweep::set_cache_dir(None);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Hostile bytes: damaged copies of a real snapshot are typed errors.
+/// A small world's snapshot is truncated at every header offset and at
+/// 256 evenly spaced body offsets, and has one bit flipped at each of 256
+/// evenly spaced offsets; `read_snapshot` must neither panic nor accept
+/// any copy, nor report the damage as an I/O failure. The sweep cache
+/// reads the same container, so a truncated and a bit-flipped copy of a
+/// cell's entry each make the cell re-run.
+#[test]
+fn damaged_snapshots_are_typed_errors_and_damaged_entries_rerun() {
+    let _guard = executor_guard();
+    let dir = scratch_cache("hostile");
+
+    let mut world = tiny(0.2);
+    world.nodes = 20;
+    world.area_km2 = 0.2;
+    world.duration_secs = 300.0;
+    let meta = RunMeta {
+        scenario: world,
+        arm: Arm::Incentive,
+        seed: 7,
+        trace_capacity: None,
+        check_every: None,
+    };
+    let mut sim = meta.build(false);
+    sim.run_until(dtn_sim::time::SimTime::from_secs(300.0));
+    let path = dir.join("world.dtnsnap");
+    write_snapshot(&sim, &meta, &path).expect("snapshot written");
+    read_snapshot(&path).expect("the undamaged snapshot loads");
+    let pristine = std::fs::read(&path).expect("snapshot readable");
+    let body_start = 1 + pristine
+        .iter()
+        .position(|&b| b == b'\n')
+        .expect("a header line");
+    let body_len = pristine.len() - body_start;
+    assert!(body_len > 256, "the body has 256 distinct cut points");
+
+    let reject = |damage: String, bytes: &[u8]| {
+        std::fs::write(&path, bytes).expect("write damaged copy");
+        match read_snapshot(&path) {
+            Ok(_) => panic!("{damage}: a damaged snapshot loaded"),
+            Err(SnapshotError::Io { source, .. }) => panic!("{damage}: reported as I/O: {source}"),
+            Err(_) => {}
+        }
+    };
+    for cut in 0..=body_start {
+        reject(format!("cut at {cut}"), &pristine[..cut]);
+    }
+    for i in 0..256 {
+        let cut = body_start + 1 + i * (body_len - 1) / 256;
+        reject(format!("cut at {cut}"), &pristine[..cut]);
+    }
+    for i in 0..256 {
+        let at = i * pristine.len() / 256;
+        let mut flipped = pristine.clone();
+        flipped[at] ^= 1 << (i % 8);
+        reject(format!("bit {} flipped at {at}", i % 8), &flipped);
+    }
+
+    sweep::set_cache_dir(Some(dir.clone()));
+    let plan = vec![Cell::arm(tiny(0.2), Arm::Incentive, 7)];
+    let fresh = as_bytes(&sweep::run_cells(&plan));
+    let entry = dir.join(format!("{:032x}.json", plan[0].cache_key()));
+    let stored = std::fs::read(&entry).expect("entry written under its key");
+    let mut flipped = stored.clone();
+    flipped[stored.len() / 3] ^= 0x04;
+    for (damage, bytes) in [
+        ("truncated", &stored[..stored.len() * 2 / 3]),
+        ("bit-flipped", &flipped[..]),
+    ] {
+        std::fs::write(&entry, bytes).expect("damage the entry");
+        sweep::clear_memo();
+        let before = sweep::metrics();
+        let rerun = as_bytes(&sweep::run_cells(&plan));
+        let after = sweep::metrics();
+        assert_eq!(fresh, rerun, "{damage}: re-run reproduced the result");
+        assert_eq!(
+            after.disk_rejected - before.disk_rejected,
+            1,
+            "{damage}: counted"
+        );
+        assert_eq!(
+            after.cells_run - before.cells_run,
+            1,
+            "{damage}: the cell re-ran"
+        );
+    }
     sweep::set_cache_dir(None);
     let _ = std::fs::remove_dir_all(&dir);
 }
