@@ -71,7 +71,8 @@ pub enum Command {
         backoff_base: Option<f64>,
         /// Optional checkpoint-resume toggle (`--resume on|off`).
         resume: Option<bool>,
-        /// Optional kernel shard-count override (`--threads N`); output is
+        /// Optional override of the threads that may step the event
+        /// core's contact regions (`--threads N`); output is
         /// byte-identical at any value.
         threads: Option<usize>,
         /// Optional simulation-core override (`--kernel-mode
@@ -101,7 +102,8 @@ pub enum Command {
         /// Print the per-phase wall-clock table (`--verbose`); enables
         /// the phase profiler.
         verbose: bool,
-        /// Optional kernel shard-count override (`--threads N`); output is
+        /// Optional override of the threads that may step the event
+        /// core's contact regions (`--threads N`); output is
         /// byte-identical at any value.
         threads: Option<usize>,
         /// Optional sweep-executor pool size (`--sweep-workers N`); both
@@ -358,7 +360,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     }
 }
 
-/// Parses a `--threads` value (a positive shard count).
+/// Parses a `--threads` value (a positive thread count).
 fn parse_threads(value: Option<&String>) -> Result<usize, String> {
     let n: usize = value
         .ok_or("--threads needs a count")?
@@ -443,11 +445,12 @@ SNAPSHOTS:
     wall-clock from the resume point only.
 
 PARALLELISM:
-    --threads N shards the kernel's data-parallel step phases (mobility
-    stepping, the event core's contact regions) over N shards, overriding
-    the scenario's `threads` field. Output is byte-identical at any value —
-    traces, summaries and metrics match the serial run exactly; only
-    wall-clock changes.
+    --threads N lets up to N OS threads step the event core's contact
+    regions, overriding the scenario's `threads` field. The core builds
+    one region per thread, at most one per host core; mobility and the
+    time-stepped sweep always run serially. Output is byte-identical at
+    any value — traces, summaries and metrics match the serial run
+    exactly; only wall-clock changes.
 
 KERNEL MODE:
     --kernel-mode picks the simulation core, overriding the scenario's
@@ -1231,14 +1234,24 @@ mod tests {
 
     #[test]
     fn run_returns_validation_errors_the_kernel_would_panic_on() {
+        use dtn_sim::faults::FaultPlan;
         let dir = scratch_dir("run-invalid");
         let path = dir.join("invalid.json");
         let broken = |edit: fn(&mut Scenario)| {
             let mut s = reduced_scenario();
             edit(&mut s);
-            s
+            serde_json::to_string(&s).expect("json")
         };
-        for (field, s) in [
+        // A value written as `1e400` in the file parses as +inf; `SENTINEL`
+        // marks the field whose text is swapped for it.
+        const SENTINEL: f64 = 123.25;
+        let infinite = |field: &str, edit: fn(&mut Scenario)| {
+            let json = broken(edit);
+            let from = format!("\"{field}\":{SENTINEL}");
+            assert!(json.contains(&from), "{field} not written as {SENTINEL}");
+            json.replace(&from, &format!("\"{field}\":1e400"))
+        };
+        for (field, text) in [
             ("buffer_bytes", broken(|s| s.buffer_bytes = 0)),
             ("radio.range_m", broken(|s| s.radio.range_m = 0.0)),
             (
@@ -1246,8 +1259,43 @@ mod tests {
                 broken(|s| s.radio.link_speed_bps = -1.0),
             ),
             ("message_ttl_secs", broken(|s| s.message_ttl_secs = 0.0)),
+            ("area_km2", infinite("area_km2", |s| s.area_km2 = SENTINEL)),
+            (
+                "duration_secs",
+                infinite("duration_secs", |s| s.duration_secs = SENTINEL),
+            ),
+            (
+                "crash_down_secs",
+                infinite("crash_down_secs", |s| {
+                    s.chaos = Some(FaultPlan {
+                        crash_per_hour: 60.0,
+                        crash_down_secs: SENTINEL,
+                        ..FaultPlan::default()
+                    });
+                }),
+            ),
+            (
+                "link_cut_secs",
+                infinite("link_cut_secs", |s| {
+                    s.chaos = Some(FaultPlan {
+                        link_cut_per_hour: 60.0,
+                        link_cut_secs: SENTINEL,
+                        ..FaultPlan::default()
+                    });
+                }),
+            ),
+            (
+                "battery_spike_joules",
+                infinite("battery_spike_joules", |s| {
+                    s.chaos = Some(FaultPlan {
+                        battery_spike_per_hour: 60.0,
+                        battery_spike_joules: SENTINEL,
+                        ..FaultPlan::default()
+                    });
+                }),
+            ),
         ] {
-            std::fs::write(&path, serde_json::to_string(&s).expect("json")).expect("write");
+            std::fs::write(&path, text).expect("write");
             let run = parse_args(&["run".to_owned(), path.to_str().expect("utf8").to_owned()])
                 .expect("run parses");
             let err = execute(run).expect_err("an invalid scenario must not run");

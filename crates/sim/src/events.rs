@@ -48,12 +48,15 @@
 //! it is part of stays hot. A cell crossing only watches the pairs the new
 //! neighbourhood brings into adjacency (see [`ContactEngine::collect`]).
 //!
-//! Region parallelism: watched pairs are sharded into `threads` regions
-//! (stable pair → region assignment), each with its own heap, watch map,
-//! and hot set. Regions step in parallel between per-step epoch barriers
-//! and merge their transitions in region order; the merged downs and ups
-//! are each sorted, so the output is independent of the region count and
-//! the worker count. See DESIGN.md §15 for the full determinism argument.
+//! Region parallelism: watched pairs are sharded into one region per
+//! worker thread (stable pair → region assignment), each with its own
+//! queue, watch set and hot list. The kernel builds `min(threads, host
+//! cores)` regions. Each step the calling thread steps the first region
+//! and one scoped thread steps each other region, between two barriers;
+//! this is the kernel's only parallel phase. Regions merge their
+//! transitions in region order, and the merged downs and ups are each
+//! sorted, so the output is independent of the region count. See
+//! DESIGN.md §15 for the full determinism argument.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -244,7 +247,7 @@ type PairSet = crate::fxhash::FxHashSet<ContactKey>;
 /// One shard of the watch set: an independent event queue, member set,
 /// and hot list. A pair maps to exactly one region for its whole life
 /// (stable id-based assignment), so regions never race: between epoch
-/// barriers each region is touched by exactly one worker.
+/// barriers each region is touched by exactly one thread.
 ///
 /// A watched pair lives in exactly one place, which carries its in-range
 /// flag from its last test: the hot list (tested every step), the queue
@@ -311,9 +314,11 @@ pub struct ContactEngine {
 impl ContactEngine {
     /// Builds an engine over `area` with the given radio `range`, step
     /// length, and region count, watching the pairs implied by the
-    /// initial `positions`. `vmax` carries each node's speed cap. Nothing
-    /// has been reported yet, so the first [`Self::collect`] reports every
-    /// pair in range as an up.
+    /// initial `positions`. `vmax` carries each node's speed cap. Each
+    /// region is stepped by its own thread, so `regions` is also the
+    /// number of threads [`Self::collect`] uses. Nothing has been reported
+    /// yet, so the first [`Self::collect`] reports every pair in range as
+    /// an up.
     ///
     /// # Panics
     ///
@@ -406,14 +411,13 @@ impl ContactEngine {
 
     /// Reports the transitions for `step`: `downs` receives the pairs that
     /// left range since the previous step and `ups` the pairs that
-    /// entered it, each sorted. Both buffers are cleared first. `workers`
-    /// bounds the OS threads used for the region phase; it is
-    /// wall-clock-only and never affects the output.
+    /// entered it, each sorted. Both buffers are cleared first. The
+    /// regions step on one thread each: the calling thread steps the
+    /// first, and one scoped thread is spawned per other region.
     pub fn collect(
         &mut self,
         step: u64,
         positions: &[Point],
-        workers: usize,
         downs: &mut Vec<ContactKey>,
         ups: &mut Vec<ContactKey>,
     ) {
@@ -455,35 +459,24 @@ impl ContactEngine {
         }
         // Phase 3 (parallel epoch): each region scans its hot list and
         // fires its due pair rechecks, writing transitions to its own
-        // buffers. Regions are disjoint, so any worker partition computes
-        // identical region states.
+        // buffers. Regions are disjoint, so they share no mutable state.
         let shared = EngineShared::new(self.range, self.dt_secs, &self.node_cell, &self.vmax);
-        let workers = workers.max(1).min(self.regions.len());
-        if workers > 1 {
-            let per = self.regions.len().div_ceil(workers);
-            std::thread::scope(|s| {
-                let mut chunks = self.regions.chunks_mut(per);
-                // The calling thread steps the first chunk itself.
-                let first = chunks.next();
-                for chunk in chunks {
-                    let shared = &shared;
-                    s.spawn(move || {
-                        for region in chunk {
-                            region.step(step, positions, shared);
-                        }
-                    });
-                }
-                for region in first.into_iter().flatten() {
-                    region.step(step, positions, &shared);
-                }
-            });
-        } else {
-            for region in &mut self.regions {
-                region.step(step, positions, &shared);
+        if let [first, rest @ ..] = self.regions.as_mut_slice() {
+            if rest.is_empty() {
+                first.step(step, positions, &shared);
+            } else {
+                std::thread::scope(|s| {
+                    for region in rest {
+                        let shared = &shared;
+                        s.spawn(move || region.step(step, positions, shared));
+                    }
+                    // The calling thread steps the first region itself.
+                    first.step(step, positions, &shared);
+                });
             }
         }
         // Phase 4 (serial): merge in region order, then sort, so the
-        // output is independent of the region/worker partition.
+        // output is independent of the region count.
         downs.clear();
         ups.clear();
         for region in &self.regions {
@@ -522,6 +515,12 @@ impl ContactEngine {
         });
     }
 
+    /// Number of regions, one per thread of the region phase.
+    #[cfg(test)]
+    pub(crate) fn region_count(&self) -> usize {
+        self.regions.len()
+    }
+
     /// Total watched pairs across all regions (diagnostics).
     #[must_use]
     pub fn watched_pairs(&self) -> usize {
@@ -531,9 +530,9 @@ impl ContactEngine {
     /// Exact pair distance tests made by [`Self::collect`] since the
     /// engine was built or last rebuilt: hot-set scans, due rechecks that
     /// were not stale, and first tests of the pairs a cell crossing brings
-    /// into adjacency. A function of
-    /// the scenario and seed alone, independent of the region and worker
-    /// counts. Restarts from zero on a rebuild (a snapshot restore).
+    /// into adjacency. A function of the scenario and seed alone,
+    /// independent of the region count. Restarts from zero on a rebuild (a
+    /// snapshot restore).
     #[must_use]
     pub fn pair_checks(&self) -> u64 {
         self.regions.iter().map(|r| r.checks).sum()
@@ -993,11 +992,11 @@ mod tests {
         let (mut total_downs, mut total_ups) = (0, 0);
         for step in 0..400u64 {
             walk.step();
-            engine.collect(step, &walk.positions, 2, &mut downs, &mut ups);
+            engine.collect(step, &walk.positions, &mut downs, &mut ups);
             let now = walk.in_range();
             assert_eq!(downs, minus(&before, &now), "step {step}: downs diverged");
             assert_eq!(ups, minus(&now, &before), "step {step}: ups diverged");
-            serial.collect(step, &walk.positions, 1, &mut serial_downs, &mut serial_ups);
+            serial.collect(step, &walk.positions, &mut serial_downs, &mut serial_ups);
             assert_eq!((&serial_downs, &serial_ups), (&downs, &ups));
             total_downs += downs.len();
             total_ups += ups.len();
@@ -1023,8 +1022,8 @@ mod tests {
                 rebuilt.rebuild(&walk.positions, step);
             }
             walk.step();
-            kept.collect(step, &walk.positions, 1, &mut downs, &mut ups);
-            rebuilt.collect(step, &walk.positions, 3, &mut downs_r, &mut ups_r);
+            kept.collect(step, &walk.positions, &mut downs, &mut ups);
+            rebuilt.collect(step, &walk.positions, &mut downs_r, &mut ups_r);
             assert_eq!(downs_r, downs, "step {step}: downs differ after rebuild");
             assert_eq!(ups_r, ups, "step {step}: ups differ after rebuild");
             if step >= 57 {
@@ -1056,12 +1055,12 @@ mod tests {
             vec![0.0; 3],
         );
         let (mut downs, mut ups) = (Vec::new(), Vec::new());
-        engine.collect(0, &positions, 1, &mut downs, &mut ups);
+        engine.collect(0, &positions, &mut downs, &mut ups);
         assert_eq!(ups, vec![ContactKey(NodeId(0), NodeId(1))]);
         assert!(downs.is_empty());
         assert_eq!(engine.pair_checks(), 1);
         for step in 1..50 {
-            engine.collect(step, &positions, 1, &mut downs, &mut ups);
+            engine.collect(step, &positions, &mut downs, &mut ups);
             assert!(downs.is_empty() && ups.is_empty());
         }
         assert_eq!(engine.pair_checks(), 1, "a pinned pair is never re-tested");
@@ -1087,10 +1086,10 @@ mod tests {
         );
         let (mut downs, mut ups) = (Vec::new(), Vec::new());
         for step in 0..45 {
-            engine.collect(step, &positions, 1, &mut downs, &mut ups);
+            engine.collect(step, &positions, &mut downs, &mut ups);
         }
         assert_eq!(engine.pair_checks(), 1, "tested once, at the first collect");
-        engine.collect(45, &positions, 1, &mut downs, &mut ups);
+        engine.collect(45, &positions, &mut downs, &mut ups);
         assert_eq!(engine.pair_checks(), 2, "re-tested at its predicted exit");
         assert!(downs.is_empty() && ups.is_empty());
     }

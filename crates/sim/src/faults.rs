@@ -87,7 +87,7 @@ impl FaultPlan {
     ///
     /// Returns a description of the first problem found: negative or
     /// non-finite rates, probabilities outside `[0, 1]`, or non-positive
-    /// durations/magnitudes on an active fault class.
+    /// or non-finite durations/magnitudes on an active fault class.
     pub fn validate(&self) -> Result<(), String> {
         let rate = |name: &str, v: f64| {
             if v.is_finite() && v >= 0.0 {
@@ -110,31 +110,23 @@ impl FaultPlan {
         };
         prob("transfer_loss_prob", self.transfer_loss_prob)?;
         prob("transfer_corrupt_prob", self.transfer_corrupt_prob)?;
-        // `is_nan() || <= 0` rather than `!(v > 0.0)`: same NaN-rejecting
-        // semantics, readable to clippy.
-        if self.crash_per_hour > 0.0
-            && (self.crash_down_secs.is_nan() || self.crash_down_secs <= 0.0)
-        {
-            return Err(format!(
-                "crash_down_secs must be positive when crashes are enabled, got {}",
-                self.crash_down_secs
-            ));
+        let span = |name: &str, v: f64, class: &str| {
+            if v.is_finite() && v > 0.0 {
+                Ok(())
+            } else {
+                Err(format!(
+                    "{name} must be finite and positive when {class} are enabled, got {v}"
+                ))
+            }
+        };
+        if self.crash_per_hour > 0.0 {
+            span("crash_down_secs", self.crash_down_secs, "crashes")?;
         }
-        if self.link_cut_per_hour > 0.0
-            && (self.link_cut_secs.is_nan() || self.link_cut_secs <= 0.0)
-        {
-            return Err(format!(
-                "link_cut_secs must be positive when link cuts are enabled, got {}",
-                self.link_cut_secs
-            ));
+        if self.link_cut_per_hour > 0.0 {
+            span("link_cut_secs", self.link_cut_secs, "link cuts")?;
         }
-        if self.battery_spike_per_hour > 0.0
-            && (self.battery_spike_joules.is_nan() || self.battery_spike_joules <= 0.0)
-        {
-            return Err(format!(
-                "battery_spike_joules must be positive when spikes are enabled, got {}",
-                self.battery_spike_joules
-            ));
+        if self.battery_spike_per_hour > 0.0 {
+            span("battery_spike_joules", self.battery_spike_joules, "spikes")?;
         }
         Ok(())
     }
@@ -601,6 +593,16 @@ mod tests {
             ..FaultPlan::default()
         };
         assert!(p.validate().is_err());
+        // Infinite spans and magnitudes on an active class: the kernel
+        // panics on each, so the spec is refused up front.
+        for (spec, field) in [
+            ("crash=60,crashdown=inf", "crash_down_secs"),
+            ("cut=60,cutdown=inf", "link_cut_secs"),
+            ("spike=60,spikej=inf", "battery_spike_joules"),
+        ] {
+            let err = spec.parse::<FaultPlan>().expect_err(spec);
+            assert!(err.contains(field), "{spec}: {err}");
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::geometry::{Area, Point};
 use crate::invariants::{self, InvariantChecker, InvariantCheckerState};
 use crate::message::{Keyword, MessageBody, MessageCopy, MessageId, Priority, Quality};
 use crate::metrics::{KernelCounters, MetricsRegistry, Phase, PhaseProfiler};
-use crate::mobility::{MobilityModel, RandomWaypointFleet};
+use crate::mobility::MobilityModel;
 use crate::protocol::{Protocol, Reception};
 use crate::radio::RadioConfig;
 use crate::rng::{RngState, SimRng};
@@ -668,11 +668,12 @@ impl SimulationBuilder {
         self
     }
 
-    /// Sets the shard count for the data-parallel step phases: mobility
-    /// stepping, and the event core's contact regions (the time-stepped
-    /// sweep is serial). Default 1 = the serial path. Output is
-    /// byte-identical at any value: sharding changes who computes each
-    /// node's step, never what is computed — see DESIGN.md §10 for the
+    /// Sets how many OS threads may step the event core's contact
+    /// regions. The core gets one region per worker, `min(n, host cores)`;
+    /// mobility and the time-stepped sweep are serial. Default 1 = the
+    /// serial path. Output is byte-identical at any value: the merged
+    /// transitions are sorted, so the region count changes who tests each
+    /// pair, never what is reported — see DESIGN.md §10 for the
     /// determinism argument.
     ///
     /// # Panics
@@ -869,25 +870,25 @@ impl SimulationBuilder {
             .zip(node_rngs.iter_mut())
             .map(|(m, r)| m.initial_position(self.area, r))
             .collect();
-        // SoA fast path: a homogeneous Random Waypoint population (the
-        // paper's only mobility model) packs into column vectors; mixed
-        // populations keep the boxed models. Both layouts step nodes
-        // byte-identically.
-        let mobility = match RandomWaypointFleet::from_models(&self.mobilities) {
-            Some(fleet) => MobilityStore::Fleet(fleet),
-            None => MobilityStore::Boxed(self.mobilities),
-        };
         let core = match self.kernel_mode {
             KernelMode::EventDriven => {
-                let vmax: Vec<f64> = (0..n)
-                    .map(|i| mobility.speed_cap(i).unwrap_or(f64::INFINITY))
+                let vmax: Vec<f64> = self
+                    .mobilities
+                    .iter()
+                    .map(|m| m.speed_cap_m_s().unwrap_or(f64::INFINITY))
                     .collect();
+                // One region per worker: a region count above the host's
+                // cores would only queue threads. Output does not depend
+                // on it (the merged transitions are sorted).
+                let workers = self
+                    .threads
+                    .min(std::thread::available_parallelism().map_or(1, usize::from));
                 ContactCore::Events {
                     engine: Box::new(ContactEngine::new(
                         self.area,
                         self.radio.range_m,
                         self.step.as_secs(),
-                        self.threads,
+                        workers,
                         &positions,
                         vmax,
                     )),
@@ -937,16 +938,9 @@ impl SimulationBuilder {
                 rng_root,
             },
             protocol,
-            mobility,
+            mobilities: self.mobilities,
             node_rngs,
             threads: self.threads,
-            // OS threads actually spawned per phase: capped by the host's
-            // core count. Purely a wall-clock decision — shard boundaries
-            // and merge order depend only on `threads`, so a 8-thread run
-            // on a 1-core box is byte-identical to the same run on 8 cores.
-            workers: self
-                .threads
-                .min(std::thread::available_parallelism().map_or(1, usize::from)),
             core,
             schedule: self.schedule,
             next_scheduled: 0,
@@ -979,8 +973,8 @@ impl SimulationBuilder {
 /// [`SnapshotError::Mismatch`] instead of silently steering the run.
 ///
 /// Deliberately *not* captured, because it is derived or wall-clock-only:
-/// the contact core's state (rebuilt from positions), scratch pair
-/// buffers, the worker count, the phase profiler, and the event core's
+/// the contact core's state (rebuilt from positions) and its region
+/// count, scratch pair buffers, the phase profiler, and the event core's
 /// pair-check count.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorldState {
@@ -1043,49 +1037,6 @@ pub struct WorldState {
     pub protocol: serde::Value,
 }
 
-/// Per-node mobility state in one of two layouts: boxed trait objects
-/// (heterogeneous populations) or the struct-of-arrays
-/// [`RandomWaypointFleet`] (homogeneous Random Waypoint worlds — every
-/// scenario in the paper). The layouts step nodes byte-identically and
-/// write interchangeable snapshot documents; the fleet is purely a
-/// cache-density and dispatch win on the mobility hot path.
-#[derive(Debug)]
-enum MobilityStore {
-    Boxed(Vec<Box<dyn MobilityModel>>),
-    Fleet(RandomWaypointFleet),
-}
-
-impl MobilityStore {
-    fn len(&self) -> usize {
-        match self {
-            MobilityStore::Boxed(models) => models.len(),
-            MobilityStore::Fleet(fleet) => fleet.len(),
-        }
-    }
-
-    /// Node `i`'s displacement bound, m/s, if its model promises one.
-    fn speed_cap(&self, i: usize) -> Option<f64> {
-        match self {
-            MobilityStore::Boxed(models) => models[i].speed_cap_m_s(),
-            MobilityStore::Fleet(fleet) => Some(fleet.speed_cap(i)),
-        }
-    }
-
-    fn snapshot_state(&self, i: usize) -> serde::Value {
-        match self {
-            MobilityStore::Boxed(models) => models[i].snapshot_state(),
-            MobilityStore::Fleet(fleet) => fleet.snapshot_state(i),
-        }
-    }
-
-    fn restore_state(&mut self, i: usize, doc: &serde::Value) -> Result<(), String> {
-        match self {
-            MobilityStore::Boxed(models) => models[i].restore_state(doc),
-            MobilityStore::Fleet(fleet) => fleet.restore_state(i, doc),
-        }
-    }
-}
-
 /// The contact-detection core of a world, the state it derives from node
 /// positions, and its reusable pair buffers. Neither core's state is
 /// serialized: the sweep rebuilds its grid every step, and a restore
@@ -1126,13 +1077,11 @@ impl ContactCore {
 pub struct Simulation<P> {
     api: SimApi,
     protocol: P,
-    mobility: MobilityStore,
+    /// One mobility model per node, stepped serially in node order.
+    mobilities: Vec<Box<dyn MobilityModel>>,
     node_rngs: Vec<SimRng>,
-    /// Configured shard count for the data-parallel phases (≥ 1).
+    /// Configured thread bound for the event core's region phase (≥ 1).
     threads: usize,
-    /// OS threads actually used (`min(threads, host cores)`); wall-clock
-    /// only, never affects output.
-    workers: usize,
     /// The contact-detection core this world runs on, with its state.
     core: ContactCore,
     schedule: Vec<ScheduledMessage>,
@@ -1168,7 +1117,9 @@ impl<P: Protocol> Simulation<P> {
         self.seed
     }
 
-    /// The configured shard count for the data-parallel step phases.
+    /// The configured thread bound for the event core's region phase, as
+    /// passed to [`SimulationBuilder::threads`]. The core runs
+    /// `min(threads, host cores)` regions.
     #[must_use]
     pub fn threads(&self) -> usize {
         self.threads
@@ -1282,9 +1233,7 @@ impl<P: Protocol> Simulation<P> {
             positions: self.api.positions.clone(),
             rng_root: self.api.rng_root.state(),
             node_rngs: self.node_rngs.iter().map(SimRng::state).collect(),
-            mobility: (0..self.mobility.len())
-                .map(|i| self.mobility.snapshot_state(i))
-                .collect(),
+            mobility: self.mobilities.iter().map(|m| m.snapshot_state()).collect(),
             buffers: self.api.buffers.iter().map(Buffer::export_state).collect(),
             bodies,
             contacts: self.api.contacts.export_state(),
@@ -1489,9 +1438,9 @@ impl<P: Protocol> Simulation<P> {
         for (rng, s) in self.node_rngs.iter_mut().zip(&state.node_rngs) {
             *rng = SimRng::from_state(*s);
         }
-        for (i, doc) in state.mobility.iter().enumerate() {
-            self.mobility
-                .restore_state(i, doc)
+        for (i, (model, doc)) in self.mobilities.iter_mut().zip(&state.mobility).enumerate() {
+            model
+                .restore_state(doc)
                 .map_err(|e| mismatch(format!("node {i} mobility: {e}")))?;
         }
         if let (Some(scheduler), Some(doc)) = (self.retries.as_mut(), state.retries.as_ref()) {
@@ -1550,58 +1499,19 @@ impl<P: Protocol> Simulation<P> {
         let now = self.api.now;
         let step_scope = self.profiler.start();
 
-        // 1. Movement. Each node's next position depends only on its own
-        // mobility state and its own RNG stream (`node_rngs[i]`), so the
-        // node axis is data-parallel: any partition computes identical
-        // positions and leaves every RNG in an identical state.
+        // 1. Movement, serial in node order. Each node's next position
+        // depends only on its own mobility state and its own RNG stream
+        // (`node_rngs[i]`).
         let scope = self.profiler.start();
-        let n = self.mobility.len();
-        let mobility_chunk = if self.workers > 1 && n > 1 {
-            n.div_ceil(self.workers)
-        } else {
-            n
-        };
-        match &mut self.mobility {
-            MobilityStore::Fleet(fleet) => {
-                fleet.step_all(
-                    &mut self.api.positions,
-                    &mut self.node_rngs,
-                    dt,
-                    self.api.area,
-                    mobility_chunk,
-                );
-            }
-            MobilityStore::Boxed(mobilities) => {
-                if mobility_chunk < n {
-                    let area = self.api.area;
-                    std::thread::scope(|s| {
-                        for ((positions, mobilities), rngs) in self
-                            .api
-                            .positions
-                            .chunks_mut(mobility_chunk)
-                            .zip(mobilities.chunks_mut(mobility_chunk))
-                            .zip(self.node_rngs.chunks_mut(mobility_chunk))
-                        {
-                            s.spawn(move || {
-                                for ((p, m), r) in positions.iter_mut().zip(mobilities).zip(rngs) {
-                                    *p = m.step(*p, dt, area, r);
-                                }
-                            });
-                        }
-                    });
-                } else {
-                    for ((p, m), r) in self
-                        .api
-                        .positions
-                        .iter_mut()
-                        .zip(mobilities.iter_mut())
-                        .zip(self.node_rngs.iter_mut())
-                        .take(n)
-                    {
-                        *p = m.step(*p, dt, self.api.area, r);
-                    }
-                }
-            }
+        let area = self.api.area;
+        for ((p, m), r) in self
+            .api
+            .positions
+            .iter_mut()
+            .zip(self.mobilities.iter_mut())
+            .zip(self.node_rngs.iter_mut())
+        {
+            *p = m.step(*p, dt, area, r);
         }
         self.profiler.stop(Phase::Mobility, scope);
 
@@ -1939,7 +1849,7 @@ impl<P: Protocol> Simulation<P> {
                         .iter()
                         .map(move |&peer| ContactKey::new(node, peer))
                 };
-                engine.collect(api.counters.steps, positions, self.workers, downs, ups);
+                engine.collect(api.counters.steps, positions, downs, ups);
                 // Leaving range closes only an open contact: a pair kept
                 // apart by a dead radio, a crash or a cut has none.
                 downs.retain(|k| contacts.is_up(k.0, k.1));
@@ -2570,6 +2480,38 @@ mod tests {
         let serial = checks(1);
         assert!(serial > 0, "the engine tests pairs");
         assert_eq!(checks(3), serial);
+    }
+
+    /// The event core holds one region per worker, not one per requested
+    /// thread: a world asking for 4,096 threads builds at most one region
+    /// per host core, and runs byte-identically to the serial world.
+    #[test]
+    fn region_count_is_bounded_by_the_host() {
+        let run = |threads: usize| {
+            let mut sim = SimulationBuilder::new(Area::new(200.0, 200.0), 9)
+                .threads(threads)
+                .nodes(
+                    3,
+                    || Box::new(crate::mobility::RandomWaypoint::pedestrian()),
+                )
+                .messages((0..6u32).map(|i| msg(f64::from(i) * 60.0, i % 3)))
+                .trace(TraceLog::unbounded())
+                .build(PushAll);
+            let ContactCore::Events { engine, .. } = &sim.core else {
+                panic!("the event core is the default");
+            };
+            let regions = engine.region_count();
+            let summary = sim.run_until(SimTime::from_secs(900.0));
+            (regions, sim.api().trace().render(), summary)
+        };
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        let (regions, trace, summary) = run(4096);
+        assert!(regions <= cores, "{regions} regions on {cores} cores");
+        let (serial_regions, serial_trace, serial_summary) = run(1);
+        assert_eq!(serial_regions, 1);
+        assert!(summary.relays_completed > 0, "the world moves messages");
+        assert_eq!(trace, serial_trace);
+        assert_eq!(summary, serial_summary);
     }
 
     #[test]

@@ -77,8 +77,7 @@ pub mod prelude {
         Histogram, KernelCounters, MetricsRegistry, Phase, PhaseProfiler, PhaseTiming,
     };
     pub use crate::mobility::{
-        MobilityModel, RandomWalk, RandomWaypoint, RandomWaypointFleet, ScriptedWaypoints,
-        Stationary,
+        MobilityModel, RandomWalk, RandomWaypoint, ScriptedWaypoints, Stationary,
     };
     pub use crate::mobility_map::ManhattanGrid;
     pub use crate::protocol::{NullProtocol, Protocol, Reception};

@@ -4,6 +4,13 @@
 //! experiments are conducted under Random Waypoint mobility model"). The
 //! other models here support testing, the Paper II demo walkthrough
 //! (scripted three-node topology), and extension experiments.
+//!
+//! The kernel holds one boxed [`MobilityModel`] per node and steps every
+//! node in node order on the calling thread. A node's step reads and
+//! writes only its own model state and its own RNG stream, so the order
+//! is fixed by the data. Every model takes this one path; mobility is
+//! about 1% of a step in the paper's worlds, so it is not split across
+//! threads.
 
 use serde::{Deserialize, Serialize};
 
@@ -52,13 +59,6 @@ pub trait MobilityModel: std::fmt::Debug + Send {
     /// from this bound; `None` (the default) is always safe and degrades
     /// that node's pairs to a per-step check.
     fn speed_cap_m_s(&self) -> Option<f64> {
-        None
-    }
-
-    /// Downcast hook for the struct-of-arrays fast path: models that are
-    /// plain [`RandomWaypoint`] walkers return themselves so a homogeneous
-    /// population can be packed into a [`RandomWaypointFleet`].
-    fn as_random_waypoint(&self) -> Option<&RandomWaypoint> {
         None
     }
 }
@@ -188,262 +188,6 @@ impl MobilityModel for RandomWaypoint {
 
     fn speed_cap_m_s(&self) -> Option<f64> {
         Some(self.max_speed)
-    }
-
-    fn as_random_waypoint(&self) -> Option<&RandomWaypoint> {
-        Some(self)
-    }
-}
-
-/// A homogeneous Random Waypoint population in struct-of-arrays layout.
-///
-/// The kernel's mobility phase walks every node every step; with boxed
-/// trait objects that is a pointer chase per node. When every node is a
-/// plain [`RandomWaypoint`] (the paper's only mobility model), the walk
-/// state packs into parallel columns — one cache line serves several
-/// nodes, and the per-chunk parallel split needs no `dyn` dispatch.
-///
-/// The per-node step logic is an exact replica of
-/// [`RandomWaypoint::step`]: the same RNG draws in the same order, the
-/// same floating-point expressions. A fleet-stepped world is
-/// byte-identical to a boxed-model world (asserted in tests), and
-/// per-node snapshot documents round-trip across the two layouts.
-#[derive(Debug, Clone)]
-pub struct RandomWaypointFleet {
-    min_speed: Vec<f64>,
-    max_speed: Vec<f64>,
-    max_pause: Vec<f64>,
-    /// Walk phase per node: [`FLEET_NEED_TARGET`] / [`FLEET_WALKING`] /
-    /// [`FLEET_PAUSED`].
-    phase: Vec<u8>,
-    target: Vec<Point>,
-    speed: Vec<f64>,
-    remaining: Vec<f64>,
-}
-
-const FLEET_NEED_TARGET: u8 = 0;
-const FLEET_WALKING: u8 = 1;
-const FLEET_PAUSED: u8 = 2;
-
-impl RandomWaypointFleet {
-    /// Packs `models` into a fleet when every one is a [`RandomWaypoint`]
-    /// (any parameters, any mid-walk state); `None` as soon as one is not.
-    #[must_use]
-    pub fn from_models(models: &[Box<dyn MobilityModel>]) -> Option<Self> {
-        let mut fleet = RandomWaypointFleet {
-            min_speed: Vec::with_capacity(models.len()),
-            max_speed: Vec::with_capacity(models.len()),
-            max_pause: Vec::with_capacity(models.len()),
-            phase: Vec::with_capacity(models.len()),
-            target: Vec::with_capacity(models.len()),
-            speed: Vec::with_capacity(models.len()),
-            remaining: Vec::with_capacity(models.len()),
-        };
-        for model in models {
-            let w = model.as_random_waypoint()?;
-            fleet.min_speed.push(w.min_speed);
-            fleet.max_speed.push(w.max_speed);
-            fleet.max_pause.push(w.max_pause_secs);
-            let (phase, target, speed, remaining) = match &w.state {
-                WaypointState::NeedTarget => (FLEET_NEED_TARGET, Point::ORIGIN, 0.0, 0.0),
-                WaypointState::Walking { target, speed } => (FLEET_WALKING, *target, *speed, 0.0),
-                WaypointState::Paused { remaining } => {
-                    (FLEET_PAUSED, Point::ORIGIN, 0.0, *remaining)
-                }
-            };
-            fleet.phase.push(phase);
-            fleet.target.push(target);
-            fleet.speed.push(speed);
-            fleet.remaining.push(remaining);
-        }
-        Some(fleet)
-    }
-
-    /// Number of nodes in the fleet.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.phase.len()
-    }
-
-    /// Whether the fleet is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.phase.is_empty()
-    }
-
-    /// Node `i`'s speed cap (its `max_speed`).
-    #[must_use]
-    pub fn speed_cap(&self, i: usize) -> f64 {
-        self.max_speed[i]
-    }
-
-    /// Advances every node by `dt`, writing new positions in place.
-    /// `chunk` is the shard width of the data-parallel split; a chunk
-    /// covering all nodes runs serially on the calling thread. Sharding
-    /// is wall-clock-only: each node's step reads and writes only its own
-    /// columns and its own RNG, so any partition computes the same state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `positions` or `rngs` disagree with the fleet length, or
-    /// `chunk` is zero.
-    pub fn step_all(
-        &mut self,
-        positions: &mut [Point],
-        rngs: &mut [SimRng],
-        dt: SimDuration,
-        area: Area,
-        chunk: usize,
-    ) {
-        let n = self.len();
-        assert_eq!(positions.len(), n, "one position per node");
-        assert_eq!(rngs.len(), n, "one RNG stream per node");
-        assert!(chunk > 0, "chunk width must be positive");
-        if chunk >= n {
-            step_fleet_slice(
-                positions,
-                rngs,
-                &self.min_speed,
-                &self.max_speed,
-                &self.max_pause,
-                &mut self.phase,
-                &mut self.target,
-                &mut self.speed,
-                &mut self.remaining,
-                dt,
-                area,
-            );
-            return;
-        }
-        std::thread::scope(|s| {
-            let iter = positions
-                .chunks_mut(chunk)
-                .zip(rngs.chunks_mut(chunk))
-                .zip(self.min_speed.chunks(chunk))
-                .zip(self.max_speed.chunks(chunk))
-                .zip(self.max_pause.chunks(chunk))
-                .zip(self.phase.chunks_mut(chunk))
-                .zip(self.target.chunks_mut(chunk))
-                .zip(self.speed.chunks_mut(chunk))
-                .zip(self.remaining.chunks_mut(chunk));
-            for ((((((((pos, rng), min_s), max_s), max_p), phase), target), speed), remaining) in
-                iter
-            {
-                s.spawn(move || {
-                    step_fleet_slice(
-                        pos, rng, min_s, max_s, max_p, phase, target, speed, remaining, dt, area,
-                    );
-                });
-            }
-        });
-    }
-
-    /// Node `i`'s walk state as the same opaque document a boxed
-    /// [`RandomWaypoint`] writes, so snapshots are layout-independent.
-    #[must_use]
-    pub fn snapshot_state(&self, i: usize) -> serde::Value {
-        let state = match self.phase[i] {
-            FLEET_NEED_TARGET => WaypointState::NeedTarget,
-            FLEET_WALKING => WaypointState::Walking {
-                target: self.target[i],
-                speed: self.speed[i],
-            },
-            _ => WaypointState::Paused {
-                remaining: self.remaining[i],
-            },
-        };
-        state.to_value()
-    }
-
-    /// Restores node `i`'s walk state from a document written by either
-    /// layout.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the mismatch when `state` is not a
-    /// Random Waypoint walk document.
-    pub fn restore_state(&mut self, i: usize, state: &serde::Value) -> Result<(), String> {
-        let state = WaypointState::from_value(state)
-            .map_err(|e| format!("random-waypoint state does not parse: {e}"))?;
-        let (phase, target, speed, remaining) = match state {
-            WaypointState::NeedTarget => (FLEET_NEED_TARGET, Point::ORIGIN, 0.0, 0.0),
-            WaypointState::Walking { target, speed } => (FLEET_WALKING, target, speed, 0.0),
-            WaypointState::Paused { remaining } => (FLEET_PAUSED, Point::ORIGIN, 0.0, remaining),
-        };
-        self.phase[i] = phase;
-        self.target[i] = target;
-        self.speed[i] = speed;
-        self.remaining[i] = remaining;
-        Ok(())
-    }
-}
-
-/// The fleet's per-node step kernel over one shard of the columns. Must
-/// mirror [`RandomWaypoint::step`] exactly — same draws, same arithmetic,
-/// same order — or fleet and boxed worlds drift apart.
-#[allow(clippy::too_many_arguments)] // the SoA column list
-fn step_fleet_slice(
-    positions: &mut [Point],
-    rngs: &mut [SimRng],
-    min_speed: &[f64],
-    max_speed: &[f64],
-    max_pause: &[f64],
-    phase: &mut [u8],
-    target: &mut [Point],
-    speed: &mut [f64],
-    remaining: &mut [f64],
-    dt: SimDuration,
-    area: Area,
-) {
-    for i in 0..positions.len() {
-        let rng = &mut rngs[i];
-        let mut pos = positions[i];
-        let mut budget = dt.as_secs();
-        while budget > 0.0 {
-            match phase[i] {
-                FLEET_NEED_TARGET => {
-                    target[i] =
-                        Point::new(rng.uniform(0.0, area.width), rng.uniform(0.0, area.height));
-                    speed[i] = if max_speed[i] > min_speed[i] {
-                        rng.uniform(min_speed[i], max_speed[i])
-                    } else {
-                        min_speed[i]
-                    };
-                    phase[i] = FLEET_WALKING;
-                }
-                FLEET_WALKING => {
-                    let dist_left = pos.distance_to(target[i]);
-                    let dist_possible = speed[i] * budget;
-                    if dist_possible >= dist_left {
-                        pos = target[i];
-                        budget -= if speed[i] > 0.0 {
-                            dist_left / speed[i]
-                        } else {
-                            budget
-                        };
-                        remaining[i] = if max_pause[i] > 0.0 {
-                            rng.uniform(0.0, max_pause[i])
-                        } else {
-                            0.0
-                        };
-                        phase[i] = FLEET_PAUSED;
-                    } else {
-                        pos = pos.step_toward(target[i], dist_possible);
-                        budget = 0.0;
-                    }
-                }
-                _ => {
-                    if remaining[i] > budget {
-                        remaining[i] -= budget;
-                        budget = 0.0;
-                    } else {
-                        budget -= remaining[i];
-                        phase[i] = FLEET_NEED_TARGET;
-                    }
-                }
-            }
-        }
-        positions[i] = pos;
     }
 }
 

@@ -4,9 +4,13 @@ use proptest::prelude::*;
 
 use dtn_sim::buffer::{Buffer, DropPolicy, InsertOutcome};
 use dtn_sim::contact::{ContactEvent, ContactKey, ContactTable};
+use dtn_sim::events::KernelMode;
+use dtn_sim::faults::FaultPlan;
 use dtn_sim::geometry::{Area, Point};
+use dtn_sim::kernel::{ScheduledMessage, SimApi, SimulationBuilder};
 use dtn_sim::message::{Keyword, MessageBody, MessageCopy, MessageId, Priority, Quality};
 use dtn_sim::mobility::{MobilityModel, RandomWalk, RandomWaypoint};
+use dtn_sim::protocol::{Protocol, Reception};
 use dtn_sim::radio::RadioConfig;
 use dtn_sim::rng::SimRng;
 use dtn_sim::time::{SimDuration, SimTime};
@@ -270,5 +274,103 @@ proptest! {
         let _ = noise.next_u64();
         let mut after = root.stream(label);
         prop_assert_eq!(direct.next_u64(), after.next_u64());
+    }
+}
+
+/// The numeric `--chaos` keys.
+const CHAOS_KEYS: [&str; 8] = [
+    "crash",
+    "crashdown",
+    "cut",
+    "cutdown",
+    "spike",
+    "spikej",
+    "loss",
+    "corrupt",
+];
+
+/// The values a generated `--chaos` key takes: each field's domain edges
+/// and the values beyond them.
+const CHAOS_VALUES: [&str; 8] = ["0", "1e-300", "0.5", "60", "1e300", "inf", "NaN", "-1"];
+
+/// Offers every buffered message to every peer met, so transfers (and
+/// their loss and corruption rolls) happen.
+#[derive(Debug)]
+struct Flood;
+
+impl Protocol for Flood {
+    fn on_contact_up(&mut self, api: &mut SimApi, a: NodeId, b: NodeId) {
+        for (from, to) in [(a, b), (b, a)] {
+            for id in api.buffer(from).ids_sorted() {
+                if !api.buffer(to).contains(id) {
+                    api.send(from, to, id);
+                }
+            }
+        }
+    }
+
+    fn on_transfer_complete(&mut self, api: &mut SimApi, r: &Reception<'_>) {
+        let (to, id) = (r.transfer.to, r.transfer.message);
+        for peer in api.peers_of(to) {
+            if !api.buffer(peer).contains(id) {
+                api.send(to, peer, id);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Every `--chaos` spec that parses (parsing validates) drives a small
+    /// world with finite batteries for 600 steps, on either contact core,
+    /// without a panic: validation refuses every value the kernel cannot
+    /// run. Each key is absent, or takes a value from `CHAOS_VALUES`.
+    #[test]
+    fn valid_chaos_specs_never_panic_the_kernel(
+        picks in prop::collection::vec(0usize..10, 8..9),
+        wipe in prop::bool::ANY,
+        time_stepped in prop::bool::ANY
+    ) {
+        let mut spec: Vec<String> = CHAOS_KEYS
+            .iter()
+            .zip(&picks)
+            .filter_map(|(key, &pick)| CHAOS_VALUES.get(pick).map(|v| format!("{key}={v}")))
+            .collect();
+        if wipe {
+            spec.push("wipe".to_owned());
+        }
+        let spec = spec.join(",");
+        let Ok(plan) = spec.parse::<FaultPlan>() else {
+            return;
+        };
+        let mode = if time_stepped {
+            KernelMode::TimeStepped
+        } else {
+            KernelMode::EventDriven
+        };
+        let messages = (0..20u32).map(|k| ScheduledMessage {
+            at: SimTime::from_secs(f64::from(k) * 25.0),
+            source: NodeId(k % 12),
+            size_bytes: 200_000,
+            ttl_secs: 400.0,
+            priority: Priority::Medium,
+            quality: Quality::new(0.5),
+            ground_truth: vec![Keyword(1)],
+            source_tags: vec![Keyword(1)],
+            expected_destinations: vec![NodeId((k + 1) % 12)],
+        });
+        let mut sim = SimulationBuilder::new(Area::new(300.0, 300.0), 7)
+            .kernel_mode(mode)
+            .battery_joules(5.0)
+            .faults(plan)
+            .check_invariants_every(60)
+            .nodes(12, || Box::new(RandomWaypoint::pedestrian()))
+            .messages(messages)
+            .build(Flood);
+        for _ in 0..600 {
+            sim.step_once();
+        }
+        prop_assert!(sim.api().now() > SimTime::ZERO, "{spec}: the world ran");
     }
 }

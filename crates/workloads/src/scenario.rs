@@ -167,9 +167,10 @@ pub struct Scenario {
     /// every paper experiment — aborted transfers are simply lost.
     #[serde(default)]
     pub recovery: Option<dtn_sim::transfer::RecoveryPolicy>,
-    /// Shard count for the kernel's data-parallel step phases (mobility,
-    /// the event core's contact regions; the time-stepped sweep is
-    /// serial). `None` = 1 = the serial kernel. Output is byte-identical at
+    /// How many OS threads may step the event core's contact regions,
+    /// the kernel's only parallel phase; the core builds `min(threads,
+    /// host cores)` regions, and mobility and the time-stepped sweep are
+    /// serial. `None` = 1 = the serial kernel. Output is byte-identical at
     /// any value — this is a wall-clock knob only, so it is fair to sweep
     /// it on one scenario and compare against a serial baseline. Read
     /// through [`Scenario::effective_threads`].
@@ -219,11 +220,11 @@ impl Scenario {
         if self.nodes == 0 {
             return Err("a scenario needs nodes".into());
         }
-        if self.area_km2 <= 0.0 {
-            return Err("area must be positive".into());
+        if !(self.area_km2.is_finite() && self.area_km2 > 0.0) {
+            return Err("area_km2 must be finite and positive".into());
         }
-        if self.duration_secs <= 0.0 {
-            return Err("duration must be positive".into());
+        if !(self.duration_secs.is_finite() && self.duration_secs > 0.0) {
+            return Err("duration_secs must be finite and positive".into());
         }
         if self.buffer_bytes == 0 {
             return Err("buffer_bytes must be positive".into());
@@ -304,7 +305,7 @@ impl Scenario {
             .unwrap_or(dtn_routing::backend::BackendKind::ChitChat)
     }
 
-    /// The kernel shard count this scenario asks for (`threads`, default 1).
+    /// The kernel thread bound this scenario asks for (`threads`, default 1).
     #[must_use]
     pub fn effective_threads(&self) -> usize {
         self.threads.unwrap_or(1)
@@ -404,6 +405,52 @@ mod tests {
                 .expect_err(&format!("{field} = {v:?} must be rejected"));
             assert!(err.contains(field), "{field} = {v:?}: {err}");
         }
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_area_is_rejected() {
+        rejects("area_km2", &[0.0, -1.0, f64::NAN, f64::INFINITY], |s, v| {
+            s.area_km2 = v;
+        });
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_duration_is_rejected() {
+        rejects(
+            "duration_secs",
+            &[0.0, -60.0, f64::NAN, f64::INFINITY],
+            |s, v| s.duration_secs = v,
+        );
+    }
+
+    #[test]
+    fn infinite_chaos_spans_are_rejected() {
+        use dtn_sim::faults::FaultPlan;
+        rejects("crash_down_secs", &[f64::INFINITY, f64::NAN], |s, v| {
+            s.chaos = Some(FaultPlan {
+                crash_per_hour: 60.0,
+                crash_down_secs: v,
+                ..FaultPlan::default()
+            });
+        });
+        rejects("link_cut_secs", &[f64::INFINITY, f64::NAN], |s, v| {
+            s.chaos = Some(FaultPlan {
+                link_cut_per_hour: 60.0,
+                link_cut_secs: v,
+                ..FaultPlan::default()
+            });
+        });
+        rejects(
+            "battery_spike_joules",
+            &[f64::INFINITY, f64::NAN],
+            |s, v| {
+                s.chaos = Some(FaultPlan {
+                    battery_spike_per_hour: 60.0,
+                    battery_spike_joules: v,
+                    ..FaultPlan::default()
+                });
+            },
+        );
     }
 
     #[test]

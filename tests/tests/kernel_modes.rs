@@ -19,6 +19,7 @@ use dtn_integration_tests::fast_scenario;
 use dtn_sim::events::KernelMode;
 use dtn_sim::kernel::Simulation;
 use dtn_sim::snapshot::SnapshotError;
+use dtn_sim::stats::RunSummary;
 use dtn_sim::time::SimTime;
 use dtn_workloads::prelude::*;
 
@@ -322,5 +323,77 @@ fn battery_worlds_resume_from_several_points() {
             1,
             "{mode}: a dead radio held contacts at a step's end"
         );
+    }
+}
+
+/// Every observable surface of a finished world: the rendered trace, and
+/// the run summary and protocol stats as JSON.
+fn surfaces(sim: &Simulation<DcimRouter>, summary: &RunSummary) -> [String; 3] {
+    [
+        sim.api().trace().render(),
+        serde_json::to_string(summary).expect("summary serializes"),
+        serde_json::to_string(&sim.protocol().stats()).expect("stats serialize"),
+    ]
+}
+
+/// Every mobility model steps through the one serial mobility path, and
+/// each must agree byte for byte across both cores, threads 1 and 3, and
+/// a kill at 600 s and resume on each core. The reference is the
+/// time-stepped core at threads 1, run uninterrupted.
+#[test]
+fn every_mobility_model_agrees_across_cores_threads_and_resume() {
+    for mobility in [
+        Mobility::RandomWaypoint,
+        Mobility::RandomWalk,
+        Mobility::ManhattanGrid,
+    ] {
+        let mut scenario = fast_scenario();
+        scenario.nodes = 60;
+        scenario.area_km2 = 1.0;
+        scenario.duration_secs = 1200.0;
+        scenario.mobility = mobility;
+        let horizon = SimTime::from_secs(scenario.duration_secs);
+        let meta = |mode: KernelMode, threads: usize| {
+            let mut s = scenario.clone();
+            s.kernel_mode = Some(mode);
+            s.threads = Some(threads);
+            RunMeta {
+                scenario: s,
+                arm: Arm::Incentive,
+                seed: 101,
+                trace_capacity: Some(TRACE_CAPACITY),
+                check_every: Some(60),
+            }
+        };
+        let uninterrupted = |mode, threads| {
+            let mut sim = meta(mode, threads).build(false);
+            let summary = sim.run_until(horizon);
+            (surfaces(&sim, &summary), summary.relays_completed)
+        };
+        let (reference, relays) = uninterrupted(KernelMode::TimeStepped, 1);
+        assert!(relays > 0, "{mobility:?}: the world should move messages");
+        for mode in [KernelMode::EventDriven, KernelMode::TimeStepped] {
+            for threads in [1, 3] {
+                assert_eq!(
+                    uninterrupted(mode, threads).0,
+                    reference,
+                    "{mobility:?}: {mode} at threads {threads} differs from the reference"
+                );
+            }
+            let mut killed = meta(mode, 3).build(false);
+            while killed.api().now() < SimTime::from_secs(600.0) {
+                killed.step_once();
+            }
+            let mut resumed = meta(mode, 3).build(false);
+            resumed
+                .restore(&killed.snapshot())
+                .expect("same-mode restore is accepted");
+            let summary = resumed.run_until(horizon);
+            assert_eq!(
+                surfaces(&resumed, &summary),
+                reference,
+                "{mobility:?}: {mode} resumed at 600 s differs from the reference"
+            );
+        }
     }
 }
