@@ -34,14 +34,14 @@ use dtn_sim::message::{MessageId, Priority};
 use dtn_sim::protocol::{Protocol, Reception};
 use dtn_sim::rng::{RngState, SimRng};
 use dtn_sim::time::SimTime;
-use dtn_sim::world::NodeId;
+use dtn_sim::world::{check_node_ids, NodeId};
 
 use serde::{Deserialize, Serialize};
 
 use dtn_incentive::ledger::{TokenLedger, TokenLedgerState, Tokens};
 use dtn_incentive::params::Role;
 use dtn_incentive::promise::{software_incentive, tag_incentive, SoftwareFactors};
-use dtn_incentive::settlement::{award, relay_prepayment, AwardInputs, FirstDeliveryRegistry};
+use dtn_incentive::settlement::{award, relay_prepayment, AwardInputs};
 use dtn_reputation::rating::{relay_message_rating, source_message_rating};
 use dtn_reputation::table::{
     average_rating_of, GossipDigest, ReputationTable, ReputationTableState,
@@ -131,19 +131,19 @@ pub struct DcimRouter<B: RouterBackend = ChitChatBackend> {
     behaviors: Vec<NodeBehavior>,
     ledger: TokenLedger,
     reputation: Vec<ReputationTable>,
-    registry: FirstDeliveryRegistry,
     meta: FxHashMap<(NodeId, MessageId), CarriedMeta>,
     pending: FxHashMap<(NodeId, NodeId, MessageId), PendingOffer>,
     /// Open contacts as per-node sorted peer lists. `pair_is_open` is the
     /// single hottest membership test in the mechanism (every offer and
     /// every exchange consults it), and binary search over a node's
-    /// handful of open peers beats hashing the pair.
+    /// handful of open peers beats hashing the pair. Indexes the wheel's
+    /// pairs, so restore rebuilds it from the wheel's rows.
     open_adj: Vec<Vec<NodeId>>,
     /// Open pairs and their settlement schedule: the bucketed timing
     /// wheel replaces the per-tick full scan of a `pair → last-serviced`
     /// map — each settlement tick now touches only pairs actually due.
-    /// Snapshots still carry the plain sorted map; the schedule is
-    /// derived state, rebuilt on restore.
+    /// Snapshots carry the plain sorted map; the schedule is derived
+    /// state, rebuilt on restore.
     exchange_wheel: ExchangeWheel,
     /// Reusable due-pair emission buffer for [`Self::on_tick`] (same
     /// scratch discipline as `digest_scratch`).
@@ -216,20 +216,19 @@ struct StrategyState {
 
 /// Serialized form of a [`DcimRouter`]'s dynamic state — everything the
 /// mechanism mutates during a run, with hash containers in canonical
-/// key-sorted order. Configuration (params, roles, behaviors, strategy
-/// assignments, defense arming) is deliberately absent: a resumed run
-/// rebuilds it from the same scenario, and restore cross-checks the parts
-/// whose shape depends on it (table counts, lazy adversarial arrays).
+/// key-sorted order, each fact once. Configuration (params, roles,
+/// behaviors, strategy assignments, defense arming) is deliberately
+/// absent: a resumed run rebuilds it from the same scenario, and restore
+/// cross-checks the parts whose shape depends on it (table counts, lazy
+/// adversarial arrays).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct DcimState {
     /// The routing backend's own opaque document.
     backend: serde::Value,
     ledger: TokenLedgerState,
     reputation: Vec<ReputationTableState>,
-    registry: Vec<(MessageId, NodeId)>,
     meta: Vec<(NodeId, MessageId, CarriedMeta)>,
     pending: Vec<(NodeId, NodeId, MessageId, PendingOffer)>,
-    open_adj: Vec<Vec<NodeId>>,
     last_exchange: Vec<(NodeId, NodeId, SimTime)>,
     participation_rng: RngState,
     judge_rng: RngState,
@@ -294,7 +293,6 @@ impl<B: RouterBackend> DcimRouter<B> {
             reputation: (0..node_count)
                 .map(|i| ReputationTable::new(NodeId(i as u32), params.rating))
                 .collect(),
-            registry: FirstDeliveryRegistry::new(),
             meta: FxHashMap::default(),
             pending: FxHashMap::default(),
             open_adj: vec![Vec::new(); node_count],
@@ -926,6 +924,8 @@ impl<B: RouterBackend> DcimRouter<B> {
     }
 
     /// Settles a first delivery: destination `to` pays deliverer `from`.
+    /// Called only when [`SimApi::mark_delivered`] reported the pair fresh,
+    /// so each `(message, destination)` pair settles at most once.
     ///
     /// `software_quote` is `I_s` for the delivery hop, computed at offer
     /// time (operator function 8: the deliverer "computes the incentive
@@ -939,13 +939,9 @@ impl<B: RouterBackend> DcimRouter<B> {
         software_quote: f64,
         tx_joules: f64,
     ) {
-        if !self.registry.try_claim(id, to) {
-            return;
-        }
-        // Count the settlement at claim time: `settlements` mirrors the
-        // registry exactly (the no-double-pay audit in `check_invariants`
-        // compares the two), even if the paid amount below works out to
-        // zero or the copy vanished between delivery and settlement.
+        // Count the settlement up front: `settlements` mirrors the kernel's
+        // delivered pairs (audited in `check_invariants`), even if the
+        // award is zero or the copy vanished since delivery.
         self.stats.settlements += 1;
         let deliverer_meta = self.meta.get(&(from, id)).cloned().unwrap_or_default();
         let Some(copy) = api.buffer(to).get(id) else {
@@ -1025,10 +1021,8 @@ impl<B: RouterBackend> DcimRouter<B> {
                 .iter()
                 .map(ReputationTable::export_state)
                 .collect(),
-            registry: self.registry.export_state(),
             meta,
             pending,
-            open_adj: self.open_adj.clone(),
             last_exchange,
             participation_rng: self.participation_rng.state(),
             judge_rng: self.judge_rng.state(),
@@ -1050,10 +1044,20 @@ impl<B: RouterBackend> DcimRouter<B> {
                 state.reputation.len()
             ));
         }
-        if state.open_adj.len() != n {
+        // Every node id must name one of this router's nodes: the per-node
+        // tables are indexed by them later in the run.
+        let ids = state
+            .meta
+            .iter()
+            .flat_map(|(node, _, c)| [Some(*node), c.received_from]);
+        check_node_ids("meta", n, ids.flatten())?;
+        let ids = state.pending.iter().flat_map(|&(f, t, _, _)| [f, t]);
+        check_node_ids("pending", n, ids)?;
+        let ids = state.last_exchange.iter().flat_map(|&(a, b, _)| [a, b]);
+        check_node_ids("last_exchange", n, ids)?;
+        if let Some(&(a, b, _)) = state.last_exchange.iter().find(|&&(a, b, _)| a >= b) {
             return Err(format!(
-                "snapshot holds {} adjacency lists for a {n}-node protocol",
-                state.open_adj.len()
+                "last_exchange pair ({a}, {b}) is not a normalized pair (need a < b)"
             ));
         }
         // The adversarial arrays are allocated from configuration, not
@@ -1079,7 +1083,6 @@ impl<B: RouterBackend> DcimRouter<B> {
         for (table, doc) in self.reputation.iter_mut().zip(&state.reputation) {
             table.import_state(doc);
         }
-        self.registry.import_state(&state.registry);
         self.meta = state
             .meta
             .iter()
@@ -1090,12 +1093,16 @@ impl<B: RouterBackend> DcimRouter<B> {
             .iter()
             .map(|&(f, t, m, o)| ((f, t, m), o))
             .collect();
-        self.open_adj.clone_from(&state.open_adj);
-        // The wheel's schedule is derived state: only the `pair →
-        // last-serviced` rows travel in the snapshot, and the next
-        // settlement drain rebuilds the buckets against the live clock.
+        // The wheel's schedule and the open adjacency are derived state:
+        // only the `pair → last-serviced` rows travel in the snapshot, and
+        // the next settlement drain rebuilds the buckets against the live
+        // clock.
         self.exchange_wheel
             .restore(state.last_exchange.iter().map(|&(a, b, t)| ((a, b), t)));
+        self.open_adj.iter_mut().for_each(Vec::clear);
+        for &(a, b, _) in &state.last_exchange {
+            self.open_pair(a, b);
+        }
         self.participation_rng = SimRng::from_state(state.participation_rng);
         self.judge_rng = SimRng::from_state(state.judge_rng);
         self.enrich_rng = SimRng::from_state(state.enrich_rng);
@@ -1450,16 +1457,18 @@ impl<B: RouterBackend> Protocol for DcimRouter<B> {
             }
         }
 
-        // No double-pay: each settlement consumed exactly one first-
-        // delivery claim, so redelivered copies (kernel retries racing a
-        // successful copy) can never be paid twice for the same
-        // (message, destination) pair.
-        let claims = self.registry.len() as u64;
-        if self.stats.settlements != claims {
-            violations.push(format!(
-                "double-pay guard broken: {} settlements vs {claims} first-delivery claims",
-                self.stats.settlements
-            ));
+        // No double-pay: with the incentive on, each fresh delivery settles
+        // once, so settlements must equal the kernel's delivered pairs
+        // (expected and bonus); a double count on either ledger, or a
+        // redelivered copy paid twice, breaks the equality.
+        if self.params.incentive_enabled {
+            let delivered = api.delivered_count() as u64;
+            if self.stats.settlements != delivered {
+                violations.push(format!(
+                    "double-pay guard broken: {} settlements vs {delivered} delivered pairs",
+                    self.stats.settlements
+                ));
+            }
         }
 
         // Offer hygiene: a pending prepayment quote must correspond to a

@@ -8,8 +8,9 @@
 //! * [`promise`] — the incentive promise attached at forwarding time:
 //!   software factors (Algorithm 3), hardware factors (Friis energy), and
 //!   the enrichment-tag reward;
-//! * [`settlement`] — the first-deliverer-wins registry, the reputation-
-//!   scaled award `I_v`, and the relay-threshold prepayment;
+//! * [`settlement`] — the reputation-scaled award `I_v` paid to the first
+//!   deliverer (the kernel decides who was first), and the relay-threshold
+//!   prepayment;
 //! * [`params`] — every tunable constant, with the paper's defaults.
 //!
 //! The mechanics are deliberately protocol-agnostic: `dtn-core` wires them
@@ -45,5 +46,5 @@ pub mod prelude {
     pub use crate::promise::{
         hardware_incentive, software_incentive, tag_incentive, total_promise, SoftwareFactors,
     };
-    pub use crate::settlement::{award, relay_prepayment, AwardInputs, FirstDeliveryRegistry};
+    pub use crate::settlement::{award, relay_prepayment, AwardInputs};
 }

@@ -3,7 +3,9 @@
 //! The mechanism avoids feedback messages entirely by paying **only the
 //! first deliverer** of a message to each destination (Paper I, §1): a relay
 //! knows at hand-off time that its promise is conditional on winning the
-//! race. [`FirstDeliveryRegistry`] enforces the at-most-once property.
+//! race. The kernel decides "first": `SimApi::mark_delivered` in `dtn-sim`
+//! returns `true` once per `(message, destination)` pair, and the router
+//! settles only then, so a redelivered copy settles nothing.
 //!
 //! The amount actually paid scales the promise by the deliverer's
 //! reputation (Paper I, §3.3):
@@ -21,77 +23,8 @@
 //! floored at [`crate::params::IncentiveParams::award_floor`] so poorly
 //! rated deliverers still receive "a percentage of incentive".
 
-use std::collections::HashSet;
-
-use dtn_sim::message::MessageId;
-use dtn_sim::world::NodeId;
-
 use crate::ledger::Tokens;
 use crate::params::IncentiveParams;
-
-/// Enforces the only-the-first-deliverer-is-paid rule.
-///
-/// Claims are idempotent per `(message, destination)` pair, which is what
-/// makes settlement safe under redelivery: when the recovery layer retries
-/// an aborted or corrupted transfer and the same message reaches the same
-/// destination twice, only the first arrival's [`try_claim`] returns
-/// `true` — the redelivered copy settles nothing.
-///
-/// [`try_claim`]: FirstDeliveryRegistry::try_claim
-#[derive(Debug, Default)]
-pub struct FirstDeliveryRegistry {
-    claimed: HashSet<(MessageId, NodeId)>,
-}
-
-impl FirstDeliveryRegistry {
-    /// Creates an empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Attempts to claim the delivery of `message` to `destination`.
-    ///
-    /// Returns `true` exactly once per pair — the caller that gets `true`
-    /// pays/collects; later deliverers of the same message to the same
-    /// destination get `false` and no payment.
-    pub fn try_claim(&mut self, message: MessageId, destination: NodeId) -> bool {
-        self.claimed.insert((message, destination))
-    }
-
-    /// Whether the pair was already claimed.
-    #[must_use]
-    pub fn is_claimed(&self, message: MessageId, destination: NodeId) -> bool {
-        self.claimed.contains(&(message, destination))
-    }
-
-    /// Number of settled deliveries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.claimed.len()
-    }
-
-    /// Whether nothing has been settled yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.claimed.is_empty()
-    }
-
-    /// The claimed `(message, destination)` pairs, sorted, for a
-    /// whole-world snapshot.
-    #[must_use]
-    pub fn export_state(&self) -> Vec<(MessageId, NodeId)> {
-        let mut pairs: Vec<(MessageId, NodeId)> = self.claimed.iter().copied().collect();
-        pairs.sort_unstable();
-        pairs
-    }
-
-    /// Overwrites the registry with the pairs captured by
-    /// [`FirstDeliveryRegistry::export_state`].
-    pub fn import_state(&mut self, pairs: &[(MessageId, NodeId)]) {
-        self.claimed = pairs.iter().copied().collect();
-    }
-}
 
 /// Inputs to the award computation for one delivery.
 #[derive(Debug, Clone, PartialEq)]
@@ -153,44 +86,6 @@ mod tests {
 
     fn params() -> IncentiveParams {
         IncentiveParams::paper_default()
-    }
-
-    #[test]
-    fn first_claim_wins_later_claims_lose() {
-        let mut reg = FirstDeliveryRegistry::new();
-        assert!(reg.is_empty());
-        assert!(reg.try_claim(MessageId(1), NodeId(2)));
-        assert!(
-            !reg.try_claim(MessageId(1), NodeId(2)),
-            "second deliverer unpaid"
-        );
-        assert!(
-            reg.try_claim(MessageId(1), NodeId(3)),
-            "other destination independent"
-        );
-        assert!(
-            reg.try_claim(MessageId(2), NodeId(2)),
-            "other message independent"
-        );
-        assert!(reg.is_claimed(MessageId(1), NodeId(2)));
-        assert_eq!(reg.len(), 3);
-    }
-
-    /// Redelivery regression: a retried transfer can deliver the same
-    /// message to the same destination again (possibly via a different
-    /// deliverer). However many times and from whomever it arrives, only
-    /// the first claim pays.
-    #[test]
-    fn redelivered_copies_never_claim_twice() {
-        let mut reg = FirstDeliveryRegistry::new();
-        assert!(reg.try_claim(MessageId(7), NodeId(1)), "first arrival pays");
-        for _redelivery in 0..5 {
-            assert!(
-                !reg.try_claim(MessageId(7), NodeId(1)),
-                "redelivered copy must not settle again"
-            );
-        }
-        assert_eq!(reg.len(), 1, "exactly one settlement recorded");
     }
 
     #[test]

@@ -7,8 +7,7 @@ use dtn_incentive::params::{IncentiveParams, Role};
 use dtn_incentive::promise::{
     hardware_incentive, software_incentive, tag_incentive, total_promise, SoftwareFactors,
 };
-use dtn_incentive::settlement::{award, relay_prepayment, AwardInputs, FirstDeliveryRegistry};
-use dtn_sim::message::MessageId;
+use dtn_incentive::settlement::{award, relay_prepayment, AwardInputs};
 use dtn_sim::radio::RadioConfig;
 use dtn_sim::world::NodeId;
 
@@ -180,20 +179,5 @@ proptest! {
             }
             None => prop_assert!(mean <= params.relay_threshold),
         }
-    }
-
-    /// The first-delivery registry grants each (message, destination) pair
-    /// exactly once regardless of claim order or repetition.
-    #[test]
-    fn registry_grants_once(
-        claims in prop::collection::vec((0u64..10, 0u32..10), 0..200)
-    ) {
-        let mut reg = FirstDeliveryRegistry::new();
-        let mut seen = std::collections::HashSet::new();
-        for (m, d) in claims {
-            let fresh = reg.try_claim(MessageId(m), NodeId(d));
-            prop_assert_eq!(fresh, seen.insert((m, d)));
-        }
-        prop_assert_eq!(reg.len(), seen.len());
     }
 }

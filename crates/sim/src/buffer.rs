@@ -297,13 +297,12 @@ pub struct CopyState {
 }
 
 /// The dynamic state of one [`Buffer`] (capacity and policy are scenario
-/// configuration and are rebuilt, not snapshotted).
+/// configuration and are rebuilt, not snapshotted; the bytes in use are
+/// the sum of the copies' sizes, recomputed on restore).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BufferState {
     /// Buffered copies, sorted by message id.
     pub copies: Vec<CopyState>,
-    /// Bytes currently used.
-    pub used_bytes: u64,
     /// Lifetime count of successful inserts.
     pub lifetime_stored: u64,
     /// Lifetime count of removals.
@@ -328,7 +327,6 @@ impl Buffer {
         copies.sort_by_key(|c| c.id);
         BufferState {
             copies,
-            used_bytes: self.used_bytes,
             lifetime_stored: self.lifetime_stored,
             lifetime_removed: self.lifetime_removed,
         }
@@ -340,8 +338,8 @@ impl Buffer {
     /// # Errors
     ///
     /// Returns a description of the first inconsistency: a copy whose body
-    /// is absent from `bodies`, or byte accounting that does not match the
-    /// restored copies.
+    /// is absent from `bodies`, or copies that overflow the rebuilt
+    /// capacity.
     pub fn import_state(
         &mut self,
         state: &BufferState,
@@ -349,12 +347,12 @@ impl Buffer {
     ) -> Result<(), String> {
         let mut copies =
             FxHashMap::with_capacity_and_hasher(state.copies.len(), Default::default());
-        let mut recomputed: u64 = 0;
+        let mut used_bytes: u64 = 0;
         for c in &state.copies {
             let body = bodies
                 .get(&c.id)
                 .ok_or_else(|| format!("buffered copy of {} has no body in the snapshot", c.id))?;
-            recomputed += body.size_bytes;
+            used_bytes += body.size_bytes;
             copies.insert(
                 c.id,
                 MessageCopy {
@@ -365,21 +363,14 @@ impl Buffer {
                 },
             );
         }
-        if recomputed != state.used_bytes {
+        if used_bytes > self.capacity_bytes {
             return Err(format!(
-                "buffer byte accounting mismatch: copies sum to {recomputed} bytes, \
-                 snapshot recorded {}",
-                state.used_bytes
-            ));
-        }
-        if state.used_bytes > self.capacity_bytes {
-            return Err(format!(
-                "snapshot holds {} bytes but the rebuilt buffer capacity is {}",
-                state.used_bytes, self.capacity_bytes
+                "snapshot holds {used_bytes} bytes but the rebuilt buffer capacity is {}",
+                self.capacity_bytes
             ));
         }
         self.copies = copies;
-        self.used_bytes = state.used_bytes;
+        self.used_bytes = used_bytes;
         self.lifetime_stored = state.lifetime_stored;
         self.lifetime_removed = state.lifetime_removed;
         self.generation += 1;

@@ -11,8 +11,6 @@
 
 use crate::fxhash::{FxHashMap, FxHashSet};
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimTime;
 use crate::world::{ordered_pair, NodeId};
 
@@ -73,7 +71,6 @@ pub struct ContactTable {
     /// `HashSet` allocation every step.
     scratch_in_range: FxHashSet<ContactKey>,
     scratch_downs: Vec<ContactKey>,
-    total_contacts: u64,
 }
 
 fn adj_insert(adjacency: &mut FxHashMap<NodeId, Vec<NodeId>>, node: NodeId, peer: NodeId) {
@@ -158,12 +155,6 @@ impl ContactTable {
     #[must_use]
     pub fn active_count(&self) -> usize {
         self.active.len()
-    }
-
-    /// Total contacts ever established.
-    #[must_use]
-    pub fn total_contacts(&self) -> u64 {
-        self.total_contacts
     }
 
     /// The active contacts, sorted by pair.
@@ -255,26 +246,22 @@ impl ContactTable {
         );
         adj_insert(&mut self.adjacency, k.0, k.1);
         adj_insert(&mut self.adjacency, k.1, k.0);
-        self.total_contacts += 1;
         ContactEvent::Up(k)
     }
 
     /// Captures the table's dynamic state for a snapshot: the active
-    /// contacts as sorted `(a, b, up_since)` triples plus the lifetime
-    /// contact counter. The adjacency index is derived and rebuilt on
-    /// restore.
+    /// contacts as sorted `(smaller, larger, up_since)` triples. The
+    /// adjacency index is derived and rebuilt on restore; the lifetime
+    /// contact count is the kernel's `contacts_up` counter.
     #[must_use]
-    pub fn export_state(&self) -> ContactTableState {
+    pub fn export_state(&self) -> Vec<(NodeId, NodeId, SimTime)> {
         let mut active: Vec<(NodeId, NodeId, SimTime)> = self
             .active
             .iter()
             .map(|(k, &since)| (k.0, k.1, since))
             .collect();
         active.sort_by_key(|&(a, b, _)| (a, b));
-        ContactTableState {
-            active,
-            total_contacts: self.total_contacts,
-        }
+        active
     }
 
     /// Overwrites the table from a snapshot, rebuilding the adjacency
@@ -284,11 +271,10 @@ impl ContactTable {
     ///
     /// Returns a description of the first malformed entry (a self-contact
     /// or an unnormalized pair).
-    pub fn import_state(&mut self, state: &ContactTableState) -> Result<(), String> {
-        let mut active =
-            FxHashMap::with_capacity_and_hasher(state.active.len(), Default::default());
+    pub fn import_state(&mut self, state: &[(NodeId, NodeId, SimTime)]) -> Result<(), String> {
+        let mut active = FxHashMap::with_capacity_and_hasher(state.len(), Default::default());
         let mut adjacency: FxHashMap<NodeId, Vec<NodeId>> = FxHashMap::default();
-        for &(a, b, since) in &state.active {
+        for &(a, b, since) in state {
             if a >= b {
                 return Err(format!(
                     "snapshot contact ({a}, {b}) is not a normalized pair (need a < b)"
@@ -300,18 +286,8 @@ impl ContactTable {
         }
         self.active = active;
         self.adjacency = adjacency;
-        self.total_contacts = state.total_contacts;
         Ok(())
     }
-}
-
-/// The dynamic state of a [`ContactTable`], for snapshots.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ContactTableState {
-    /// Active contacts as `(smaller, larger, up_since)` triples, sorted.
-    pub active: Vec<(NodeId, NodeId, SimTime)>,
-    /// Total contacts ever established.
-    pub total_contacts: u64,
 }
 
 #[cfg(test)]
@@ -355,7 +331,6 @@ mod tests {
             vec![ContactEvent::Down(k(0, 1), t0), ContactEvent::Up(k(2, 3))]
         );
         assert!(!t.is_up(NodeId(0), NodeId(1)));
-        assert_eq!(t.total_contacts(), 3);
     }
 
     #[test]

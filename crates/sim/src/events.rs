@@ -11,7 +11,7 @@
 //! engine does work only where geometry says something can change:
 //!
 //! * **Cell-crossing events.** Each node belongs to one coarse grid cell
-//!   (cell width = radio range, the same geometry as the sweep grid). The
+//!   (cell width ≥ radio range, the same geometry as the sweep grid). The
 //!   earliest step at which a node can leave its cell is bounded by its
 //!   distance to the cell boundary over its speed cap, so the per-node
 //!   "did I cross?" test is skipped entirely until that predicted step.
@@ -65,7 +65,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::contact::ContactKey;
 use crate::geometry::{Area, Point};
-use crate::world::NodeId;
+use crate::world::{cell_width, NodeId};
 
 /// Which contact-detection core a simulation runs on.
 ///
@@ -336,10 +336,10 @@ impl ContactEngine {
         assert_eq!(positions.len(), vmax.len(), "one speed cap per node");
         assert!(range > 0.0, "radio range must be positive");
         assert!(dt_secs > 0.0, "step must be positive");
-        // Same cell geometry as the sweep grid: cell width = radio range,
+        // Same cell geometry as the sweep grid: cell width ≥ radio range,
         // so two nodes in non-adjacent cells are strictly farther apart
         // than the range — the adjacency invariant the watch set rests on.
-        let cell = range.max(1.0);
+        let cell = cell_width(area, range, positions.len());
         let cols = ((area.width / cell).ceil() as usize).max(1);
         let rows = ((area.height / cell).ceil() as usize).max(1);
         let n = positions.len();
@@ -519,6 +519,12 @@ impl ContactEngine {
     #[cfg(test)]
     pub(crate) fn region_count(&self) -> usize {
         self.regions.len()
+    }
+
+    /// Number of grid cells.
+    #[cfg(test)]
+    pub(crate) fn cell_count(&self) -> usize {
+        self.cells.len()
     }
 
     /// Total watched pairs across all regions (diagnostics).

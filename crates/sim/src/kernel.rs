@@ -13,7 +13,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use crate::buffer::{Buffer, BufferState, DropPolicy, InsertOutcome};
-use crate::contact::{ContactEvent, ContactKey, ContactTable, ContactTableState};
+use crate::contact::{ContactEvent, ContactKey, ContactTable};
 use crate::energy::{EnergyMeter, EnergyMeterState, EnergyUse};
 use crate::events::{ContactEngine, KernelMode};
 use crate::faults::{
@@ -34,7 +34,7 @@ use crate::trace::{TraceEvent, TraceLog, TraceLogState};
 use crate::transfer::{
     AbortReason, AbortedTransfer, RecoveryPolicy, TransferEngine, TransferEngineState,
 };
-use crate::world::{NodeId, SpatialGrid};
+use crate::world::{cell_width, check_node_ids, NodeId, SpatialGrid};
 
 /// Dedicated RNG stream for retry-backoff jitter ("RETRY" in ASCII), so
 /// enabling recovery never perturbs the mobility/fault/protocol streams.
@@ -456,11 +456,13 @@ impl SimApi {
     }
 
     /// The run summary: the collector's delivery and traffic figures, plus
-    /// the counts whose one ledger is elsewhere — the kernel events in
-    /// [`KernelCounters`] and the depleted nodes in the energy meter.
+    /// the counts whose one ledger is elsewhere — creations and the kernel
+    /// events in [`KernelCounters`], and the depleted nodes in the energy
+    /// meter.
     fn summary(&self) -> RunSummary {
         let c = &self.counters;
         RunSummary {
+            created: c.messages_created,
             transfers_aborted: c.transfers_aborted,
             transfers_retried: c.transfers_retried,
             transfers_resumed: c.transfers_resumed,
@@ -545,6 +547,14 @@ impl SimApi {
     #[must_use]
     pub fn is_delivered(&self, node: NodeId, message: MessageId) -> bool {
         self.stats.is_delivered(message, node)
+    }
+
+    /// Number of `(message, node)` pairs marked delivered so far, expected
+    /// and bonus alike: one per `true` returned by
+    /// [`Self::mark_delivered`].
+    #[must_use]
+    pub fn delivered_count(&self) -> usize {
+        self.stats.delivered_count()
     }
 
     /// Appends a sample to a named time series in the run statistics.
@@ -898,7 +908,7 @@ impl SimulationBuilder {
                 }
             }
             KernelMode::TimeStepped => ContactCore::Sweep {
-                grid: SpatialGrid::new(self.area, self.radio.range_m.max(1.0)),
+                grid: SpatialGrid::new(self.area, cell_width(self.area, self.radio.range_m, n)),
                 in_range: Vec::new(),
             },
         };
@@ -943,11 +953,8 @@ impl SimulationBuilder {
             threads: self.threads,
             core,
             schedule: self.schedule,
-            next_scheduled: 0,
-            next_message_id: 0,
             ttl_sweep_every: self.ttl_sweep_every,
             last_sweep: SimTime::ZERO,
-            started: false,
             finished: false,
             seed: self.seed,
             faults,
@@ -962,6 +969,47 @@ impl SimulationBuilder {
     }
 }
 
+/// Refuses a document that names a node outside a world of `n` nodes
+/// anywhere the kernel keeps one.
+fn check_world_node_ids(state: &WorldState, n: usize) -> Result<(), String> {
+    let ids = state.bodies.iter().map(|b| b.source);
+    check_node_ids("bodies.source", n, ids)?;
+    for c in state.buffers.iter().flat_map(|b| &b.copies) {
+        let ids = c
+            .path
+            .iter()
+            .copied()
+            .chain(c.annotations.iter().map(|a| a.annotator));
+        check_node_ids("buffers.copies", n, ids)?;
+    }
+    let ids = state.contacts.iter().flat_map(|&(a, b, _)| [a, b]);
+    check_node_ids("contacts", n, ids)?;
+    let (t, st) = (&state.transfers, &state.stats);
+    let ids = t.queues.iter().flatten().flat_map(|x| [x.from, x.to]);
+    check_node_ids("transfers.queues", n, ids)?;
+    let ids = t.checkpoints.iter().flat_map(|c| [c.from, c.to]);
+    check_node_ids("transfers.checkpoints", n, ids)?;
+    let ids = st.expected_dests.iter().flat_map(|(_, d)| d).copied();
+    check_node_ids("stats.expected_dests", n, ids)?;
+    let ids = st.delivered_pairs.iter().map(|&(_, d)| d);
+    check_node_ids("stats.delivered_pairs", n, ids)?;
+    if let Some(r) = &state.retries {
+        let ids = r.queue.iter().flat_map(|p| [p.from, p.to]);
+        check_node_ids("retries.queue", n, ids)?;
+        let ids = r.attempts.iter().flat_map(|&(a, b, ..)| [a, b]);
+        check_node_ids("retries.attempts", n, ids)?;
+        let ids = r.peer_spent.iter().flat_map(|&(a, b, _)| [a, b]);
+        check_node_ids("retries.peer_spent", n, ids)?;
+        let ids = r.gaps.iter().flat_map(|&(a, b, _)| [a, b]);
+        check_node_ids("retries.gaps", n, ids)?;
+    }
+    if let Some(f) = &state.faults {
+        let ids = f.blocked_until.iter().flat_map(|&(a, b, _)| [a, b]);
+        check_node_ids("faults.blocked_until", n, ids)?;
+    }
+    Ok(())
+}
+
 /// Every mutable piece of a [`Simulation`], captured between steps.
 ///
 /// This is the body of a snapshot file (see [`crate::snapshot`]). Static
@@ -974,8 +1022,10 @@ impl SimulationBuilder {
 ///
 /// Deliberately *not* captured, because it is derived or wall-clock-only:
 /// the contact core's state (rebuilt from positions) and its region
-/// count, scratch pair buffers, the phase profiler, and the event core's
-/// pair-check count.
+/// count, scratch pair buffers, the phase profiler, the event core's
+/// pair-check count, and every fact with an owner elsewhere in the
+/// document (the schedule cursor and next message id are
+/// `counters.messages_created`; "started" is `counters.steps > 0`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorldState {
     /// The scenario seed the world was built with (pairing check).
@@ -992,14 +1042,8 @@ pub struct WorldState {
     pub now: SimTime,
     /// When the last TTL sweep ran.
     pub last_sweep: SimTime,
-    /// Whether [`Protocol::on_start`] has fired.
-    pub started: bool,
     /// Whether [`Protocol::on_finish`] has fired.
     pub finished: bool,
-    /// Index of the next workload creation not yet executed.
-    pub next_scheduled: u64,
-    /// The next kernel-assigned message id.
-    pub next_message_id: u64,
     /// Node positions, in node order.
     pub positions: Vec<Point>,
     /// The kernel's root RNG stream position.
@@ -1013,19 +1057,20 @@ pub struct WorldState {
     /// Every live message body, sorted by id. Buffered copies reference
     /// bodies by id, so each body is stored once however many copies exist.
     pub bodies: Vec<MessageBody>,
-    /// Active contacts and the lifetime contact counter.
-    pub contacts: ContactTableState,
+    /// Active contacts as `(smaller, larger, up_since)` triples, sorted.
+    pub contacts: Vec<(NodeId, NodeId, SimTime)>,
     /// In-flight transfers and partial-byte checkpoints.
     pub transfers: TransferEngineState,
     /// Per-node energy spent and the depleted-node drain record.
     pub energy: EnergyMeterState,
-    /// The metrics collector (delivery bookkeeping, counters, series).
-    /// Its kernel event counts are copies of `counters`, written from them
-    /// and checked against them on restore.
+    /// The metrics collector: expected sets, priorities, delivered pairs,
+    /// traffic totals and series. Every delivery tally is derived from
+    /// these, and every kernel event count lives in `counters`.
     pub stats: StatsState,
     /// The event trace ring.
     pub trace: TraceLogState,
-    /// Kernel step counters.
+    /// Kernel step counters: the one ledger of creations, contacts and
+    /// transfer events.
     pub counters: KernelCounters,
     /// Retry scheduler state; present iff recovery was configured.
     pub retries: Option<RetrySchedulerState>,
@@ -1084,12 +1129,11 @@ pub struct Simulation<P> {
     threads: usize,
     /// The contact-detection core this world runs on, with its state.
     core: ContactCore,
+    /// The workload, sorted by time. `counters.messages_created` is both
+    /// the index of the next creation and the next message id.
     schedule: Vec<ScheduledMessage>,
-    next_scheduled: usize,
-    next_message_id: u64,
     ttl_sweep_every: SimDuration,
     last_sweep: SimTime,
-    started: bool,
     finished: bool,
     seed: u64,
     faults: Option<FaultInjector>,
@@ -1181,6 +1225,10 @@ impl<P: Protocol> Simulation<P> {
     pub fn export_metrics(&self) -> MetricsRegistry {
         let mut registry = MetricsRegistry::new();
         self.api.counters.export(&mut registry);
+        registry.add(
+            "kernel.checkpoints_evicted",
+            self.api.transfers.checkpoints_evicted(),
+        );
         if let ContactCore::Events { engine, .. } = &self.core {
             registry.add("kernel.pair_checks", engine.pair_checks());
         }
@@ -1219,17 +1267,13 @@ impl<P: Protocol> Simulation<P> {
         let mut bodies: Vec<MessageBody> =
             self.api.bodies.values().map(|b| (**b).clone()).collect();
         bodies.sort_unstable_by_key(|b| b.id);
-        let c = &self.api.counters;
         WorldState {
             seed: self.seed,
             node_count: self.api.positions.len() as u64,
             kernel_mode: self.kernel_mode(),
             now: self.api.now,
             last_sweep: self.last_sweep,
-            started: self.started,
             finished: self.finished,
-            next_scheduled: self.next_scheduled as u64,
-            next_message_id: self.next_message_id,
             positions: self.api.positions.clone(),
             rng_root: self.api.rng_root.state(),
             node_rngs: self.node_rngs.iter().map(SimRng::state).collect(),
@@ -1239,16 +1283,7 @@ impl<P: Protocol> Simulation<P> {
             contacts: self.api.contacts.export_state(),
             transfers: self.api.transfers.export_state(),
             energy: self.api.energy.export_state(),
-            // The v2 body keeps the kernel event counts in `stats` too;
-            // their one ledger is the counters.
-            stats: StatsState {
-                transfers_aborted: c.transfers_aborted,
-                transfers_retried: c.transfers_retried,
-                transfers_resumed: c.transfers_resumed,
-                transfers_abandoned: c.transfers_abandoned,
-                ttl_expiries: c.ttl_expiries,
-                ..self.api.stats.export_state()
-            },
+            stats: self.api.stats.export_state(),
             trace: self.api.trace.export_state(),
             counters: self.api.counters,
             retries: self.retries.as_ref().map(RetryScheduler::export_state),
@@ -1267,11 +1302,11 @@ impl<P: Protocol> Simulation<P> {
     /// [`SnapshotError::Mismatch`] when the document does not pair with
     /// this world: a different seed, node count or kernel mode, an
     /// optional subsystem (fault plan, recovery policy, invariant checker)
-    /// present on only one side, a kernel event count whose copy in
-    /// `stats` disagrees with `counters`, an open contact the restored
-    /// world cannot explain (a node id outside the world, endpoints out of
-    /// range at the restored positions, a crashed endpoint or a cut
-    /// link), or per-module state that fails its own consistency checks.
+    /// present on only one side, a node id outside the world anywhere in
+    /// the document (the error names the field), an open contact the
+    /// restored world cannot explain (endpoints out of range at the
+    /// restored positions, a crashed endpoint or a cut link), or
+    /// per-module state that fails its own consistency checks.
     /// On error the world may be partially overwritten — rebuild it before
     /// using it again.
     pub fn restore(&mut self, state: &WorldState) -> Result<(), SnapshotError> {
@@ -1310,10 +1345,10 @@ impl<P: Protocol> Simulation<P> {
                 )));
             }
         }
-        if state.next_scheduled as usize > self.schedule.len() {
+        if state.counters.messages_created > self.schedule.len() as u64 {
             return Err(mismatch(format!(
                 "snapshot consumed {} scheduled creations, this workload has {}",
-                state.next_scheduled,
+                state.counters.messages_created,
                 self.schedule.len()
             )));
         }
@@ -1339,36 +1374,7 @@ impl<P: Protocol> Simulation<P> {
                 return Err(mismatch(format!("{with} has a {name}, {without} does not")));
             }
         }
-        let (s, c) = (&state.stats, &state.counters);
-        for (name, in_stats, in_counters) in [
-            (
-                "transfers_aborted",
-                s.transfers_aborted,
-                c.transfers_aborted,
-            ),
-            (
-                "transfers_retried",
-                s.transfers_retried,
-                c.transfers_retried,
-            ),
-            (
-                "transfers_resumed",
-                s.transfers_resumed,
-                c.transfers_resumed,
-            ),
-            (
-                "transfers_abandoned",
-                s.transfers_abandoned,
-                c.transfers_abandoned,
-            ),
-            ("ttl_expiries", s.ttl_expiries, c.ttl_expiries),
-        ] {
-            if in_stats != in_counters {
-                return Err(mismatch(format!(
-                    "stats.{name} is {in_stats}, counters.{name} is {in_counters}"
-                )));
-            }
-        }
+        check_world_node_ids(state, nodes).map_err(mismatch)?;
         // Every open contact must be one the restored world explains: a
         // pair of its nodes, in range at the restored positions (only the
         // mobility phase moves nodes, and it runs before contact
@@ -1383,13 +1389,8 @@ impl<P: Protocol> Simulation<P> {
         let crashed = |n: NodeId| {
             faults.is_some_and(|f| f.down_until.get(n.index()).is_some_and(Option::is_some))
         };
-        for &(a, b, _) in &state.contacts.active {
+        for &(a, b, _) in &state.contacts {
             let pair = format!("open contact ({a}, {b})");
-            if a.index() >= nodes || b.index() >= nodes {
-                return Err(mismatch(format!(
-                    "{pair} names a node outside this world of {nodes}"
-                )));
-            }
             let d_sq = state.positions[a.index()].distance_sq_to(state.positions[b.index()]);
             let in_range = d_sq <= range * range;
             if !in_range {
@@ -1460,10 +1461,7 @@ impl<P: Protocol> Simulation<P> {
         self.api.positions.clone_from(&state.positions);
         self.api.now = state.now;
         self.last_sweep = state.last_sweep;
-        self.started = state.started;
         self.finished = state.finished;
-        self.next_scheduled = state.next_scheduled as usize;
-        self.next_message_id = state.next_message_id;
         // The predicted-crossing watch set is derived state: rebuilding a
         // fresh (superset) watch set from the restored positions yields
         // the same transitions as the uninterrupted engine.
@@ -1491,8 +1489,8 @@ impl<P: Protocol> Simulation<P> {
 
     /// Advances the world by one step.
     pub fn step_once(&mut self) {
-        if !self.started {
-            self.started = true;
+        // The protocol starts before the first step.
+        if self.api.counters.steps == 0 {
             self.protocol.on_start(&mut self.api);
         }
         let dt = self.api.step;
@@ -1578,8 +1576,6 @@ impl<P: Protocol> Simulation<P> {
                         rs.note_contact_down(key, now);
                     }
                     let aborted = self.api.transfers.abort_between(key.0, key.1, now);
-                    self.api.counters.checkpoints_evicted =
-                        self.api.transfers.checkpoints_evicted();
                     for a in aborted {
                         self.api.counters.note_abort(a.reason);
                         self.api.trace.record(
@@ -1611,12 +1607,12 @@ impl<P: Protocol> Simulation<P> {
 
         // 3. Scheduled message creations due by `now`.
         let scope = self.profiler.start();
-        while self.next_scheduled < self.schedule.len()
-            && self.schedule[self.next_scheduled].at <= now
+        while let Some(m) = self
+            .schedule
+            .get(self.api.counters.messages_created as usize)
+            .filter(|m| m.at <= now)
         {
-            let m = self.schedule[self.next_scheduled].clone();
-            self.next_scheduled += 1;
-            self.create_message(m);
+            self.create_message(m.clone());
         }
         self.profiler.stop(Phase::MessageCreation, scope);
 
@@ -1973,8 +1969,7 @@ impl<P: Protocol> Simulation<P> {
     }
 
     fn create_message(&mut self, m: ScheduledMessage) {
-        let id = MessageId(self.next_message_id);
-        self.next_message_id += 1;
+        let id = MessageId(self.api.counters.messages_created);
         self.api.counters.messages_created += 1;
         let body = Arc::new(MessageBody {
             id,
@@ -2366,28 +2361,6 @@ mod tests {
         assert_eq!(in_summary, in_counters);
     }
 
-    #[test]
-    fn restore_rejects_stats_counts_that_disagree_with_the_counters() {
-        let mut donor = eventful_sim();
-        while donor.api().now() < SimTime::from_secs(900.0) {
-            donor.step_once();
-        }
-        let world = donor.snapshot();
-        assert_eq!(
-            world.stats.transfers_retried,
-            world.counters.transfers_retried
-        );
-        eventful_sim()
-            .restore(&world)
-            .expect("a faithful snapshot restores");
-
-        let mut edited = world;
-        edited.stats.transfers_retried += 1;
-        let err = eventful_sim().restore(&edited).unwrap_err();
-        assert!(matches!(err, SnapshotError::Mismatch { .. }), "{err}");
-        assert!(err.to_string().contains("transfers_retried"), "{err}");
-    }
-
     /// Restore refuses an open contact the restored world cannot explain,
     /// with a typed error and no panic: a node outside the world,
     /// endpoints out of range at the restored positions, a crashed
@@ -2410,18 +2383,12 @@ mod tests {
         };
         let now = world.now;
         rejects(
-            &|w| w.contacts.active.push((NodeId(3), NodeId(27), now)),
+            &|w| w.contacts.push((NodeId(3), NodeId(27), now)),
             "outside this world",
         );
         // An out-of-range pair whose second node has no open contact, so
         // moving that node below breaks no other contact.
-        let lonely = |n: NodeId| {
-            !world
-                .contacts
-                .active
-                .iter()
-                .any(|&(x, y, _)| n == x || n == y)
-        };
+        let lonely = |n: NodeId| !world.contacts.iter().any(|&(x, y, _)| n == x || n == y);
         let (a, b) = (0..20u32)
             .flat_map(|a| (a + 1..20).map(move |b| (NodeId(a), NodeId(b))))
             .find(|&(a, b)| {
@@ -2429,19 +2396,16 @@ mod tests {
                     && world.positions[a.index()].distance_to(world.positions[b.index()]) > range
             })
             .expect("some pair is out of range");
-        rejects(
-            &|w| w.contacts.active.push((a, b, now)),
-            "beyond the 100 m range",
-        );
+        rejects(&|w| w.contacts.push((a, b, now)), "beyond the 100 m range");
         // A pair moved into range is explained by geometry, but not while
         // an endpoint is crashed or a cut blocks it.
         let in_range = |w: &mut WorldState| {
             w.positions[b.index()] = w.positions[a.index()];
-            w.contacts.active.push((a, b, now));
+            w.contacts.push((a, b, now));
         };
         let mut explained = world.clone();
         in_range(&mut explained);
-        explained.contacts.active.sort_by_key(|&(a, b, _)| (a, b));
+        explained.contacts.sort_by_key(|&(a, b, _)| (a, b));
         eventful_sim()
             .restore(&explained)
             .expect("an open pair in range is explained");
@@ -2512,6 +2476,41 @@ mod tests {
         assert!(summary.relays_completed > 0, "the world moves messages");
         assert_eq!(trace, serial_trace);
         assert_eq!(summary, serial_summary);
+    }
+
+    /// Both contact grids hold at most a fixed multiple of the node count
+    /// in cells, however large the area, and keep range-wide cells at the
+    /// paper's density of one node per 10⁴ m². A sparse world runs the
+    /// same on both cores.
+    #[test]
+    fn grid_cells_are_bounded_by_the_node_count() {
+        let build = |mode: KernelMode, side: f64, nodes: usize| {
+            SimulationBuilder::new(Area::new(side, side), 4)
+                .kernel_mode(mode)
+                .nodes(nodes, || {
+                    Box::new(crate::mobility::RandomWaypoint::pedestrian())
+                })
+                .messages((0..6u32).map(|i| msg(f64::from(i) * 60.0, i % 3)))
+                .trace(TraceLog::unbounded())
+                .build(PushAll)
+        };
+        let cells = |sim: &Simulation<PushAll>| match &sim.core {
+            ContactCore::Events { engine, .. } => engine.cell_count(),
+            ContactCore::Sweep { grid, .. } => grid.cell_count(),
+        };
+        let paper_side = 5e6f64.sqrt();
+        let range_wide = ((paper_side / 100.0).ceil() as usize).pow(2);
+        let mut runs = Vec::new();
+        for mode in [KernelMode::EventDriven, KernelMode::TimeStepped] {
+            // 10 km × 10 km is 10⁴ range-wide cells for 20 nodes.
+            let mut sparse = build(mode, 10_000.0, 20);
+            let n = cells(&sparse);
+            assert!(n <= 16 * 20, "{mode}: {n} cells for 20 nodes");
+            assert_eq!(cells(&build(mode, paper_side, 500)), range_wide, "{mode}");
+            let summary = sparse.run_until(SimTime::from_secs(600.0));
+            runs.push((sparse.api().trace().render(), summary));
+        }
+        assert_eq!(runs[0], runs[1], "both cores agree on a sparse world");
     }
 
     #[test]

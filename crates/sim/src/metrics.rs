@@ -457,11 +457,6 @@ pub struct KernelCounters {
     pub transfers_resumed: u64,
     /// Retries abandoned because the copy or the demand vanished.
     pub transfers_abandoned: u64,
-    /// Checkpoints dropped by the [`RecoveryPolicy::checkpoint_capacity`]
-    /// LRU bound (not by completion, cancellation, or wipes).
-    ///
-    /// [`RecoveryPolicy::checkpoint_capacity`]: crate::transfer::RecoveryPolicy::checkpoint_capacity
-    pub checkpoints_evicted: u64,
     /// Copies purged by the TTL sweep.
     pub ttl_expiries: u64,
     /// Open contacts after contact detection, summed over all steps (so
@@ -539,7 +534,6 @@ impl KernelCounters {
         registry.add("kernel.transfers_retried", self.transfers_retried);
         registry.add("kernel.transfers_resumed", self.transfers_resumed);
         registry.add("kernel.transfers_abandoned", self.transfers_abandoned);
-        registry.add("kernel.checkpoints_evicted", self.checkpoints_evicted);
         registry.add("kernel.ttl_expiries", self.ttl_expiries);
         registry.add("kernel.contact_pairs", self.contact_pairs);
         registry.add("kernel.transfer_batch_senders", self.transfer_batch_senders);
@@ -662,7 +656,6 @@ mod tests {
             transfers_retried: 2,
             transfers_resumed: 1,
             transfers_abandoned: 1,
-            checkpoints_evicted: 1,
             ttl_expiries: 6,
             contact_pairs: 40,
             transfer_batch_senders: 7,

@@ -5,14 +5,17 @@
 //! 5.1/5.3/5.5/5.6), relayed traffic (Fig. 5.2), plus auxiliary health
 //! metrics (evictions, latency) and named time series pushed by the
 //! protocol layer (Fig. 5.4's malicious-rating curve). Kernel event counts
-//! (aborts, retries, resumes, abandons, TTL expiries) are not kept here:
-//! their one ledger is [`KernelCounters`](crate::metrics::KernelCounters),
-//! and the kernel copies them into the [`RunSummary`] at finalization.
+//! (creations, aborts, retries, resumes, abandons, TTL expiries) are not
+//! kept here: their one ledger is
+//! [`KernelCounters`](crate::metrics::KernelCounters), and the kernel
+//! copies them into the [`RunSummary`] at finalization.
 //!
 //! Delivery in a data-centric DTN is interest-based: a message has no named
 //! destination, so the workload registers the *expected destination set* —
 //! the nodes holding a direct interest in one of the source's tags at
 //! creation time — and MDR is measured over `(message, destination)` pairs.
+//! Every delivery tally is computed from those sets, the priorities and
+//! the delivered pairs in [`StatsCollector::summarize`].
 
 use std::collections::BTreeMap;
 
@@ -27,19 +30,12 @@ use crate::world::NodeId;
 /// Aggregated counters for one simulation run.
 #[derive(Debug, Default)]
 pub struct StatsCollector {
-    created: u64,
-    created_by_priority: BTreeMap<u8, u64>,
-    expected_pairs: u64,
-    expected_pairs_by_priority: BTreeMap<u8, u64>,
     expected_dests: FxHashMap<MessageId, FxHashSet<NodeId>>,
     priority_of: FxHashMap<MessageId, Priority>,
+    /// Every `(message, node)` pair delivered so far, expected or not: the
+    /// one record of which deliverer was first.
     delivered_pairs: FxHashSet<(MessageId, NodeId)>,
-    delivered_expected: u64,
-    delivered_expected_by_priority: BTreeMap<u8, u64>,
-    delivered_unexpected: u64,
-    messages_with_delivery: FxHashSet<MessageId>,
     latency_sum_secs: f64,
-    latency_count: u64,
     relays_completed: u64,
     relay_bytes: u64,
     buffer_evictions: u64,
@@ -111,19 +107,9 @@ impl StatsCollector {
         priority: Priority,
         expected: impl IntoIterator<Item = NodeId>,
     ) {
-        self.created += 1;
-        *self
-            .created_by_priority
-            .entry(priority.level())
-            .or_default() += 1;
         self.priority_of.insert(id, priority);
-        let set: FxHashSet<NodeId> = expected.into_iter().collect();
-        self.expected_pairs += set.len() as u64;
-        *self
-            .expected_pairs_by_priority
-            .entry(priority.level())
-            .or_default() += set.len() as u64;
-        self.expected_dests.insert(id, set);
+        self.expected_dests
+            .insert(id, expected.into_iter().collect());
     }
 
     /// Records a delivery of `id` to `node` at `now`, with the message's
@@ -141,31 +127,30 @@ impl StatsCollector {
         if !self.delivered_pairs.insert((id, node)) {
             return false;
         }
-        self.messages_with_delivery.insert(id);
-        let expected = self
-            .expected_dests
-            .get(&id)
-            .is_some_and(|set| set.contains(&node));
-        if expected {
-            self.delivered_expected += 1;
-            if let Some(p) = self.priority_of.get(&id) {
-                *self
-                    .delivered_expected_by_priority
-                    .entry(p.level())
-                    .or_default() += 1;
-            }
+        if self.is_expected(id, node) {
             self.latency_sum_secs += now.duration_since(created_at).as_secs();
-            self.latency_count += 1;
-        } else {
-            self.delivered_unexpected += 1;
         }
         true
+    }
+
+    /// Whether `node` is in `id`'s expected destination set.
+    fn is_expected(&self, id: MessageId, node: NodeId) -> bool {
+        self.expected_dests
+            .get(&id)
+            .is_some_and(|set| set.contains(&node))
     }
 
     /// Whether `(id, node)` has already been delivered.
     #[must_use]
     pub fn is_delivered(&self, id: MessageId, node: NodeId) -> bool {
         self.delivered_pairs.contains(&(id, node))
+    }
+
+    /// Number of `(message, node)` pairs delivered, expected and bonus
+    /// alike.
+    #[must_use]
+    pub fn delivered_count(&self) -> usize {
+        self.delivered_pairs.len()
     }
 
     /// Records a completed relay transfer of `bytes`.
@@ -187,17 +172,8 @@ impl StatsCollector {
             .push((t.as_secs(), value));
     }
 
-    /// Messages created so far.
-    #[must_use]
-    pub fn created(&self) -> u64 {
-        self.created
-    }
-
     /// Captures the collector's full state for a snapshot. Hash-based sets
-    /// and maps are emitted sorted so the image is deterministic. The
-    /// kernel event counts are left zero: the collector does not keep
-    /// them, and the kernel writes them from its
-    /// [`KernelCounters`](crate::metrics::KernelCounters).
+    /// and maps are emitted sorted so the image is deterministic.
     #[must_use]
     pub fn export_state(&self) -> StatsState {
         let mut expected_dests: Vec<(MessageId, Vec<NodeId>)> = self
@@ -216,42 +192,20 @@ impl StatsCollector {
         let mut delivered_pairs: Vec<(MessageId, NodeId)> =
             self.delivered_pairs.iter().copied().collect();
         delivered_pairs.sort_unstable();
-        let mut messages_with_delivery: Vec<MessageId> =
-            self.messages_with_delivery.iter().copied().collect();
-        messages_with_delivery.sort_unstable();
         StatsState {
-            created: self.created,
-            created_by_priority: self.created_by_priority.clone(),
-            expected_pairs: self.expected_pairs,
-            expected_pairs_by_priority: self.expected_pairs_by_priority.clone(),
             expected_dests,
             priority_of,
             delivered_pairs,
-            delivered_expected: self.delivered_expected,
-            delivered_expected_by_priority: self.delivered_expected_by_priority.clone(),
-            delivered_unexpected: self.delivered_unexpected,
-            messages_with_delivery,
             latency_sum_secs: self.latency_sum_secs,
-            latency_count: self.latency_count,
             relays_completed: self.relays_completed,
             relay_bytes: self.relay_bytes,
-            transfers_aborted: 0,
-            transfers_retried: 0,
-            transfers_resumed: 0,
-            transfers_abandoned: 0,
             buffer_evictions: self.buffer_evictions,
-            ttl_expiries: 0,
             series: self.series.clone(),
         }
     }
 
-    /// Overwrites the collector's state from a snapshot. The kernel event
-    /// counts are not read: the kernel restores them into its counters.
+    /// Overwrites the collector's state from a snapshot.
     pub fn import_state(&mut self, state: &StatsState) {
-        self.created = state.created;
-        self.created_by_priority = state.created_by_priority.clone();
-        self.expected_pairs = state.expected_pairs;
-        self.expected_pairs_by_priority = state.expected_pairs_by_priority.clone();
         self.expected_dests = state
             .expected_dests
             .iter()
@@ -259,23 +213,20 @@ impl StatsCollector {
             .collect();
         self.priority_of = state.priority_of.iter().copied().collect();
         self.delivered_pairs = state.delivered_pairs.iter().copied().collect();
-        self.delivered_expected = state.delivered_expected;
-        self.delivered_expected_by_priority = state.delivered_expected_by_priority.clone();
-        self.delivered_unexpected = state.delivered_unexpected;
-        self.messages_with_delivery = state.messages_with_delivery.iter().copied().collect();
         self.latency_sum_secs = state.latency_sum_secs;
-        self.latency_count = state.latency_count;
         self.relays_completed = state.relays_completed;
         self.relay_bytes = state.relay_bytes;
         self.buffer_evictions = state.buffer_evictions;
         self.series = state.series.clone();
     }
 
-    /// Finalizes the run into a summary. The kernel event counts
-    /// (`transfers_aborted`, `transfers_retried`, `transfers_resumed`,
-    /// `transfers_abandoned`, `ttl_expiries`) and `depleted_nodes` are left
-    /// zero: the collector does not keep them, and the kernel fills them
-    /// in at finalization from its counters and energy meter.
+    /// Finalizes the run into a summary, computing every delivery tally
+    /// from the expected sets, the priorities and the delivered pairs.
+    /// `created`, the kernel event counts (`transfers_aborted`,
+    /// `transfers_retried`, `transfers_resumed`, `transfers_abandoned`,
+    /// `ttl_expiries`) and `depleted_nodes` are left zero: the collector
+    /// does not keep them, and the kernel fills them in at finalization
+    /// from its counters and energy meter.
     #[must_use]
     pub fn summarize(&self) -> RunSummary {
         let ratio = |num: u64, den: u64| {
@@ -285,29 +236,42 @@ impl StatsCollector {
                 num as f64 / den as f64
             }
         };
-        let mut by_priority = BTreeMap::new();
-        for (&level, &expected) in &self.expected_pairs_by_priority {
-            let delivered = self
-                .delivered_expected_by_priority
-                .get(&level)
-                .copied()
-                .unwrap_or(0);
-            by_priority.insert(level, ratio(delivered, expected));
+        // (expected, delivered) pairs per priority level, with a level for
+        // every priority a message was created at.
+        let mut per_level: BTreeMap<u8, (u64, u64)> = BTreeMap::new();
+        for (id, p) in &self.priority_of {
+            let expected = self.expected_dests.get(id).map_or(0, |set| set.len());
+            per_level.entry(p.level()).or_default().0 += expected as u64;
         }
+        let mut delivered_expected = 0;
+        let mut messages_with_delivery = FxHashSet::default();
+        for &(id, node) in &self.delivered_pairs {
+            messages_with_delivery.insert(id);
+            if self.is_expected(id, node) {
+                delivered_expected += 1;
+                if let Some(p) = self.priority_of.get(&id) {
+                    per_level.entry(p.level()).or_default().1 += 1;
+                }
+            }
+        }
+        let expected_pairs = per_level.values().map(|&(expected, _)| expected).sum();
         RunSummary {
-            created: self.created,
-            expected_pairs: self.expected_pairs,
-            delivered_pairs: self.delivered_expected,
-            bonus_deliveries: self.delivered_unexpected,
-            messages_with_delivery: self.messages_with_delivery.len() as u64,
-            delivery_ratio: ratio(self.delivered_expected, self.expected_pairs),
-            delivery_ratio_by_priority: by_priority,
-            mean_latency_secs: if self.latency_count == 0 {
+            created: 0,
+            expected_pairs,
+            delivered_pairs: delivered_expected,
+            bonus_deliveries: self.delivered_pairs.len() as u64 - delivered_expected,
+            messages_with_delivery: messages_with_delivery.len() as u64,
+            delivery_ratio: ratio(delivered_expected, expected_pairs),
+            delivery_ratio_by_priority: per_level
+                .into_iter()
+                .map(|(level, (expected, delivered))| (level, ratio(delivered, expected)))
+                .collect(),
+            mean_latency_secs: if delivered_expected == 0 {
                 0.0
             } else {
-                self.latency_sum_secs / self.latency_count as f64
+                self.latency_sum_secs / delivered_expected as f64
             },
-            latency_count: self.latency_count,
+            latency_count: delivered_expected,
             relays_completed: self.relays_completed,
             relay_bytes: self.relay_bytes,
             transfers_aborted: 0,
@@ -324,55 +288,26 @@ impl StatsCollector {
 
 /// The full dynamic state of a [`StatsCollector`], with hash-based
 /// containers flattened into sorted vectors for a deterministic image.
-///
-/// The five kernel event counts are not collector state. They stay in the
-/// document so `DTNSNAP v2` bodies keep their shape: the kernel writes
-/// them from its [`KernelCounters`](crate::metrics::KernelCounters) and
-/// rejects a restore whose copies disagree with the counters.
+/// Each fact appears once: the delivery tallies of a [`RunSummary`] are
+/// derived from these on demand, and the kernel event counts live in the
+/// snapshot's [`KernelCounters`](crate::metrics::KernelCounters).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StatsState {
-    /// Messages created.
-    pub created: u64,
-    /// Creations per priority level.
-    pub created_by_priority: BTreeMap<u8, u64>,
-    /// Expected `(message, destination)` pairs registered.
-    pub expected_pairs: u64,
-    /// Expected pairs per priority level.
-    pub expected_pairs_by_priority: BTreeMap<u8, u64>,
     /// Expected destination sets, sorted by message id (inner sorted).
     pub expected_dests: Vec<(MessageId, Vec<NodeId>)>,
     /// Message priorities, sorted by message id.
     pub priority_of: Vec<(MessageId, Priority)>,
     /// Delivered `(message, destination)` pairs, sorted.
     pub delivered_pairs: Vec<(MessageId, NodeId)>,
-    /// Expected deliveries counted.
-    pub delivered_expected: u64,
-    /// Expected deliveries per priority level.
-    pub delivered_expected_by_priority: BTreeMap<u8, u64>,
-    /// Deliveries outside the expected set.
-    pub delivered_unexpected: u64,
-    /// Messages with at least one delivery, sorted.
-    pub messages_with_delivery: Vec<MessageId>,
-    /// Sum of first-delivery latencies, seconds.
+    /// Sum of first-delivery latencies of expected pairs, seconds, in
+    /// delivery order.
     pub latency_sum_secs: f64,
-    /// Number of latencies in the sum.
-    pub latency_count: u64,
     /// Completed relay transfers.
     pub relays_completed: u64,
     /// Bytes moved by completed transfers.
     pub relay_bytes: u64,
-    /// Aborted transfers.
-    pub transfers_aborted: u64,
-    /// Retries scheduled.
-    pub transfers_retried: u64,
-    /// Checkpoint resumes.
-    pub transfers_resumed: u64,
-    /// Retries abandoned.
-    pub transfers_abandoned: u64,
     /// Buffer evictions.
     pub buffer_evictions: u64,
-    /// TTL expiries.
-    pub ttl_expiries: u64,
     /// Named time series.
     pub series: BTreeMap<String, Vec<(f64, f64)>>,
 }
@@ -633,9 +568,11 @@ mod tests {
         assert_eq!(sum.buffer_evictions, 3);
     }
 
-    /// `DTNSNAP v2` bodies carry `StatsState` with these keys in this
-    /// order, the kernel event counts included: dropping or moving one
-    /// changes the wire shape and needs a `FORMAT_VERSION` bump.
+    /// `DTNSNAP v3` bodies carry `StatsState` with these keys in this
+    /// order, one per fact: adding, dropping or moving one changes the
+    /// wire shape and needs a `FORMAT_VERSION` bump. The delivery tallies
+    /// and the kernel event counts are deliberately absent (derived, and
+    /// owned by the counters).
     #[test]
     fn stats_state_keys_are_pinned() {
         let doc = serde::Serialize::to_value(&StatsCollector::new().export_state());
@@ -648,30 +585,92 @@ mod tests {
         assert_eq!(
             keys,
             [
-                "created",
-                "created_by_priority",
-                "expected_pairs",
-                "expected_pairs_by_priority",
                 "expected_dests",
                 "priority_of",
                 "delivered_pairs",
-                "delivered_expected",
-                "delivered_expected_by_priority",
-                "delivered_unexpected",
-                "messages_with_delivery",
                 "latency_sum_secs",
-                "latency_count",
                 "relays_completed",
                 "relay_bytes",
-                "transfers_aborted",
-                "transfers_retried",
-                "transfers_resumed",
-                "transfers_abandoned",
                 "buffer_evictions",
-                "ttl_expiries",
                 "series",
             ]
         );
+    }
+
+    /// The first delivery of a `(message, node)` pair wins; later ones
+    /// are refused, and other pairs are independent.
+    #[test]
+    fn first_delivery_wins_later_deliveries_lose() {
+        let mut s = StatsCollector::new();
+        s.record_created(MessageId(1), Priority::High, [NodeId(2)]);
+        assert_eq!(s.delivered_count(), 0);
+        assert!(s.record_delivered(MessageId(1), NodeId(2), t(0.0), t(1.0)));
+        assert!(
+            !s.record_delivered(MessageId(1), NodeId(2), t(0.0), t(2.0)),
+            "second deliverer unpaid"
+        );
+        assert!(
+            s.record_delivered(MessageId(1), NodeId(3), t(0.0), t(3.0)),
+            "other destination independent"
+        );
+        assert!(
+            s.record_delivered(MessageId(2), NodeId(2), t(0.0), t(4.0)),
+            "other message independent"
+        );
+        assert!(s.is_delivered(MessageId(1), NodeId(2)));
+        assert_eq!(s.delivered_count(), 3);
+    }
+
+    /// Redelivery regression: a retried transfer can deliver the same
+    /// message to the same destination again (possibly via a different
+    /// deliverer). However many times it arrives, only the first counts,
+    /// and the summary and snapshot image stay those of one delivery.
+    #[test]
+    fn redelivered_copies_never_count_twice() {
+        let mut s = StatsCollector::new();
+        s.record_created(MessageId(7), Priority::Low, [NodeId(1)]);
+        assert!(s.record_delivered(MessageId(7), NodeId(1), t(0.0), t(5.0)));
+        let once = (s.summarize(), s.export_state());
+        for redelivery in 0..5 {
+            assert!(
+                !s.record_delivered(
+                    MessageId(7),
+                    NodeId(1),
+                    t(0.0),
+                    t(6.0 + f64::from(redelivery))
+                ),
+                "redelivered copy must not count again"
+            );
+        }
+        assert_eq!(s.delivered_count(), 1, "exactly one delivery recorded");
+        assert_eq!((s.summarize(), s.export_state()), once);
+        assert_eq!(once.0.mean_latency_secs, 5.0);
+    }
+
+    /// Every tally of the summary is derived from the expected sets, the
+    /// priorities and the delivered pairs, so a restored collector reports
+    /// exactly what the original did.
+    #[test]
+    fn summary_survives_an_export_import_round_trip() {
+        let mut s = StatsCollector::new();
+        s.record_created(MessageId(1), Priority::High, [NodeId(1), NodeId(2)]);
+        s.record_created(MessageId(2), Priority::Low, []);
+        s.record_created(MessageId(3), Priority::Low, [NodeId(4)]);
+        s.record_delivered(MessageId(1), NodeId(1), t(0.0), t(3.0));
+        s.record_delivered(MessageId(1), NodeId(9), t(0.0), t(4.0));
+        s.record_delivered(MessageId(3), NodeId(4), t(1.0), t(8.0));
+        let sum = s.summarize();
+        assert_eq!(sum.expected_pairs, 3);
+        assert_eq!(sum.delivered_pairs, 2);
+        assert_eq!(sum.bonus_deliveries, 1);
+        assert_eq!(sum.messages_with_delivery, 2);
+        assert_eq!(sum.latency_count, 2);
+        assert_eq!(sum.mean_latency_secs, 5.0);
+        assert_eq!(sum.delivery_ratio_by_priority[&Priority::High.level()], 0.5);
+        assert_eq!(sum.delivery_ratio_by_priority[&Priority::Low.level()], 1.0);
+        let mut restored = StatsCollector::new();
+        restored.import_state(&s.export_state());
+        assert_eq!(restored.summarize(), sum);
     }
 
     #[test]

@@ -144,8 +144,9 @@ struct CheckpointSlot {
     last_touch: SimTime,
 }
 
-/// A transfer that has been requested but not yet finished.
-#[derive(Debug, Clone, PartialEq)]
+/// A transfer that has been requested but not yet finished. Snapshots
+/// carry it as is.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Transfer {
     /// Transmitting node.
     pub from: NodeId,
@@ -213,25 +214,6 @@ pub struct AbortedTransfer {
     pub reason: AbortReason,
 }
 
-/// Snapshot image of one queued or in-flight [`Transfer`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TransferState {
-    /// Transmitting node.
-    pub from: NodeId,
-    /// Receiving node.
-    pub to: NodeId,
-    /// The message being pushed.
-    pub message: MessageId,
-    /// Payload size in bytes.
-    pub bytes_total: u64,
-    /// Bytes already on the air.
-    pub bytes_sent: f64,
-    /// When transmission actually began (`None` while queued).
-    pub started_at: Option<SimTime>,
-    /// When the transfer was requested.
-    pub requested_at: SimTime,
-}
-
 /// Snapshot image of one saved checkpoint, key included.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CheckpointState {
@@ -255,7 +237,7 @@ pub struct CheckpointState {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TransferEngineState {
     /// Per-sender FIFOs, indexed by sender id; most are empty.
-    pub queues: Vec<Vec<TransferState>>,
+    pub queues: Vec<Vec<Transfer>>,
     /// Live checkpoints, sorted by `(from, to, message)` so the image is
     /// deterministic regardless of `HashMap` iteration order.
     pub checkpoints: Vec<CheckpointState>,
@@ -415,19 +397,7 @@ impl TransferEngine {
         let queues = self
             .queues
             .iter()
-            .map(|q| {
-                q.iter()
-                    .map(|t| TransferState {
-                        from: t.from,
-                        to: t.to,
-                        message: t.message,
-                        bytes_total: t.bytes_total,
-                        bytes_sent: t.bytes_sent,
-                        started_at: t.started_at,
-                        requested_at: t.requested_at,
-                    })
-                    .collect()
-            })
+            .map(|q| q.iter().cloned().collect())
             .collect();
         let mut checkpoints: Vec<CheckpointState> = self
             .checkpoints
@@ -475,19 +445,7 @@ impl TransferEngine {
         self.queues = state
             .queues
             .iter()
-            .map(|q| {
-                q.iter()
-                    .map(|t| Transfer {
-                        from: t.from,
-                        to: t.to,
-                        message: t.message,
-                        bytes_total: t.bytes_total,
-                        bytes_sent: t.bytes_sent,
-                        started_at: t.started_at,
-                        requested_at: t.requested_at,
-                    })
-                    .collect()
-            })
+            .map(|q| q.iter().cloned().collect())
             .collect();
         self.active = self
             .queues

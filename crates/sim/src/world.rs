@@ -35,10 +35,48 @@ pub fn ordered_pair(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
     }
 }
 
+/// Refuses the first of `ids` outside a world of `nodes` nodes, naming
+/// `field`: restore checks every node id of a snapshot body with it.
+///
+/// # Errors
+///
+/// The first id outside the world.
+pub fn check_node_ids(
+    field: &str,
+    nodes: usize,
+    ids: impl IntoIterator<Item = NodeId>,
+) -> Result<(), String> {
+    match ids.into_iter().find(|id| id.index() >= nodes) {
+        Some(id) => Err(format!(
+            "{field} names node {id}, outside this world of {nodes} nodes"
+        )),
+        None => Ok(()),
+    }
+}
+
+/// Most cells a contact grid holds per node; sparser worlds get wider
+/// cells. The paper's worlds hold about one range-wide cell per node.
+const MAX_CELLS_PER_NODE: f64 = 16.0;
+
+/// The cell width of a contact grid over `area` for `nodes` nodes: never
+/// below the radio `range` (nor 1 m), so every pair in range lies in
+/// adjacent cells, and wide enough for at most `MAX_CELLS_PER_NODE` (16)
+/// cells per node. Both contact cores size their grids here.
+#[must_use]
+pub fn cell_width(area: Area, range: f64, nodes: usize) -> f64 {
+    let cap = MAX_CELLS_PER_NODE * nodes.max(1) as f64;
+    let mut width = range.max(1.0).max((area.width * area.height / cap).sqrt());
+    while (area.width / width).ceil() * (area.height / width).ceil() > cap {
+        width *= 2.0;
+    }
+    width
+}
+
 /// A uniform spatial hash grid for range queries over node positions.
 ///
-/// Cell size equals the radio range, so all neighbours within range of a
-/// point lie in its 3×3 cell neighbourhood. Rebuilt each simulation step
+/// Cells are at least as wide as the radio range (see [`cell_width`]), so
+/// all neighbours within range of a point lie in its 3×3 cell
+/// neighbourhood. Rebuilt each simulation step
 /// (positions change every step anyway), which is cheap: one pass over all
 /// nodes.
 #[derive(Debug)]
@@ -50,7 +88,8 @@ pub struct SpatialGrid {
 }
 
 impl SpatialGrid {
-    /// Creates a grid covering `area` with cells of `cell_size` meters.
+    /// Creates a grid covering `area` with cells of `cell_size` meters
+    /// ([`cell_width`] picks one for a contact grid).
     ///
     /// # Panics
     ///
@@ -66,6 +105,12 @@ impl SpatialGrid {
             rows,
             cells: vec![Vec::new(); cols * rows],
         }
+    }
+
+    /// Number of cells in the grid.
+    #[cfg(test)]
+    pub(crate) fn cell_count(&self) -> usize {
+        self.cells.len()
     }
 
     fn cell_of(&self, p: Point) -> (usize, usize) {

@@ -398,6 +398,157 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Writes `body` under a freshly computed header, so only the body's
+    /// meaning can be wrong, never its checksum.
+    fn write_checksummed(path: &Path, version: &str, body: &str) {
+        let header = format!(
+            "{} {version} {}\n",
+            snapshot::MAGIC,
+            snapshot::fnv128_hex(body.as_bytes())
+        );
+        std::fs::write(path, header + body).unwrap();
+    }
+
+    /// The value at `path` inside `v`, stepping into maps by key and into
+    /// sequences by index.
+    fn at<'a>(v: &'a mut serde::Value, path: &[&str]) -> &'a mut serde::Value {
+        path.iter().fold(v, |v, key| match v {
+            serde::Value::Map(entries) => match entries.iter_mut().find(|(k, _)| k == key) {
+                Some((_, field)) => field,
+                None => panic!("no key {key}"),
+            },
+            serde::Value::Seq(items) => &mut items[key.parse::<usize>().expect("an index")],
+            other => panic!("cannot step into a {} at {key}", other.kind()),
+        })
+    }
+
+    /// A checksum-valid body that names a node outside the world is
+    /// refused at restore with a typed mismatch naming the field, at each
+    /// site that would otherwise index past a per-node table later in the
+    /// run. A `v2` body is refused by version.
+    #[test]
+    fn restore_refuses_node_ids_outside_the_world() {
+        let dir = std::env::temp_dir().join(format!("dtn-outside-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let s = scenario();
+        let m = meta(&s, 5);
+        let mut sim = m.build(false);
+        let non_empty = |w: &WorldState, key: &str| {
+            w.protocol
+                .get(key)
+                .and_then(serde::Value::as_seq)
+                .is_some_and(|rows| !rows.is_empty())
+        };
+        // Run until every tampered site holds an entry.
+        loop {
+            let w = sim.snapshot();
+            if sim.retry_queue_len() > 0
+                && w.transfers.queues.iter().any(|q| !q.is_empty())
+                && non_empty(&w, "meta")
+                && non_empty(&w, "last_exchange")
+            {
+                break;
+            }
+            assert!(
+                sim.api().now().as_secs() < s.duration_secs,
+                "sites never filled"
+            );
+            sim.step_once();
+        }
+        let path = dir.join("faithful.dtnsnap");
+        write_snapshot(&sim, &m, &path).unwrap();
+        let doc = read_snapshot(&path).unwrap();
+        resume_simulation(&doc).expect("a faithful snapshot restores");
+        let queue = doc
+            .world
+            .transfers
+            .queues
+            .iter()
+            .position(|q| !q.is_empty());
+        let queue = queue.unwrap().to_string();
+        let buffer = doc.world.buffers.iter().position(|b| !b.copies.is_empty());
+        let buffer = buffer.unwrap().to_string();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (_, body) = text.split_once('\n').unwrap();
+
+        let cases: [(&str, Vec<&str>); 6] = [
+            ("bodies.source", vec!["world", "bodies", "0", "source"]),
+            (
+                "buffers.copies",
+                vec!["world", "buffers", &buffer, "copies", "0", "path", "0"],
+            ),
+            (
+                "transfers.queues",
+                vec!["world", "transfers", "queues", &queue, "0", "to"],
+            ),
+            (
+                "retries.queue",
+                vec!["world", "retries", "queue", "0", "to"],
+            ),
+            ("meta", vec!["world", "protocol", "meta", "0", "0"]),
+            (
+                "last_exchange",
+                vec!["world", "protocol", "last_exchange", "0", "1"],
+            ),
+        ];
+        for (field, path) in cases {
+            let mut value: serde::Value = serde_json::from_str(body).unwrap();
+            *at(&mut value, &path) = serde::Value::U64(9_999);
+            let tampered = dir.join(format!("{field}.dtnsnap"));
+            write_checksummed(
+                &tampered,
+                snapshot::FORMAT_VERSION,
+                &serde_json::to_string(&value).unwrap(),
+            );
+            let doc = read_snapshot(&tampered).expect("the checksum holds");
+            match resume_simulation(&doc) {
+                Err(SnapshotError::Mismatch { detail }) => {
+                    assert!(detail.contains(field), "{field}: {detail}");
+                    assert!(
+                        detail.contains("n9999, outside this world of 20"),
+                        "{field}: {detail}"
+                    );
+                }
+                Err(other) => panic!("{field}: expected a Mismatch, got {other}"),
+                Ok(_) => panic!("{field}: node 9999 restored into a 20-node world"),
+            }
+        }
+
+        let old = dir.join("v2.dtnsnap");
+        write_checksummed(&old, "v2", body);
+        match read_snapshot(&old) {
+            Err(SnapshotError::VersionMismatch { found, .. }) => assert_eq!(found, "v2"),
+            other => panic!("expected a VersionMismatch, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The no-double-pay audit compares two ledgers, the router's
+    /// settlement count and the kernel's delivered pairs: a world whose
+    /// ledgers disagree fails it.
+    #[test]
+    fn settlement_audit_compares_the_router_with_the_kernel() {
+        let m = meta(&scenario(), 5);
+        let mut sim = m.build(false);
+        while sim.api().delivered_count() == 0 {
+            sim.step_once();
+        }
+        assert_eq!(sim.check_invariants_now(), Vec::<String>::new());
+        let mut world = sim.snapshot();
+        world.stats.delivered_pairs.pop();
+        let mut edited = m.build(false);
+        edited
+            .restore(&world)
+            .expect("the ids are all in the world");
+        let violations = edited.check_invariants_now();
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.contains("double-pay guard broken")),
+            "{violations:?}"
+        );
+    }
+
     #[test]
     fn deeply_nested_checksummed_body_is_a_typed_rejection() {
         // The checksum only proves the body is what the writer wrote; a

@@ -220,8 +220,12 @@ impl Scenario {
         if self.nodes == 0 {
             return Err("a scenario needs nodes".into());
         }
-        if !(self.area_km2.is_finite() && self.area_km2 > 0.0) {
-            return Err("area_km2 must be finite and positive".into());
+        // The world is a square of `area_km2 · 10⁶` m², which must be
+        // finite too (area_km2 up to about 1.8e302).
+        if !(self.area_km2 > 0.0 && (self.area_km2 * 1e6).is_finite()) {
+            return Err(
+                "area_km2 must be positive and at most 1.7e302 (a finite area in m²)".into(),
+            );
         }
         if !(self.duration_secs.is_finite() && self.duration_secs > 0.0) {
             return Err("duration_secs must be finite and positive".into());
@@ -409,9 +413,13 @@ mod tests {
 
     #[test]
     fn non_finite_or_non_positive_area_is_rejected() {
-        rejects("area_km2", &[0.0, -1.0, f64::NAN, f64::INFINITY], |s, v| {
-            s.area_km2 = v;
-        });
+        rejects(
+            "area_km2",
+            &[0.0, -1.0, f64::NAN, f64::INFINITY, f64::MAX, 1e303],
+            |s, v| {
+                s.area_km2 = v;
+            },
+        );
     }
 
     #[test]

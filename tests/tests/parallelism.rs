@@ -1,12 +1,12 @@
 //! Determinism under parallelism.
 //!
-//! The kernel's `threads` knob shards mobility stepping and the event
-//! core's contact regions, and the transfer engine steps an
-//! incrementally-maintained active-sender index instead of scanning every
-//! queue. None of that may change a single byte of output: these tests
-//! pit sharded runs against the serial path at the trace level, and the
-//! batched index against a brute-force queue scan under arbitrary op
-//! interleavings.
+//! The kernel's `threads` knob bounds how many threads step the event
+//! core's contact regions (mobility steps serially), and the transfer
+//! engine steps an incrementally-maintained active-sender index instead
+//! of scanning every queue. None of that may change a single byte of
+//! output: these tests pit sharded runs against the serial path at the
+//! trace level, and the batched index against a brute-force queue scan
+//! under arbitrary op interleavings.
 
 use dtn_integration_tests::fast_scenario;
 use dtn_sim::message::MessageId;
