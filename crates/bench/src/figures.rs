@@ -1004,7 +1004,7 @@ pub mod adversary {
     /// escalating attacker populations.
     pub const FRACTIONS: [f64; 5] = [0.0, 0.1, 0.2, 0.3, 0.4];
 
-    /// Simulated-seconds between `check_invariants` audits in every cell.
+    /// Kernel steps between `check_invariants` audits in every cell.
     pub const AUDIT_EVERY: u64 = 300;
 
     fn base(cli: &Cli) -> Scenario {

@@ -56,7 +56,8 @@ pub enum Command {
         /// scenario's `strategies` field; see `StrategyMix::from_str`
         /// for the grammar).
         strategies: Option<String>,
-        /// Run with the cross-cutting invariant checker enabled.
+        /// Audit invariants in-run (`--check-invariants`): sets the
+        /// scenario's `audit_every` to 60 steps when it leaves it unset.
         check_invariants: bool,
         /// Optional path for a wall-clock metrics JSON dump
         /// (`--metrics-out`); enables the phase profiler.
@@ -410,7 +411,8 @@ CHAOS:
     probabilities). Identical (scenario, seed, spec) runs replay exactly;
     an invariant-breach report prints the flags needed to reproduce it.
     --check-invariants audits token conservation, rating bounds, buffer
-    accounting and energy sanity every 60 simulated steps.
+    accounting and energy sanity every 60 steps, or at the scenario's own
+    `audit_every` cadence (in steps) when it sets one.
 
 STRATEGIES:
     --strategies assigns economically rational adversary strategies to a
@@ -651,12 +653,15 @@ pub fn execute_with_interrupt(
                     .map_err(|e| format!("bad recovery flags: {e}"))?;
                 scenario.recovery = Some(policy);
             }
+            // Audit every 60 steps unless the scenario sets its own cadence:
+            // the rating-bounds scan is O(nodes²), so a per-step audit
+            // would dominate a 100-node run.
+            if check_invariants && scenario.audit_every.is_none() {
+                scenario.audit_every = Some(60);
+            }
             // Traced runs bound the log (1M events) so a runaway scenario
             // cannot exhaust memory.
             let capacity = trace_out.as_ref().map(|_| 1_000_000);
-            // Audit every 60 simulated steps: the rating-bounds scan is
-            // O(nodes²), so a per-step audit would dominate a 100-node run.
-            let cadence = check_invariants.then_some(60);
             let profile = metrics_out.is_some() || verbose;
             // Run identity as the snapshot layer records it: the snapshot
             // embeds this and a resumed command line must rebuild it
@@ -667,7 +672,6 @@ pub fn execute_with_interrupt(
                 arm,
                 seed,
                 trace_capacity: capacity,
-                check_every: cadence,
             };
             // Read (and reject) the resume document before paying for the
             // world build; restore after, into the identical configuration.
@@ -685,12 +689,12 @@ pub fn execute_with_interrupt(
                             doc.meta.arm.label(),
                             doc.meta.seed,
                             doc.meta.trace_capacity.is_some(),
-                            doc.meta.check_every.is_some(),
+                            doc.meta.scenario.audit_every.is_some(),
                             meta.scenario.name,
                             meta.arm.label(),
                             meta.seed,
                             meta.trace_capacity.is_some(),
-                            meta.check_every.is_some(),
+                            meta.scenario.audit_every.is_some(),
                         ));
                     }
                     Some(doc)

@@ -49,7 +49,7 @@ pub mod prelude {
     pub use crate::behavior::NodeBehavior;
     pub use crate::enrich::{enrich_copy, EnrichmentResult};
     pub use crate::judge::{judge_message, PathJudgement};
-    pub use crate::ops::{annotate, best_relay, device_type, messages_to_forward, DeviceType};
+    pub use crate::ops::annotate;
     pub use crate::params::ProtocolParams;
     pub use crate::protocol::{
         DcimRouter, ProtocolStats, BROKE_NODES_SERIES, MALICIOUS_RATING_SERIES,

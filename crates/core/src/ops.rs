@@ -1,9 +1,11 @@
 //! The operator functions of Paper I, §4.
 //!
 //! The paper specifies eleven user/system functions. Most map directly onto
-//! methods of the component crates; this module provides the remaining
-//! queries and a cross-reference so the public API matches the paper's
-//! operator list one-to-one:
+//! methods of the component crates; this module provides the one that does
+//! not (`Annotate`) and a cross-reference so the public API matches the
+//! paper's operator list one-to-one. Functions 5–7 are the route pass
+//! [`crate::protocol::DcimRouter`] runs on each contact and settlement
+//! tick, which asks its [`RouterBackend`] about each buffered message:
 //!
 //! | Paper function | Implemented by |
 //! |---|---|
@@ -11,30 +13,20 @@
 //! | 2. `Subscribe` | [`crate::protocol::DcimRouter::subscribe`] |
 //! | 3. `DecayWeights` | [`dtn_routing::interests::InterestTable::decay`] |
 //! | 4. `IncrementWeights` | [`dtn_routing::interests::InterestTable::grow`] |
-//! | 5. `GetMessagesToForward` | [`messages_to_forward`] |
-//! | 6. `DecideDestOrRelay` | [`device_type`] |
-//! | 7. `DecideBestRelay` | [`best_relay`] |
+//! | 5. `GetMessagesToForward` | the route pass, gated by [`RouterBackend::is_destination`] and [`RouterBackend::accepts_relay`] |
+//! | 6. `DecideDestOrRelay` | [`RouterBackend::is_destination`] |
+//! | 7. `DecideBestRelay` | [`RouterBackend::accepts_relay`] (ChitChat: `S_to > S_from`) |
 //! | 8. `ComputeIncentive` | [`crate::protocol::DcimRouter`] promise quoting (see [`dtn_incentive::promise`]) |
 //! | 9. `RateMessage` | [`crate::judge::judge_message`] + [`dtn_reputation::rating`] |
 //! | 10. `RateNode` | [`dtn_reputation::table::ReputationTable::rating_of`] |
 //! | 11. `Enrich` | [`crate::enrich::enrich_copy`] |
+//!
+//! [`RouterBackend`]: dtn_routing::backend::RouterBackend
+//! [`RouterBackend::is_destination`]: dtn_routing::backend::RouterBackend::is_destination
+//! [`RouterBackend::accepts_relay`]: dtn_routing::backend::RouterBackend::accepts_relay
 
-use dtn_sim::kernel::SimApi;
-use dtn_sim::message::{Keyword, MessageId};
+use dtn_sim::message::Keyword;
 use dtn_sim::rng::SimRng;
-use dtn_sim::world::NodeId;
-
-use crate::protocol::DcimRouter;
-
-/// Whether a connected device is a destination or a relay for a message
-/// (operator function 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeviceType {
-    /// The device has a *direct* interest in one of the message keywords.
-    Destination,
-    /// The device has only transient interest (or none): at best a relay.
-    Relay,
-}
 
 /// Operator function 1 — `Annotate`: produces the source's initial tags for
 /// a message whose content is described by `ground_truth`.
@@ -63,75 +55,9 @@ pub fn annotate(ground_truth: &[Keyword], keep_fraction: f64, rng: &mut SimRng) 
     picked.into_iter().map(|i| ground_truth[i]).collect()
 }
 
-/// Operator function 6 — `DecideDestOrRelay`.
-#[must_use]
-pub fn device_type(router: &DcimRouter, node: NodeId, keywords: &[Keyword]) -> DeviceType {
-    if router.table(node).is_destination_for(keywords) {
-        DeviceType::Destination
-    } else {
-        DeviceType::Relay
-    }
-}
-
-/// Operator function 5 — `GetMessagesToForward`: the messages `from` would
-/// offer `to` under the routing rule (destination, or `S_to > S_from`),
-/// ignoring the incentive gates (those apply at offer time).
-#[must_use]
-pub fn messages_to_forward(
-    api: &SimApi,
-    router: &DcimRouter,
-    from: NodeId,
-    to: NodeId,
-) -> Vec<MessageId> {
-    let mut out = Vec::new();
-    for id in api.buffer(from).ids_sorted() {
-        if api.buffer(to).contains(id) {
-            continue;
-        }
-        let Some(copy) = api.buffer(from).get(id) else {
-            continue;
-        };
-        let keywords = copy.keywords();
-        let dest = router.table(to).is_destination_for(&keywords);
-        let s_from = router.table(from).sum_of_weights(&keywords);
-        let s_to = router.table(to).sum_of_weights(&keywords);
-        if dest || s_to > s_from {
-            out.push(id);
-        }
-    }
-    out
-}
-
-/// Operator function 7 — `DecideBestRelay`: among `candidates`, the one
-/// with the highest sum of interest weights for `keywords` (the highest
-/// delivery probability). Ties break toward the smaller node id; `None`
-/// when no candidate has any weight.
-#[must_use]
-pub fn best_relay(
-    router: &DcimRouter,
-    candidates: &[NodeId],
-    keywords: &[Keyword],
-) -> Option<NodeId> {
-    candidates
-        .iter()
-        .map(|&n| (n, router.table(n).sum_of_weights(keywords)))
-        .filter(|&(_, w)| w > 0.0)
-        .max_by(|a, b| {
-            a.1.partial_cmp(&b.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(b.0.cmp(&a.0))
-        })
-        .map(|(n, _)| n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::ProtocolParams;
-
-    fn router() -> DcimRouter {
-        DcimRouter::new(4, ProtocolParams::paper_default(), 7)
-    }
 
     #[test]
     fn annotate_keeps_a_nonempty_truth_subset() {
@@ -153,36 +79,5 @@ mod tests {
     #[should_panic(expected = "keep_fraction")]
     fn annotate_rejects_zero_fraction() {
         let _ = annotate(&[Keyword(1)], 0.0, &mut SimRng::new(1));
-    }
-
-    #[test]
-    fn device_type_follows_direct_interest() {
-        let mut r = router();
-        r.subscribe(NodeId(1), [Keyword(5)]);
-        assert_eq!(
-            device_type(&r, NodeId(1), &[Keyword(5)]),
-            DeviceType::Destination
-        );
-        assert_eq!(device_type(&r, NodeId(2), &[Keyword(5)]), DeviceType::Relay);
-        assert_eq!(device_type(&r, NodeId(1), &[Keyword(6)]), DeviceType::Relay);
-    }
-
-    #[test]
-    fn best_relay_picks_highest_weight() {
-        let mut r = router();
-        r.subscribe(NodeId(1), [Keyword(5)]);
-        r.subscribe(NodeId(2), [Keyword(5), Keyword(6)]);
-        let picked = best_relay(
-            &r,
-            &[NodeId(1), NodeId(2), NodeId(3)],
-            &[Keyword(5), Keyword(6)],
-        );
-        assert_eq!(picked, Some(NodeId(2)));
-        assert_eq!(
-            best_relay(&r, &[NodeId(3)], &[Keyword(5)]),
-            None,
-            "no weight, no relay"
-        );
-        assert_eq!(best_relay(&r, &[], &[Keyword(5)]), None);
     }
 }

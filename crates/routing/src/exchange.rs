@@ -241,10 +241,11 @@ struct PairSlot {
 /// next-due step, replacing the per-tick full scan of [`due_pairs`] with
 /// work proportional to the pairs actually due.
 ///
-/// Determinism argument (see DESIGN.md §16): the kernel clock accumulates
-/// `now += dt`, so the exact step at which `now − last ≥ interval` first
-/// holds cannot be computed analytically without repeating the float
-/// accumulation. The wheel therefore schedules *conservatively early* —
+/// Determinism argument (see DESIGN.md §16): the kernel clock is the float
+/// product `steps × dt`, so for a step length that does not divide the
+/// interval exactly, the step at which `now − last ≥ interval` first holds
+/// depends on rounding in the subtraction. The wheel therefore schedules
+/// *conservatively early* —
 /// `service_step + max(1, ⌊interval/dt⌋)` — and re-validates the exact
 /// legacy predicate on every pop, pushing not-yet-due pairs one bucket
 /// forward. A pair is emitted at exactly the first step where the legacy

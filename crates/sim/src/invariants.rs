@@ -1,18 +1,18 @@
 //! Cross-cutting invariant checking.
 //!
-//! An [`InvariantChecker`] makes the kernel audit conservation properties
-//! while a run is in flight — every step or at a configurable cadence —
-//! instead of only asserting on final summaries. The kernel-owned checks
-//! live in [`kernel_invariants`]; protocols add their own (token
-//! conservation, rating bounds, …) via
-//! [`crate::protocol::Protocol::check_invariants`]. On a breach the kernel
-//! panics with a [`format_breach`] report carrying everything needed to
-//! replay the run: the seed, the fault-plan spec, and a bounded excerpt of
-//! the event trace.
+//! With [`crate::kernel::SimulationBuilder::check_invariants_every`] the
+//! kernel audits conservation properties while a run is in flight — at the
+//! end of every step whose count is a multiple of the cadence, and once at
+//! the end of the run — instead of only asserting on final summaries. The
+//! step count is the audit's clock, so a restored world audits at the
+//! steps the uninterrupted one does. The kernel-owned checks live in
+//! [`kernel_invariants`]; protocols add their own (token conservation,
+//! rating bounds, …) via [`crate::protocol::Protocol::check_invariants`].
+//! On a breach the kernel panics with a [`format_breach`] report carrying
+//! everything needed to replay the run: the seed, the fault-plan spec, and
+//! a bounded excerpt of the event trace.
 
 use std::fmt::Write as _;
-
-use serde::{Deserialize, Serialize};
 
 use crate::faults::FaultPlan;
 use crate::kernel::SimApi;
@@ -20,75 +20,6 @@ use crate::time::SimTime;
 
 /// How many trailing trace lines a breach report includes.
 const TRACE_TAIL_LINES: usize = 20;
-
-/// Decides on which steps the kernel runs its invariant audit.
-#[derive(Debug, Clone)]
-pub struct InvariantChecker {
-    every_steps: u64,
-    steps_since: u64,
-    checks_run: u64,
-}
-
-impl InvariantChecker {
-    /// Checks every `steps` kernel steps (1 = every step).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `steps` is zero.
-    #[must_use]
-    pub fn every(steps: u64) -> Self {
-        assert!(steps > 0, "check cadence must be positive");
-        InvariantChecker {
-            every_steps: steps,
-            steps_since: 0,
-            checks_run: 0,
-        }
-    }
-
-    /// How many audits have run so far.
-    #[must_use]
-    pub fn checks_run(&self) -> u64 {
-        self.checks_run
-    }
-
-    /// Advances the cadence clock; `true` when this step should audit.
-    pub(crate) fn due(&mut self) -> bool {
-        self.steps_since += 1;
-        if self.steps_since >= self.every_steps {
-            self.steps_since = 0;
-            self.checks_run += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Captures the cadence clock for a snapshot; the cadence itself is
-    /// rebuilt from the scenario on restore.
-    #[must_use]
-    pub fn export_state(&self) -> InvariantCheckerState {
-        InvariantCheckerState {
-            steps_since: self.steps_since,
-            checks_run: self.checks_run,
-        }
-    }
-
-    /// Overwrites the cadence clock from a snapshot.
-    pub fn import_state(&mut self, state: &InvariantCheckerState) {
-        self.steps_since = state.steps_since;
-        self.checks_run = state.checks_run;
-    }
-}
-
-/// The dynamic state of an [`InvariantChecker`] — the cadence clock,
-/// without the configured cadence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct InvariantCheckerState {
-    /// Steps elapsed since the last audit.
-    pub steps_since: u64,
-    /// Audits run so far.
-    pub checks_run: u64,
-}
 
 /// The kernel-owned invariant audit. Returns one human-readable line per
 /// violation (empty = healthy).
@@ -223,20 +154,6 @@ pub fn format_breach(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cadence_fires_every_n_steps() {
-        let mut c = InvariantChecker::every(3);
-        let fired: Vec<bool> = (0..7).map(|_| c.due()).collect();
-        assert_eq!(fired, vec![false, false, true, false, false, true, false]);
-        assert_eq!(c.checks_run(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_cadence_rejected() {
-        let _ = InvariantChecker::every(0);
-    }
 
     #[test]
     fn breach_report_names_seed_plan_and_tail() {

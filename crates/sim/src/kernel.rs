@@ -20,7 +20,7 @@ use crate::faults::{
     FaultInjector, FaultInjectorState, FaultPlan, FaultStats, NodeFault, TransferFault,
 };
 use crate::geometry::{Area, Point};
-use crate::invariants::{self, InvariantChecker, InvariantCheckerState};
+use crate::invariants;
 use crate::message::{Keyword, MessageBody, MessageCopy, MessageId, Priority, Quality};
 use crate::metrics::{KernelCounters, MetricsRegistry, Phase, PhaseProfiler};
 use crate::mobility::MobilityModel;
@@ -39,6 +39,9 @@ use crate::world::{cell_width, check_node_ids, NodeId, SpatialGrid};
 /// Dedicated RNG stream for retry-backoff jitter ("RETRY" in ASCII), so
 /// enabling recovery never perturbs the mobility/fault/protocol streams.
 const RETRY_STREAM: u64 = 0x5245_5452_5900_0000;
+
+/// Simulated seconds between TTL sweeps.
+const TTL_SWEEP_SECS: f64 = 60.0;
 
 /// One aborted transfer waiting out its backoff in the retry queue.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -317,10 +320,15 @@ pub struct SimApi {
 }
 
 impl SimApi {
-    /// The current simulation time.
+    /// The current simulation time: `counters.steps × step`.
     #[must_use]
     pub fn now(&self) -> SimTime {
         self.now
+    }
+
+    /// Sets the cached clock from the step count, the kernel's one clock.
+    fn sync_clock(&mut self) {
+        self.now = SimTime::ZERO + self.step * self.counters.steps as f64;
     }
 
     /// The step length.
@@ -629,7 +637,6 @@ pub struct SimulationBuilder {
     radio: RadioConfig,
     buffer_capacity: u64,
     drop_policy: DropPolicy,
-    ttl_sweep_every: SimDuration,
     battery_joules: Option<f64>,
     trace: Option<TraceLog>,
     faults: Option<FaultPlan>,
@@ -653,7 +660,6 @@ impl SimulationBuilder {
             radio: RadioConfig::paper_default(),
             buffer_capacity: 250_000_000,
             drop_policy: DropPolicy::DropOldest,
-            ttl_sweep_every: SimDuration::from_secs(60.0),
             battery_joules: None,
             trace: None,
             faults: None,
@@ -725,14 +731,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Sets how often expired copies are swept (default 60 s).
-    #[must_use]
-    pub fn ttl_sweep_every(mut self, interval: SimDuration) -> Self {
-        assert!(interval.as_secs() > 0.0, "sweep interval must be positive");
-        self.ttl_sweep_every = interval;
-        self
-    }
-
     /// Gives every node a finite battery of `joules` (default: ideal
     /// power). A depleted node's radio dies: its contacts drop and it
     /// neither sends nor receives for the rest of the run.
@@ -791,9 +789,10 @@ impl SimulationBuilder {
         self
     }
 
-    /// Audits kernel and protocol invariants every `steps` steps (and once
-    /// at the end of the run), aborting with a replayable report on a
-    /// breach (see [`crate::invariants`]); disabled by default.
+    /// Audits kernel and protocol invariants at the end of every step whose
+    /// count is a multiple of `steps` (and once at the end of the run),
+    /// aborting with a replayable report on a breach (see
+    /// [`crate::invariants`]); disabled by default.
     ///
     /// # Panics
     ///
@@ -953,13 +952,11 @@ impl SimulationBuilder {
             threads: self.threads,
             core,
             schedule: self.schedule,
-            ttl_sweep_every: self.ttl_sweep_every,
-            last_sweep: SimTime::ZERO,
             finished: false,
             seed: self.seed,
             faults,
             retries,
-            checker: self.check_every.map(InvariantChecker::every),
+            check_every: self.check_every,
             profiler: if self.profile {
                 PhaseProfiler::enabled()
             } else {
@@ -1024,27 +1021,24 @@ fn check_world_node_ids(state: &WorldState, n: usize) -> Result<(), String> {
 /// the contact core's state (rebuilt from positions) and its region
 /// count, scratch pair buffers, the phase profiler, the event core's
 /// pair-check count, and every fact with an owner elsewhere in the
-/// document (the schedule cursor and next message id are
-/// `counters.messages_created`; "started" is `counters.steps > 0`).
+/// document. `counters.steps` is the kernel's one clock: the simulation
+/// time is `steps × step`, and the TTL sweep and the invariant audit fire
+/// on step-count multiples. The schedule cursor and next message id are
+/// `counters.messages_created`, "started" is `counters.steps > 0`, and
+/// the node count is `positions.len()`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorldState {
     /// The scenario seed the world was built with (pairing check).
     pub seed: u64,
-    /// Number of nodes (pairing check).
-    pub node_count: u64,
     /// The contact-detection core the capture ran on (pairing check).
     /// Both cores produce identical state, but a cross-mode resume would
     /// silently change the remainder's wall-clock profile, so it is
     /// rejected as a [`SnapshotError::Mismatch`] like any other
     /// configuration drift. Carried since format v2.
     pub kernel_mode: KernelMode,
-    /// Simulation clock at capture.
-    pub now: SimTime,
-    /// When the last TTL sweep ran.
-    pub last_sweep: SimTime,
     /// Whether [`Protocol::on_finish`] has fired.
     pub finished: bool,
-    /// Node positions, in node order.
+    /// Node positions, in node order; one per node of the world.
     pub positions: Vec<Point>,
     /// The kernel's root RNG stream position.
     pub rng_root: RngState,
@@ -1070,14 +1064,12 @@ pub struct WorldState {
     /// The event trace ring.
     pub trace: TraceLogState,
     /// Kernel step counters: the one ledger of creations, contacts and
-    /// transfer events.
+    /// transfer events, and the step count every clock derives from.
     pub counters: KernelCounters,
     /// Retry scheduler state; present iff recovery was configured.
     pub retries: Option<RetrySchedulerState>,
     /// Fault injector state; present iff a fault plan was attached.
     pub faults: Option<FaultInjectorState>,
-    /// Invariant checker cadence state; present iff checking was enabled.
-    pub checker: Option<InvariantCheckerState>,
     /// The protocol's own state document ([`Protocol::snapshot_state`]).
     pub protocol: serde::Value,
 }
@@ -1132,13 +1124,12 @@ pub struct Simulation<P> {
     /// The workload, sorted by time. `counters.messages_created` is both
     /// the index of the next creation and the next message id.
     schedule: Vec<ScheduledMessage>,
-    ttl_sweep_every: SimDuration,
-    last_sweep: SimTime,
     finished: bool,
     seed: u64,
     faults: Option<FaultInjector>,
     retries: Option<RetryScheduler>,
-    checker: Option<InvariantChecker>,
+    /// Audit cadence in steps, when auditing is on.
+    check_every: Option<u64>,
     profiler: PhaseProfiler,
 }
 
@@ -1199,11 +1190,12 @@ impl<P: Protocol> Simulation<P> {
         self.faults.as_ref().map(FaultInjector::stats)
     }
 
-    /// Number of invariant audits run so far (`None` when checking is
-    /// disabled).
+    /// Number of cadenced invariant audits run so far, `steps / every`
+    /// (`None` when checking is disabled).
     #[must_use]
     pub fn invariant_checks_run(&self) -> Option<u64> {
-        self.checker.as_ref().map(InvariantChecker::checks_run)
+        self.check_every
+            .map(|every| self.api.counters.steps / every)
     }
 
     /// The wall-clock phase profiler (disabled unless the builder's
@@ -1269,10 +1261,7 @@ impl<P: Protocol> Simulation<P> {
         bodies.sort_unstable_by_key(|b| b.id);
         WorldState {
             seed: self.seed,
-            node_count: self.api.positions.len() as u64,
             kernel_mode: self.kernel_mode(),
-            now: self.api.now,
-            last_sweep: self.last_sweep,
             finished: self.finished,
             positions: self.api.positions.clone(),
             rng_root: self.api.rng_root.state(),
@@ -1288,7 +1277,6 @@ impl<P: Protocol> Simulation<P> {
             counters: self.api.counters,
             retries: self.retries.as_ref().map(RetryScheduler::export_state),
             faults: self.faults.as_ref().map(FaultInjector::export_state),
-            checker: self.checker.as_ref().map(InvariantChecker::export_state),
             protocol: self.protocol.snapshot_state(),
         }
     }
@@ -1301,12 +1289,12 @@ impl<P: Protocol> Simulation<P> {
     ///
     /// [`SnapshotError::Mismatch`] when the document does not pair with
     /// this world: a different seed, node count or kernel mode, an
-    /// optional subsystem (fault plan, recovery policy, invariant checker)
-    /// present on only one side, a node id outside the world anywhere in
-    /// the document (the error names the field), an open contact the
-    /// restored world cannot explain (endpoints out of range at the
-    /// restored positions, a crashed endpoint or a cut link), or
-    /// per-module state that fails its own consistency checks.
+    /// optional subsystem (fault plan, recovery policy) present on only
+    /// one side, a position outside the world area, a node id outside the
+    /// world anywhere in the document (the error names the field), an
+    /// open contact the restored world cannot explain (endpoints out of
+    /// range at the restored positions, a crashed endpoint or a cut link),
+    /// or per-module state that fails its own consistency checks.
     /// On error the world may be partially overwritten — rebuild it before
     /// using it again.
     pub fn restore(&mut self, state: &WorldState) -> Result<(), SnapshotError> {
@@ -1320,12 +1308,6 @@ impl<P: Protocol> Simulation<P> {
             )));
         }
         let nodes = self.api.positions.len();
-        if state.node_count != nodes as u64 {
-            return Err(mismatch(format!(
-                "snapshot has {} nodes, this world has {nodes}",
-                state.node_count
-            )));
-        }
         if state.kernel_mode != self.kernel_mode() {
             return Err(mismatch(format!(
                 "snapshot was taken on the {} core, this world runs {}",
@@ -1345,6 +1327,16 @@ impl<P: Protocol> Simulation<P> {
                 )));
             }
         }
+        let area = self.api.area;
+        if let Some(i) = state.positions.iter().position(|&p| !area.contains(p)) {
+            let p = state.positions[i];
+            return Err(mismatch(format!(
+                "positions puts {} at ({:?}, {:?}), outside the world area",
+                NodeId(i as u32),
+                p.x,
+                p.y
+            )));
+        }
         if state.counters.messages_created > self.schedule.len() as u64 {
             return Err(mismatch(format!(
                 "snapshot consumed {} scheduled creations, this workload has {}",
@@ -1359,11 +1351,6 @@ impl<P: Protocol> Simulation<P> {
                 self.retries.is_some(),
             ),
             ("fault plan", state.faults.is_some(), self.faults.is_some()),
-            (
-                "invariant checker",
-                state.checker.is_some(),
-                self.checker.is_some(),
-            ),
         ] {
             if in_snapshot != in_world {
                 let (with, without) = if in_snapshot {
@@ -1452,15 +1439,11 @@ impl<P: Protocol> Simulation<P> {
                 .import_state(doc)
                 .map_err(|e| mismatch(format!("fault injector: {e}")))?;
         }
-        if let (Some(checker), Some(doc)) = (self.checker.as_mut(), state.checker.as_ref()) {
-            checker.import_state(doc);
-        }
         self.protocol
             .restore_state(&state.protocol)
             .map_err(|e| mismatch(format!("protocol: {e}")))?;
         self.api.positions.clone_from(&state.positions);
-        self.api.now = state.now;
-        self.last_sweep = state.last_sweep;
+        self.api.sync_clock();
         self.finished = state.finished;
         // The predicted-crossing watch set is derived state: rebuilding a
         // fresh (superset) watch set from the restored positions yields
@@ -1743,10 +1726,12 @@ impl<P: Protocol> Simulation<P> {
         }
         self.profiler.stop(Phase::Transfers, scope);
 
-        // 5. Periodic TTL sweep.
+        // 5. Periodic TTL sweep: step `k > 0` sweeps when `k` is a multiple
+        // of `ceil(60 s / step)`.
         let scope = self.profiler.start();
-        if now.duration_since(self.last_sweep).as_secs() >= self.ttl_sweep_every.as_secs() {
-            self.last_sweep = now;
+        let k = self.api.counters.steps;
+        let sweep_every = (TTL_SWEEP_SECS / dt.as_secs()).ceil() as u64;
+        if k > 0 && k.is_multiple_of(sweep_every) {
             for i in 0..self.api.buffers.len() {
                 let expired = self.api.buffers[i].sweep_expired(now);
                 if !expired.is_empty() {
@@ -1773,10 +1758,14 @@ impl<P: Protocol> Simulation<P> {
         self.protocol.on_tick(&mut self.api);
         self.profiler.stop(Phase::SettlementTick, scope);
 
-        // 7. Cadenced invariant audit, while the step's state is fresh.
+        // 7. Cadenced invariant audit, while the step's state is fresh: at
+        // the end of every step that brings the count to a multiple of the
+        // cadence.
         let scope = self.profiler.start();
-        let audit_due = self.checker.as_mut().is_some_and(InvariantChecker::due);
-        if audit_due {
+        if self
+            .check_every
+            .is_some_and(|every| (k + 1).is_multiple_of(every))
+        {
             self.enforce_invariants();
         }
         self.profiler.stop(Phase::InvariantCheck, scope);
@@ -1791,7 +1780,7 @@ impl<P: Protocol> Simulation<P> {
             }
         }
         self.profiler.stop_step(step_scope);
-        self.api.now += dt;
+        self.api.sync_clock();
     }
 
     /// Stage 2 of a step: finds the step's contact transitions, filters
@@ -2022,7 +2011,7 @@ impl<P: Protocol> Simulation<P> {
         if !self.finished {
             self.finished = true;
             self.protocol.on_finish(&mut self.api);
-            if self.checker.is_some() {
+            if self.check_every.is_some() {
                 self.enforce_invariants();
             }
         }
@@ -2381,7 +2370,7 @@ mod tests {
             assert!(matches!(err, SnapshotError::Mismatch { .. }), "{err}");
             assert!(err.to_string().contains(needle), "{needle}: {err}");
         };
-        let now = world.now;
+        let now = donor.api().now();
         rejects(
             &|w| w.contacts.push((NodeId(3), NodeId(27), now)),
             "outside this world",
@@ -2903,6 +2892,101 @@ mod tests {
             .build(NullProtocol);
         sim.run_until(SimTime::from_secs(30.0));
         assert!(sim.check_invariants_now().is_empty(), "healthy run");
+    }
+
+    /// Records the number of the step each audit closes.
+    #[derive(Debug, Default)]
+    struct AuditLog(std::cell::RefCell<Vec<u64>>);
+
+    impl Protocol for AuditLog {
+        fn check_invariants(&self, api: &SimApi) -> Vec<String> {
+            self.0.borrow_mut().push(api.counters().steps + 1);
+            Vec::new()
+        }
+    }
+
+    fn audited_sim(every: u64) -> Simulation<AuditLog> {
+        SimulationBuilder::new(Area::new(100.0, 100.0), 3)
+            .nodes(2, || Box::new(Stationary))
+            .check_invariants_every(every)
+            .build(AuditLog::default())
+    }
+
+    #[test]
+    fn cadence_fires_every_n_steps() {
+        for every in [1, 3, 7] {
+            let mut sim = audited_sim(every);
+            for _ in 0..50 {
+                sim.step_once();
+            }
+            let expected: Vec<u64> = (1..=50).filter(|k| k % every == 0).collect();
+            assert_eq!(*sim.protocol().0.borrow(), expected, "every {every}");
+            assert_eq!(sim.invariant_checks_run(), Some(50 / every));
+        }
+        let unaudited = SimulationBuilder::new(Area::new(100.0, 100.0), 3)
+            .node(Box::new(Stationary))
+            .build(NullProtocol);
+        assert_eq!(unaudited.invariant_checks_run(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn zero_cadence_rejected() {
+        let _ = SimulationBuilder::new(Area::new(100.0, 100.0), 3).check_invariants_every(0);
+    }
+
+    /// The audit clock is the step count, so a world killed between two
+    /// audits and restored audits at the steps the uninterrupted one does.
+    #[test]
+    fn resumed_world_audits_at_the_uninterrupted_steps() {
+        let mut uninterrupted = audited_sim(7);
+        for _ in 0..50 {
+            uninterrupted.step_once();
+        }
+        let mut killed = audited_sim(7);
+        for _ in 0..24 {
+            killed.step_once();
+        }
+        let mut resumed = audited_sim(7);
+        resumed.restore(&killed.snapshot()).expect("restores");
+        assert_eq!(resumed.api().now(), killed.api().now());
+        while resumed.api().counters().steps < 50 {
+            resumed.step_once();
+        }
+        let mut audits = killed.protocol().0.take();
+        audits.extend(resumed.protocol().0.take());
+        assert_eq!(audits, *uninterrupted.protocol().0.borrow());
+        assert_eq!(audits, vec![7, 14, 21, 28, 35, 42, 49]);
+        assert_eq!(resumed.invariant_checks_run(), Some(7));
+    }
+
+    /// The TTL sweep runs every 60 simulated seconds, whatever the step
+    /// length: a copy that expired at 10 s is swept at 60 s.
+    #[test]
+    fn ttl_sweep_expires_a_copy_at_sixty_seconds() {
+        for step in [1.0, 0.5] {
+            let mut sim = SimulationBuilder::new(Area::new(100.0, 100.0), 3)
+                .step(SimDuration::from_secs(step))
+                .node(Box::new(Stationary))
+                .message(ScheduledMessage {
+                    ttl_secs: 10.0,
+                    ..msg(0.0, 0)
+                })
+                .trace(TraceLog::unbounded())
+                .build(NullProtocol);
+            sim.run_until(SimTime::from_secs(100.0));
+            let expired: Vec<SimTime> = sim
+                .api()
+                .trace()
+                .entries()
+                .iter()
+                .filter(|e| matches!(e.event, TraceEvent::Expired { .. }))
+                .map(|e| e.at)
+                .collect();
+            assert_eq!(expired, vec![SimTime::from_secs(60.0)], "step {step} s");
+            assert_eq!(sim.api().counters().ttl_expiries, 1);
+            assert!(sim.api().buffer(NodeId(0)).is_empty());
+        }
     }
 
     #[test]

@@ -68,7 +68,6 @@ pub mod prelude {
     pub use crate::events::{ContactEngine, EventQueue, KernelMode};
     pub use crate::faults::{FaultPlan, FaultStats};
     pub use crate::geometry::{Area, Point};
-    pub use crate::invariants::InvariantChecker;
     pub use crate::kernel::{ScheduledMessage, SimApi, Simulation, SimulationBuilder, WorldState};
     pub use crate::message::{
         Annotation, Keyword, MessageBody, MessageCopy, MessageId, Priority, Quality,

@@ -105,9 +105,9 @@ pub trait Protocol {
 
     /// Audits protocol-owned invariants (token conservation, rating
     /// bounds, …), returning one human-readable line per violation. The
-    /// kernel calls this from its invariant checker (see
-    /// [`crate::invariants`]) when one is attached; a breach aborts the
-    /// run with a replayable report. The default has nothing to audit.
+    /// kernel calls this from its cadenced audit (see
+    /// [`crate::invariants`]) when auditing is on; a breach aborts the run
+    /// with a replayable report. The default has nothing to audit.
     fn check_invariants(&self, api: &SimApi) -> Vec<String> {
         let _ = api;
         Vec::new()

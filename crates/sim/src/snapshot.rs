@@ -3,7 +3,7 @@
 //! A snapshot file is one header line followed by a JSON body:
 //!
 //! ```text
-//! DTNSNAP v3 <fnv128-hex-of-body>\n
+//! DTNSNAP v4 <fnv128-hex-of-body>\n
 //! { ... }
 //! ```
 //!
@@ -33,7 +33,7 @@ pub const MAGIC: &str = "DTNSNAP";
 /// The format version this build writes and accepts. Bump it whenever the
 /// body layout changes shape incompatibly, and record the change in
 /// DESIGN.md §14 (CI enforces that pairing).
-pub const FORMAT_VERSION: &str = "v3";
+pub const FORMAT_VERSION: &str = "v4";
 
 /// Why a snapshot could not be written or read back.
 #[derive(Debug)]

@@ -5,7 +5,7 @@
 //! world from the same scenario through the same build path and then
 //! overwrites the dynamic state. This module pairs the two: a
 //! [`SnapshotDoc`] embeds the full [`Scenario`] (plus arm, seed and
-//! instrumentation knobs) next to the world, so `--resume-from <file>` is
+//! trace capacity) next to the world, so `--resume-from <file>` is
 //! self-contained — no flag on the resuming command line can drift from
 //! what the interrupted run was doing.
 //!
@@ -33,7 +33,8 @@ use crate::scenario::{Arm, Scenario};
 /// [`WorldState`] (dynamic state) restored into it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunMeta {
-    /// The full experimental condition, embedded verbatim.
+    /// The full experimental condition, embedded verbatim, audit cadence
+    /// included.
     pub scenario: Scenario,
     /// Which arm the run executes.
     pub arm: Arm,
@@ -41,8 +42,6 @@ pub struct RunMeta {
     pub seed: u64,
     /// Bounded trace capacity, when the run records a kernel event trace.
     pub trace_capacity: Option<usize>,
-    /// Invariant-audit cadence in steps, when auditing is on.
-    pub check_every: Option<u64>,
 }
 
 impl RunMeta {
@@ -60,7 +59,6 @@ impl RunMeta {
             &RunSpec::arm(&self.scenario, self.arm, self.seed),
             &Instrument {
                 trace_capacity: self.trace_capacity,
-                check_every: self.check_every,
                 profile,
             },
         )
@@ -257,11 +255,13 @@ mod tests {
 
     fn meta(s: &Scenario, seed: u64) -> RunMeta {
         RunMeta {
-            scenario: s.clone(),
+            scenario: Scenario {
+                audit_every: Some(50),
+                ..s.clone()
+            },
             arm: Arm::Incentive,
             seed,
             trace_capacity: Some(100_000),
-            check_every: Some(50),
         }
     }
 
@@ -425,7 +425,7 @@ mod tests {
     /// A checksum-valid body that names a node outside the world is
     /// refused at restore with a typed mismatch naming the field, at each
     /// site that would otherwise index past a per-node table later in the
-    /// run. A `v2` body is refused by version.
+    /// run. `v2` and `v3` bodies are refused by version.
     #[test]
     fn restore_refuses_node_ids_outside_the_world() {
         let dir = std::env::temp_dir().join(format!("dtn-outside-{}", std::process::id()));
@@ -514,11 +514,67 @@ mod tests {
             }
         }
 
-        let old = dir.join("v2.dtnsnap");
-        write_checksummed(&old, "v2", body);
-        match read_snapshot(&old) {
-            Err(SnapshotError::VersionMismatch { found, .. }) => assert_eq!(found, "v2"),
-            other => panic!("expected a VersionMismatch, got {other:?}"),
+        for version in ["v2", "v3"] {
+            let old = dir.join(format!("{version}.dtnsnap"));
+            write_checksummed(&old, version, body);
+            match read_snapshot(&old) {
+                Err(SnapshotError::VersionMismatch { found, .. }) => assert_eq!(found, version),
+                other => panic!("expected a VersionMismatch, got {other:?}"),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A checksum-valid body that places a node outside the world area is
+    /// refused at restore with a typed mismatch naming `positions` and the
+    /// node, whether the coordinate is infinite, finite but far off, or
+    /// negative. The node has no open contact, so no other check sees it.
+    #[test]
+    fn restore_refuses_positions_outside_the_world() {
+        let dir = std::env::temp_dir().join(format!("dtn-positions-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let s = scenario();
+        let m = meta(&s, 7);
+        let mut sim = m.build(false);
+        while sim.api().now() < SimTime::from_secs(240.0) {
+            sim.step_once();
+        }
+        let path = dir.join("faithful.dtnsnap");
+        write_snapshot(&sim, &m, &path).unwrap();
+        let contacts = read_snapshot(&path).unwrap().world.contacts;
+        let alone = (0..s.nodes)
+            .find(|&i| {
+                !contacts
+                    .iter()
+                    .any(|&(a, b, _)| a.index() == i || b.index() == i)
+            })
+            .expect("some node has no open contact");
+        let node = alone.to_string();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (_, body) = text.split_once('\n').unwrap();
+        for x in ["1e999", "1e300", "-5"] {
+            let mut value: serde::Value = serde_json::from_str(body).unwrap();
+            *at(&mut value, &["world", "positions", &node, "x"]) =
+                serde::Value::Str("tampered-x".to_string());
+            let edited = serde_json::to_string(&value).unwrap();
+            let tampered = dir.join("tampered.dtnsnap");
+            write_checksummed(
+                &tampered,
+                snapshot::FORMAT_VERSION,
+                &edited.replacen("\"tampered-x\"", x, 1),
+            );
+            let doc = read_snapshot(&tampered).expect("the checksum holds");
+            match resume_simulation(&doc) {
+                Err(SnapshotError::Mismatch { detail }) => {
+                    assert!(detail.contains("positions"), "x = {x}: {detail}");
+                    assert!(
+                        detail.contains(&format!("n{alone} at")),
+                        "x = {x}: {detail}"
+                    );
+                }
+                Err(other) => panic!("x = {x}: expected a Mismatch, got {other}"),
+                Ok(_) => panic!("x = {x}: n{alone} restored outside the world"),
+            }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -88,18 +88,14 @@ impl<'a> RunSpec<'a> {
 }
 
 /// What a run records besides its results. [`Instrument::default`]
-/// records nothing extra; no setting changes a simulation outcome.
+/// records nothing extra, and no setting ever changes a simulation
+/// outcome. The in-run invariant audit is the scenario's
+/// [`Scenario::audit_every`], not an instrument setting.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Instrument {
     /// Records up to this many kernel events (see
     /// [`dtn_sim::trace::TraceLog`]) and returns them rendered.
     pub trace_capacity: Option<usize>,
-    /// Audits the kernel's conservation invariants and the router's (token
-    /// conservation, rating bounds, offer hygiene) every this many steps.
-    /// A breach panics with the seed, the chaos spec and a trace excerpt —
-    /// everything needed for a one-command replay. Unset, the scenario's
-    /// `audit_every` applies.
-    pub check_every: Option<u64>,
     /// Times each kernel phase and tracks the peak buffer occupancy, and
     /// returns the run's [`PerfReport`].
     pub profile: bool,
@@ -128,8 +124,8 @@ pub(crate) fn build_chitchat(spec: &RunSpec, instrument: &Instrument) -> Simulat
 /// and message schedule from the seed, wraps the routing backend that
 /// `backend` builds (from the effective ChitChat parameters) in the
 /// overlay configured by `spec`, seeds the router with the population, and
-/// wires the kernel. The scenario's `chaos` plan and recovery policy, if
-/// any, are always wired in.
+/// wires the kernel. The scenario's `chaos` plan, recovery policy and
+/// audit cadence, if any, are always wired in.
 ///
 /// `backend` stands in for `spec.backend`, so a caller can run the
 /// identical world over a backend of its own (a wrapper that observes or
@@ -148,7 +144,6 @@ pub fn build_world<B: RouterBackend>(
 ) -> Simulation<DcimRouter<B>> {
     let scenario = spec.scenario;
     scenario.validate().expect("scenario must validate");
-    let check_every = instrument.check_every.or(scenario.audit_every);
     let workload_rng = SimRng::new(spec.seed);
     let population = Population::synthesize(scenario, &workload_rng);
     let schedule = generate_schedule(scenario, &population, &workload_rng);
@@ -204,7 +199,7 @@ pub fn build_world<B: RouterBackend>(
     if let Some(policy) = scenario.recovery {
         builder = builder.recovery(policy);
     }
-    if let Some(every) = check_every {
+    if let Some(every) = scenario.audit_every {
         builder = builder.check_invariants_every(every);
     }
     builder
@@ -575,11 +570,11 @@ mod tests {
         s.named("tiny")
     }
 
-    /// Audits every `check_every` steps, records nothing else.
-    fn audited(check_every: u64) -> Instrument {
-        Instrument {
-            check_every: Some(check_every),
-            ..Instrument::default()
+    /// `s`, audited every `audit_every` steps.
+    fn audited(s: &Scenario, audit_every: u64) -> Scenario {
+        Scenario {
+            audit_every: Some(audit_every),
+            ..s.clone()
         }
     }
 
@@ -633,8 +628,8 @@ mod tests {
         // PRoPHET boxed.
         let s = tiny();
         for backend in [BackendKind::ChitChat, BackendKind::Prophet] {
-            let spec = RunSpec::new(&s, backend, Overlay::On, 7);
-            let observed = |instrument: Instrument| {
+            let observed = |s: &Scenario, instrument: Instrument| {
+                let spec = RunSpec::new(s, backend, Overlay::On, 7);
                 let (outcome, trace, perf) = run(&spec, &instrument);
                 assert_eq!(trace.is_some(), instrument.trace_capacity.is_some());
                 assert_eq!(perf.is_some(), instrument.profile);
@@ -642,19 +637,22 @@ mod tests {
                     .expect("results serialize");
                 (json, outcome.broke_nodes, outcome.attacker_tokens)
             };
-            let plain = observed(Instrument::default());
+            let plain = observed(&s, Instrument::default());
             for trace_capacity in [None, Some(100_000)] {
-                for check_every in [None, Some(30)] {
+                for audit_every in [None, Some(30)] {
+                    let scenario = Scenario {
+                        audit_every,
+                        ..s.clone()
+                    };
                     for profile in [false, true] {
                         let instrument = Instrument {
                             trace_capacity,
-                            check_every,
                             profile,
                         };
                         assert_eq!(
-                            observed(instrument),
+                            observed(&scenario, instrument),
                             plain,
-                            "{} under {instrument:?}",
+                            "{} under {instrument:?}, audit {audit_every:?}",
                             backend.tag()
                         );
                     }
@@ -698,9 +696,10 @@ mod tests {
                 .parse()
                 .unwrap(),
         );
+        let s = audited(&s, 30);
         let spec = RunSpec::arm(&s, Arm::Incentive, 5);
-        let a = run(&spec, &audited(30)).0;
-        let b = run(&spec, &audited(30)).0;
+        let a = run(&spec, &Instrument::default()).0;
+        let b = run(&spec, &Instrument::default()).0;
         assert_eq!(a.summary, b.summary);
         assert_eq!(a.protocol, b.protocol);
     }
@@ -711,7 +710,8 @@ mod tests {
         let mut chaotic = tiny();
         chaotic.chaos = Some("crash=8,crashdown=120,wipe,loss=0.2".parse().unwrap());
         let clean = run_once(&s, Arm::Incentive, 7);
-        let faulty = run(&RunSpec::arm(&chaotic, Arm::Incentive, 7), &audited(60)).0;
+        let chaotic = audited(&chaotic, 60);
+        let faulty = run_once(&chaotic, Arm::Incentive, 7);
         assert_ne!(
             clean.summary, faulty.summary,
             "a hot plan must change the outcome"
@@ -736,8 +736,9 @@ mod tests {
         assert_eq!(sim.recovery_policy(), s.recovery.as_ref());
         let instrument = Instrument {
             profile: true,
-            ..audited(60)
+            ..Instrument::default()
         };
+        let s = audited(&s, 60);
         let (outcome, _, perf) = run(&RunSpec::arm(&s, Arm::Incentive, 7), &instrument);
         assert!(
             outcome.summary.transfers_retried > 0,

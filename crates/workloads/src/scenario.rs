@@ -188,10 +188,12 @@ pub struct Scenario {
     /// paper experiment.
     #[serde(default)]
     pub strategies: Option<dtn_core::strategy::StrategyMix>,
-    /// Optional in-run invariant audit cadence in sim-seconds, applied
-    /// when the caller does not pass its own cadence — the adversary
-    /// experiments set this so every sweep cell is audited even through
-    /// the memoizing cache path. `None` = audit only when the caller asks.
+    /// Optional in-run invariant audit cadence in kernel steps: the kernel
+    /// audits at the end of every step whose count is a multiple of it,
+    /// and once at the end of the run. The run's only audit knob: the
+    /// adversary experiments set it so every sweep cell is audited, and
+    /// `dtn run --check-invariants` sets it to 60 when it is unset. `None`
+    /// = no in-run audit. Auditing never changes a result.
     #[serde(default)]
     pub audit_every: Option<u64>,
     /// Duty cycle of the selfish population (`None` = the paper's 0.1:

@@ -132,23 +132,32 @@ impl Cell {
     /// serializes struct fields in declaration order, so the JSON byte
     /// stream is deterministic.
     ///
-    /// The scenario's own `backend` plumbing field is removed before
-    /// hashing: the cell's `kind` tag is the authoritative grid coordinate
-    /// (the runner ignores the scenario field once a cell is built), and
-    /// its absence keeps every pre-grid cache entry byte-compatible.
-    /// Optional fields added later (`strategies`, `audit_every`,
-    /// `selfish_duty_cycle`, `kernel_mode`) are stripped only while unset:
-    /// a scenario that leaves them at their defaults hashes to the key it
-    /// always had, while configuring any of them forks the key (they all
-    /// change the simulation).
+    /// The wall-clock knobs `threads` and `kernel_mode` are cleared too:
+    /// neither changes a result (the `parallelism` and `kernel_modes`
+    /// suites check it byte for byte), so a grid rerun at another thread
+    /// count or on the other core reuses the cache. The scenario's own
+    /// `backend` plumbing field is removed before hashing: the cell's
+    /// `kind` tag is the authoritative grid coordinate (the runner ignores
+    /// the scenario field once a cell is built), and its absence keeps
+    /// every pre-grid cache entry byte-compatible. Optional fields added
+    /// later (`strategies`, `audit_every`, `selfish_duty_cycle`,
+    /// `kernel_mode`) are stripped while unset: a scenario that leaves
+    /// them at their defaults hashes to the key it always had. Setting
+    /// `strategies` or `selfish_duty_cycle` forks the key because it
+    /// changes the simulation; setting `audit_every` forks it because an
+    /// audited result is a stronger claim than an unaudited one.
     ///
     /// # Panics
     ///
     /// Panics if the scenario cannot be serialized (non-finite floats).
     #[must_use]
     pub fn cache_key(&self) -> u128 {
-        let mut canonical = self.scenario.clone();
-        canonical.name = String::new();
+        let canonical = Scenario {
+            name: String::new(),
+            threads: None,
+            kernel_mode: None,
+            ..self.scenario.clone()
+        };
         let mut value = Serialize::to_value(&canonical);
         if let serde_json::Value::Map(entries) = &mut value {
             entries.retain(|(key, value)| {
@@ -692,39 +701,39 @@ mod tests {
     }
 
     #[test]
-    fn unset_kernel_mode_keeps_pre_existing_cache_keys() {
-        // A scenario that leaves the kernel-mode knob unset must hash to
-        // the key it had before the knob existed (no disk cache dies on
-        // the event-core release); pinning either core forks the key, and
-        // the two cores fork to *different* keys — byte-identical output
-        // is a theorem the conformance suite checks, not something the
-        // cache layer is allowed to assume.
-        let bare = Cell::arm(tiny("mode"), Arm::Incentive, 9);
-        let defaulted = {
-            let mut s = tiny("mode");
-            s.kernel_mode = None;
-            Cell::arm(s, Arm::Incentive, 9)
-        };
-        assert_eq!(bare.cache_key(), defaulted.cache_key());
+    fn wall_clock_knobs_do_not_fork_the_cache_key() {
+        // Neither the thread count nor the kernel core changes a result
+        // (the `parallelism` and `kernel_modes` suites check it byte for
+        // byte), so every combination shares the unset scenario's key —
+        // the key it had before either knob existed.
+        let bare = Cell::arm(tiny("wall"), Arm::Incentive, 9).cache_key();
         let json = {
-            let mut canonical = tiny("mode");
+            let mut canonical = tiny("wall");
             canonical.name = String::new();
             serde_json::to_string(&Serialize::to_value(&canonical)).unwrap()
         };
         assert!(
-            json.contains("\"kernel_mode\":null"),
-            "the raw serialization carries the unset knob: {json}"
+            json.contains("\"threads\":null") && json.contains("\"kernel_mode\":null"),
+            "the raw serialization carries the unset knobs: {json}"
         );
-
-        let mut event = tiny("mode");
-        event.kernel_mode = Some(dtn_sim::events::KernelMode::EventDriven);
-        let mut stepped = tiny("mode");
-        stepped.kernel_mode = Some(dtn_sim::events::KernelMode::TimeStepped);
-        let event_key = Cell::arm(event, Arm::Incentive, 9).cache_key();
-        let stepped_key = Cell::arm(stepped, Arm::Incentive, 9).cache_key();
-        assert_ne!(bare.cache_key(), event_key);
-        assert_ne!(bare.cache_key(), stepped_key);
-        assert_ne!(event_key, stepped_key);
+        for threads in [None, Some(1), Some(2), Some(8)] {
+            for kernel_mode in [
+                None,
+                Some(dtn_sim::events::KernelMode::EventDriven),
+                Some(dtn_sim::events::KernelMode::TimeStepped),
+            ] {
+                let s = Scenario {
+                    threads,
+                    kernel_mode,
+                    ..tiny("wall")
+                };
+                assert_eq!(
+                    Cell::arm(s, Arm::Incentive, 9).cache_key(),
+                    bare,
+                    "threads {threads:?}, kernel mode {kernel_mode:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -26,11 +26,11 @@ fn chaotic(spec: &str) -> Scenario {
 }
 
 fn run_audited(s: &Scenario, arm: Arm, seed: u64) -> ArmRun {
-    let audited = Instrument {
-        check_every: Some(AUDIT_EVERY),
-        ..Instrument::default()
+    let audited = Scenario {
+        audit_every: Some(AUDIT_EVERY),
+        ..s.clone()
     };
-    run(&RunSpec::arm(s, arm, seed), &audited).0
+    run_once(&audited, arm, seed)
 }
 
 /// Named fault regimes covering every fault class the plan grammar can
@@ -109,11 +109,11 @@ fn the_checker_itself_never_perturbs_a_run() {
     // checker on costs time, never fidelity.
     let s = fast_scenario();
     let plain = run_once(&s, Arm::Incentive, 13);
-    let every_step = Instrument {
-        check_every: Some(1),
-        ..Instrument::default()
+    let every_step = Scenario {
+        audit_every: Some(1),
+        ..s.clone()
     };
-    let audited = run(&RunSpec::arm(&s, Arm::Incentive, 13), &every_step).0;
+    let audited = run_once(&every_step, Arm::Incentive, 13);
     assert_eq!(plain.summary, audited.summary);
     assert_eq!(plain.protocol, audited.protocol);
 }

@@ -40,9 +40,9 @@ fn observable_output(
     let mut s = scenario.clone();
     s.threads = Some(threads);
     s.kernel_mode = Some(mode);
+    s.audit_every = Some(60);
     let instrument = Instrument {
         trace_capacity: Some(TRACE_CAPACITY),
-        check_every: Some(60),
         profile: false,
     };
     let (outcome, trace, _) = run(&RunSpec::arm(&s, arm, seed), &instrument);
@@ -145,7 +145,6 @@ fn same_mode_resume_still_works() {
             arm: Arm::Incentive,
             seed: 101,
             trace_capacity: Some(TRACE_CAPACITY),
-            check_every: None,
         };
         let mut uninterrupted = meta.build(false);
         let golden = uninterrupted.run_until(horizon);
@@ -241,7 +240,6 @@ fn resume_at(
         arm: Arm::Incentive,
         seed: 101,
         trace_capacity: Some(TRACE_CAPACITY),
-        check_every: None,
     };
     let mut uninterrupted = meta.build(false);
     let golden =
@@ -357,12 +355,12 @@ fn every_mobility_model_agrees_across_cores_threads_and_resume() {
             let mut s = scenario.clone();
             s.kernel_mode = Some(mode);
             s.threads = Some(threads);
+            s.audit_every = Some(60);
             RunMeta {
                 scenario: s,
                 arm: Arm::Incentive,
                 seed: 101,
                 trace_capacity: Some(TRACE_CAPACITY),
-                check_every: Some(60),
             }
         };
         let uninterrupted = |mode, threads| {

@@ -128,11 +128,14 @@ fn observe<B: RouterBackend>(
     seed: u64,
     backend: impl FnOnce(&ChitChatParams) -> B,
 ) -> (String, String, String, ProtocolStats) {
-    let spec = RunSpec::arm(scenario, arm, seed);
+    let scenario = Scenario {
+        audit_every: Some(AUDIT_EVERY),
+        ..scenario.clone()
+    };
+    let spec = RunSpec::arm(&scenario, arm, seed);
     let instrument = Instrument {
         // No event is ever dropped: the whole trace is compared.
         trace_capacity: Some(usize::MAX),
-        check_every: Some(AUDIT_EVERY),
         profile: false,
     };
     let sim = build_world(&spec, &instrument, backend);

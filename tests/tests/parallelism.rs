@@ -26,9 +26,9 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 fn observable_output(scenario: &Scenario, arm: Arm, seed: u64, threads: usize) -> (String, String) {
     let mut s = scenario.clone();
     s.threads = Some(threads);
+    s.audit_every = Some(60);
     let instrument = Instrument {
         trace_capacity: Some(TRACE_CAPACITY),
-        check_every: Some(60),
         profile: false,
     };
     let (outcome, trace, _) = run(&RunSpec::arm(&s, arm, seed), &instrument);

@@ -22,19 +22,23 @@ use proptest::prelude::*;
 /// Audit cadence: every 15 simulated steps (same as the chaos suite).
 const AUDIT_EVERY: u64 = 15;
 
-/// Runs one grid cell, auditing every `check_every` steps when set.
+/// Runs one grid cell, auditing every `audit_every` steps when set.
 fn run_cell(
     s: &Scenario,
     kind: BackendKind,
     overlay: Overlay,
     seed: u64,
-    check_every: Option<u64>,
+    audit_every: Option<u64>,
 ) -> ArmRun {
-    let instrument = Instrument {
-        check_every,
-        ..Instrument::default()
+    let s = Scenario {
+        audit_every,
+        ..s.clone()
     };
-    run(&RunSpec::new(s, kind, overlay, seed), &instrument).0
+    run(
+        &RunSpec::new(&s, kind, overlay, seed),
+        &Instrument::default(),
+    )
+    .0
 }
 
 /// A grid-sized world: Table 5.1 density, 16 nodes, 15 simulated minutes —
@@ -80,10 +84,12 @@ fn chitchat_backend_reproduces_the_paper_arms_byte_for_byte() {
     // pre-refactor fixture; this test pins the boxed backend path — every
     // `Box<dyn RouterBackend>` forwarder, the offer-keyword bound included
     // — against the statically dispatched arm path `run` takes.
-    let s = grid_scenario();
+    let s = Scenario {
+        audit_every: Some(AUDIT_EVERY),
+        ..grid_scenario()
+    };
     let instrument = Instrument {
         trace_capacity: Some(1_000_000),
-        check_every: Some(AUDIT_EVERY),
         profile: false,
     };
     for arm in Arm::BOTH {

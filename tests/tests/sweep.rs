@@ -177,7 +177,6 @@ fn damaged_snapshots_are_typed_errors_and_damaged_entries_rerun() {
         arm: Arm::Incentive,
         seed: 7,
         trace_capacity: None,
-        check_every: None,
     };
     let mut sim = meta.build(false);
     sim.run_until(dtn_sim::time::SimTime::from_secs(300.0));
