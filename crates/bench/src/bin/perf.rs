@@ -69,9 +69,11 @@ const HUGE2_EV_FLOOR: f64 = 8_000.0;
 
 /// Ceiling on `perf-huge-v2` protocol table bytes per node: interest plus
 /// reputation tables (the `arena.*_bytes` gauges) over the node count.
-/// Reputation gossip across a contact-diverse population sets the
-/// footprint; the ceiling sits well above it, so the gate catches a fatter
-/// row or a leaked scratch buffer rather than gossip variance.
+/// The short shape reads 2,065.1 B/node, 1,969 B of it interest tables
+/// (16-byte rows whose capacity follows each table's length; 4,557.5
+/// with 24-byte rows and ratcheting capacities). The ceiling sits well
+/// above it, so the gate catches a fatter row or a leaked scratch buffer
+/// rather than gossip variance.
 const HUGE2_BYTES_PER_NODE_CEILING: f64 = 24_576.0;
 
 /// Required cold sweep speedup at `min(8, cores)` workers over 1 worker,

@@ -282,8 +282,9 @@ impl<B: RouterBackend> DcimRouter<B> {
     ///
     /// Panics if `params` fail validation.
     #[must_use]
-    pub fn with_backend(backend: B, params: ProtocolParams, seed: u64) -> Self {
+    pub fn with_backend(mut backend: B, params: ProtocolParams, seed: u64) -> Self {
         params.validate().expect("protocol params must validate");
+        backend.set_keyword_pool(params.keyword_pool_size);
         let node_count = backend.node_count();
         DcimRouter {
             backend,

@@ -71,13 +71,14 @@ pub struct ReputationTable {
 }
 
 thread_local! {
-    /// Shared merge buffer for [`ReputationTable::absorb_digest_weighted`]
-    /// — the old and new opinion vectors ping-pong through it so the
-    /// per-absorb allocation disappears. One buffer per thread instead of
-    /// one per table: a retained per-node scratch held the previous
-    /// opinions vector alive, doubling the reputation footprint at
-    /// 250k+ nodes. Scratch content never reaches an output (cleared
-    /// before every use), so sharing cannot change behavior.
+    /// Shared merge buffer for [`ReputationTable::absorb_digest_weighted`]:
+    /// the merged opinions are built here and copied back into the table,
+    /// so the per-absorb allocation disappears and each table's capacity
+    /// follows its own length (a buffer swapped in would carry the largest
+    /// merge this thread ever built into whichever table came next). One
+    /// buffer per thread, not one per table. Scratch content never reaches
+    /// an output (cleared before every use), so sharing cannot change
+    /// behavior.
     static ABSORB_SCRATCH: std::cell::RefCell<Vec<(NodeId, Opinion)>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
@@ -512,8 +513,9 @@ impl ReputationTable {
             }
         }
         merged.extend_from_slice(&self.opinions[i..]);
-        let old = std::mem::replace(&mut self.opinions, merged);
-        ABSORB_SCRATCH.with(|s| *s.borrow_mut() = old);
+        self.opinions.clear();
+        self.opinions.extend_from_slice(&merged);
+        ABSORB_SCRATCH.with(|s| *s.borrow_mut() = merged);
         true
     }
 
@@ -934,5 +936,34 @@ mod tests {
         assert_eq!(t.rating_of(NodeId(1)), 2.5, "back to the prior");
         // The fresh identity restarts its sequence space.
         assert!(t.absorb_digest_weighted(NodeId(1), &d, 1.0), "seq reset");
+    }
+
+    /// A table's opinion capacity follows its own row count: after a
+    /// large merge on the same thread, a small table absorbing one new
+    /// subject at a time holds at most twice its rows (or the smallest
+    /// allocation).
+    #[test]
+    fn capacity_follows_the_table_after_many_absorbs() {
+        let mut big = table(0);
+        for last in [2_000, 2_001] {
+            let wide = GossipDigest {
+                ratings: (1..last).map(|n| (NodeId(n), 3.0)).collect(),
+                sequence: 0,
+            };
+            assert!(big.absorb_digest_weighted(NodeId(9_999), &wide, 1.0));
+        }
+        let mut small = table(0);
+        for n in 1..=60 {
+            let digest = GossipDigest {
+                ratings: vec![(NodeId(n), 4.0)],
+                sequence: 0,
+            };
+            assert!(small.absorb_digest_weighted(NodeId(9_999), &digest, 1.0));
+            let (len, cap) = (small.opinions.len(), small.opinions.capacity());
+            assert!(
+                cap <= (2 * len).max(4),
+                "absorb {n}: {cap} rows held for {len}"
+            );
+        }
     }
 }

@@ -55,6 +55,15 @@ pub trait RouterBackend: std::fmt::Debug + Send {
     /// Registers a direct interest of `node` (the `Subscribe` operator).
     fn subscribe(&mut self, node: NodeId, keyword: Keyword, now: SimTime);
 
+    /// Bounds the keyword ids this backend's state may hold to `0..pool`,
+    /// the scenario's keyword pool. The overlay calls it once, when it is
+    /// built; a backend whose state is keyed by keyword (ChitChat) then
+    /// refuses a snapshot that names a keyword outside the pool. The
+    /// default ignores it.
+    fn set_keyword_pool(&mut self, pool: u32) {
+        let _ = pool;
+    }
+
     /// Whether `node` is a destination for a message tagged `keywords`.
     fn is_destination(&self, node: NodeId, keywords: &[Keyword]) -> bool;
 
@@ -191,6 +200,10 @@ impl RouterBackend for Box<dyn RouterBackend> {
         (**self).subscribe(node, keyword, now);
     }
 
+    fn set_keyword_pool(&mut self, pool: u32) {
+        (**self).set_keyword_pool(pool);
+    }
+
     fn is_destination(&self, node: NodeId, keywords: &[Keyword]) -> bool {
         (**self).is_destination(node, keywords)
     }
@@ -277,6 +290,9 @@ impl RouterBackend for Box<dyn RouterBackend> {
 pub struct ChitChatBackend {
     params: ChitChatParams,
     tables: Vec<InterestTable>,
+    /// Keyword ids a restored table may hold are below this: the
+    /// scenario's pool once the overlay sets it, every id before.
+    keyword_pool: u32,
     /// Reusable shared-keyword bitmaps for [`RouterBackend::exchange`] —
     /// two per due pair every settlement tick. Transient scratch: cleared
     /// on every use, absent from snapshots.
@@ -290,6 +306,7 @@ impl ChitChatBackend {
         ChitChatBackend {
             params,
             tables: vec![InterestTable::new(); node_count],
+            keyword_pool: u32::MAX,
             shared_scratch: (KeywordSet::new(), KeywordSet::new()),
         }
     }
@@ -316,6 +333,10 @@ impl RouterBackend for ChitChatBackend {
 
     fn subscribe(&mut self, node: NodeId, keyword: Keyword, now: SimTime) {
         self.tables[node.index()].subscribe(keyword, &self.params, now);
+    }
+
+    fn set_keyword_pool(&mut self, pool: u32) {
+        self.keyword_pool = pool;
     }
 
     fn is_destination(&self, node: NodeId, keywords: &[Keyword]) -> bool {
@@ -376,16 +397,28 @@ impl RouterBackend for ChitChatBackend {
         self.tables.to_value()
     }
 
+    /// Refuses a table whose rows are out of keyword order, name a
+    /// keyword outside the pool, or carry a weight or time no run can
+    /// reach (see [`InterestTable::from_wire`]); the error names the node.
     fn restore_state(&mut self, state: &serde::Value) -> Result<(), String> {
-        let tables = Vec::<InterestTable>::from_value(state)
-            .map_err(|e| format!("ChitChat tables do not parse: {e}"))?;
-        if tables.len() != self.tables.len() {
+        let docs = state
+            .as_seq()
+            .ok_or_else(|| format!("ChitChat tables are a {}, not a sequence", state.kind()))?;
+        if docs.len() != self.tables.len() {
             return Err(format!(
                 "snapshot has {} ChitChat tables for {} nodes",
-                tables.len(),
+                docs.len(),
                 self.tables.len()
             ));
         }
+        let tables = docs
+            .iter()
+            .enumerate()
+            .map(|(i, doc)| {
+                InterestTable::from_wire(doc, self.keyword_pool)
+                    .map_err(|e| format!("interest table of {}: {e}", NodeId(i as u32)))
+            })
+            .collect::<Result<_, _>>()?;
         self.tables = tables;
         Ok(())
     }

@@ -9,7 +9,6 @@
 //! the same code, so the incentive arm always sees the *same* ChitChat
 //! substrate as the baseline arm.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 
 use dtn_sim::fxhash::FxHashMap;
@@ -17,7 +16,7 @@ use dtn_sim::message::Keyword;
 use dtn_sim::time::SimTime;
 use dtn_sim::world::NodeId;
 
-use crate::interests::{ChitChatParams, InterestRow, InterestTable};
+use crate::interests::{ChitChatParams, InterestTable};
 
 /// A set of keywords as a bitmap over the keyword id space.
 ///
@@ -108,12 +107,71 @@ impl KeywordSet {
     pub fn state_bytes(&self) -> usize {
         self.bits.capacity() * std::mem::size_of::<u64>()
     }
+
+    /// The members in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = Keyword> + '_ {
+        self.bits.iter().enumerate().flat_map(|(w, &word)| {
+            let base = w as u32 * 64;
+            SetBits(word).map(move |bit| Keyword(base + bit.trailing_zeros()))
+        })
+    }
+
+    /// The number of members below `keyword`: the row index of a member,
+    /// or the insertion point of a non-member, in a table whose rows are
+    /// in keyword order. A popcount over the words below `keyword`'s.
+    pub(crate) fn rank(&self, keyword: Keyword) -> usize {
+        let (word, bit) = (keyword.0 as usize / 64, keyword.0 % 64);
+        let below = self.bits.iter().take(word);
+        let partial = self.word(word) & ((1 << bit) - 1);
+        below.map(|w| w.count_ones() as usize).sum::<usize>() + partial.count_ones() as usize
+    }
+
+    /// The bitmap's words, lowest keywords first.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.bits
+    }
+
+    /// Word `w` of the bitmap (zero past its end).
+    pub(crate) fn word(&self, w: usize) -> u64 {
+        self.bits.get(w).copied().unwrap_or(0)
+    }
+
+    /// Removes the members `bits` of word `w`.
+    pub(crate) fn remove_word_bits(&mut self, w: usize, bits: u64) {
+        if let Some(word) = self.bits.get_mut(w) {
+            *word &= !bits;
+        }
+    }
+
+    /// Appends the next 64 keywords' membership as one word.
+    pub(crate) fn push_word(&mut self, word: u64) {
+        self.bits.push(word);
+    }
+
+    /// Replaces the bitmap's words, keeping the allocation.
+    pub(crate) fn set_words(&mut self, words: &[u64]) {
+        self.bits.clear();
+        self.bits.extend_from_slice(words);
+    }
+}
+
+/// The set bits of a word, lowest first, each as a one-bit mask.
+pub(crate) struct SetBits(pub(crate) u64);
+
+impl Iterator for SetBits {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        let bit = self.0 & self.0.wrapping_neg();
+        self.0 ^= bit;
+        (bit != 0).then_some(bit)
+    }
 }
 
 /// Runs one RTSR weight exchange between connected `a` and `b`, crediting
 /// `connected_secs` of contact time: decay both tables (an interest shared
 /// by a currently-connected device is frozen, per the `shared_*` sets),
-/// swap the decayed tables, grow both.
+/// then grow each from the other's decayed table, both in one walk.
 ///
 /// # Panics
 ///
@@ -129,46 +187,15 @@ pub fn rtsr_exchange(
     shared_a: &KeywordSet,
     shared_b: &KeywordSet,
 ) {
-    tables[a.index()].decay(now, params, |k| shared_a.contains(k));
-    tables[b.index()].decay(now, params, |k| shared_b.contains(k));
+    tables[a.index()].decay(now, params, shared_a);
+    tables[b.index()].decay(now, params, shared_b);
     let (left, right) = tables.split_at_mut(a.index().max(b.index()));
     let (ta, tb) = if a < b {
         (&mut left[a.index()], &mut right[0])
     } else {
         (&mut right[0], &mut left[b.index()])
     };
-    // Steady state (no new keyword crossing the transient floor in either
-    // direction) grows both tables in place with no merge vectors at all;
-    // only a genuine transient acquisition takes the buffered path below.
-    if InterestTable::grow_mutual_in_place(ta, tb, connected_secs, params, now) {
-        return;
-    }
-    // Both grows read the other side's *pre-growth* entries: the merge
-    // walks write into scratch vectors and commit only afterwards, so no
-    // snapshot clone is needed (the clone plus the per-grow allocation
-    // used to be a fifth of the settlement-tick profile). The scratch is
-    // thread-local, cleared on every use — pure buffer reuse, invisible
-    // to determinism and snapshots.
-    GROW_SCRATCH.with(|scratch| {
-        let (buf_a, buf_b) = &mut *scratch.borrow_mut();
-        let grew_a = ta.grow_into(tb.entries_slice(), connected_secs, params, now, buf_a);
-        let grew_b = tb.grow_into(ta.entries_slice(), connected_secs, params, now, buf_b);
-        if grew_a {
-            ta.commit_entries(buf_a);
-        }
-        if grew_b {
-            tb.commit_entries(buf_b);
-        }
-    });
-}
-
-/// One side's reusable merge buffer for [`rtsr_exchange`]'s grows.
-type GrowBuf = Vec<InterestRow>;
-
-thread_local! {
-    /// Reusable merge buffers for [`rtsr_exchange`]'s two grows.
-    static GROW_SCRATCH: RefCell<(GrowBuf, GrowBuf)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
+    InterestTable::grow_mutual(ta, tb, connected_secs, params, now);
 }
 
 /// The union of keywords held by `peers`' tables — the "a connected device

@@ -17,12 +17,14 @@
 //! 2. The decay divisor `β·(T_c − T_l)` is clamped below by one exchange
 //!    interval (avoiding division by ~0), and decay never *raises* a weight.
 
+use std::cell::RefCell;
+
 use serde::{Deserialize, Error, Serialize, Value};
 
 use dtn_sim::message::Keyword;
 use dtn_sim::time::SimTime;
 
-use crate::exchange::KeywordSet;
+use crate::exchange::{KeywordSet, SetBits};
 
 /// Whether an interest was subscribed by the user or acquired from peers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -44,35 +46,13 @@ pub struct InterestEntry {
     pub last_shared: SimTime,
 }
 
-/// One stored row of an interest table: the keyword and its entry
-/// flattened into a single 24-byte record. The natural
-/// `(Keyword, InterestEntry)` tuple pads to 32 bytes (the `f64`s force
-/// 8-byte alignment after the 4-byte keyword); every settlement tick
-/// streams whole tables through decay and growth, so the flat layout
-/// cuts that traffic by a quarter. The wire format and the public API
-/// keep `(Keyword, InterestEntry)` — rows are an internal arena layout.
+/// One stored row of an interest table: a keyword's weight and `T_l`,
+/// 16 bytes. The keyword is the row's rank in the table's keyword bitmap
+/// and the kind is a bit of its direct bitmap, so neither is stored.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InterestRow {
-    /// The keyword this row tracks.
-    pub keyword: Keyword,
-    /// Direct (subscribed) or transient (acquired).
-    pub kind: InterestKind,
-    /// Current weight in `[0, 1]`.
-    pub weight: f64,
-    /// `T_l`: the last time a connected device shared this interest.
-    pub last_shared: SimTime,
-}
-
-impl InterestRow {
-    /// The row's entry part, in the public `InterestEntry` shape.
-    #[must_use]
-    pub fn entry(&self) -> InterestEntry {
-        InterestEntry {
-            weight: self.weight,
-            kind: self.kind,
-            last_shared: self.last_shared,
-        }
-    }
+struct Row {
+    weight: f64,
+    last_shared: SimTime,
 }
 
 /// Tunable constants of the RTSR model.
@@ -132,65 +112,65 @@ pub fn psi(own: Option<InterestKind>, peer: InterestKind) -> u8 {
 
 /// A node's interest table (its social profile plus TSRs).
 ///
-/// Stored as a `Vec` sorted by keyword: tables hold tens of entries, and
-/// the exchange ritual (clone → decay → grow) runs for every due contact
-/// pair every step — on that path a sorted vector beats a hash map on
-/// every count (lookups stay cache-resident, cloning is one memcpy, and
-/// `grow` consumes the peer's entries in keyword order without the sort
-/// pass a hashed table would force for determinism).
+/// Three parts: the keyword bitmap, the bitmap of its direct members, and
+/// one 16-byte `(weight, T_l)` row per member in keyword order — row `i`
+/// belongs to the bitmap's `i`-th member. A lookup is a bit test plus a
+/// popcount over the words below the keyword (four words at the paper's
+/// pool of 200), and the exchange ritual walks both tables' bitmaps word
+/// by word. Each table's row capacity follows its own length: a grow that
+/// adds rows builds them in a per-thread scratch buffer and copies them
+/// back.
 #[derive(Debug, Clone, Default)]
 pub struct InterestTable {
-    entries: Vec<InterestRow>,
-    /// Bitmap over the keywords present in `entries`, kept in sync by
-    /// every mutation. [`crate::exchange::shared_keywords`] unions these
-    /// instead of walking each peer's entries — the walk dominated the
-    /// settlement-tick profile at 1k nodes.
+    /// The keywords present. [`crate::exchange::shared_keywords`] unions
+    /// these instead of walking each peer's rows.
     keywords: KeywordSet,
+    /// The direct (subscribed) members of `keywords`.
+    direct: KeywordSet,
+    /// One row per member of `keywords`, in keyword order.
+    rows: Vec<Row>,
 }
 
-/// Two tables are equal iff their entries are — the bitmap is derived
-/// state (and its trailing zero words may differ between an
-/// incrementally-built and a freshly-rebuilt set).
+/// Two tables are equal iff they hold the same keywords, kinds and rows
+/// (a bitmap's trailing zero words are no part of its content).
 impl PartialEq for InterestTable {
     fn eq(&self, other: &Self) -> bool {
-        self.entries == other.entries
+        self.keywords.same_keywords(&other.keywords)
+            && self.direct.same_keywords(&other.direct)
+            && self.rows == other.rows
     }
 }
 
-/// The wire shape stays `{"entries": [...]}` — the bitmap is rebuilt on
-/// load, so snapshots written before it existed restore byte-identically.
+/// The wire shape is `{"entries": [[keyword, entry], ...]}` in keyword
+/// order; [`InterestTable::from_wire`] reads it back.
 impl Serialize for InterestTable {
     fn to_value(&self) -> Value {
-        let wire: Vec<(Keyword, InterestEntry)> = self
-            .entries
-            .iter()
-            .map(|r| (r.keyword, r.entry()))
-            .collect();
+        let wire: Vec<(Keyword, InterestEntry)> = self.iter().collect();
         Value::Map(vec![("entries".to_string(), wire.to_value())])
     }
 }
 
-impl Deserialize for InterestTable {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let wire: Vec<(Keyword, InterestEntry)> = match v.get("entries") {
-            Some(e) => Deserialize::from_value(e)?,
-            None => return Err(Error::missing_field("InterestTable", "entries")),
-        };
-        let mut keywords = KeywordSet::new();
-        let entries = wire
-            .into_iter()
-            .map(|(keyword, e)| {
-                keywords.insert(keyword);
-                InterestRow {
-                    keyword,
-                    kind: e.kind,
-                    weight: e.weight,
-                    last_shared: e.last_shared,
-                }
-            })
-            .collect();
-        Ok(InterestTable { entries, keywords })
+/// The rows and keyword bitmap words one side of a merging grow builds.
+#[derive(Debug)]
+struct Grown {
+    rows: Vec<Row>,
+    keywords: Vec<u64>,
+}
+
+impl Grown {
+    const fn new() -> Self {
+        Grown {
+            rows: Vec::new(),
+            keywords: Vec::new(),
+        }
     }
+}
+
+thread_local! {
+    /// Both sides' build buffers for a grow that adds rows. Cleared on
+    /// every use and copied out, never swapped in, so no table inherits
+    /// another's capacity; invisible to determinism and snapshots.
+    static MERGE_SCRATCH: RefCell<[Grown; 2]> = const { RefCell::new([Grown::new(), Grown::new()]) };
 }
 
 impl InterestTable {
@@ -200,30 +180,70 @@ impl InterestTable {
         Self::default()
     }
 
-    /// Index of `keyword` in the sorted entries, or its insertion point.
-    fn position(&self, keyword: Keyword) -> Result<usize, usize> {
-        self.entries.binary_search_by_key(&keyword, |r| r.keyword)
+    /// Rebuilds a table from its wire form (see the `Serialize` impl),
+    /// refusing one whose keywords are not strictly ascending or not
+    /// below `keyword_pool`, whose weights lie outside `[0, 1]`, or whose
+    /// `T_l` is not a finite, non-negative time. Every check runs before
+    /// a bitmap is sized, so a hostile keyword id cannot make one huge.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first offending entry.
+    pub fn from_wire(v: &Value, keyword_pool: u32) -> Result<Self, String> {
+        let wire: Vec<(Keyword, InterestEntry)> = match v.get("entries") {
+            Some(e) => Deserialize::from_value(e).map_err(|e| e.to_string())?,
+            None => return Err(Error::missing_field("InterestTable", "entries").to_string()),
+        };
+        let mut previous: Option<Keyword> = None;
+        for &(keyword, e) in &wire {
+            if keyword.0 >= keyword_pool {
+                return Err(format!(
+                    "{keyword} is at or above the keyword pool of {keyword_pool}"
+                ));
+            }
+            if !(0.0..=1.0).contains(&e.weight) {
+                return Err(format!("{keyword} weighs {:?}, outside [0, 1]", e.weight));
+            }
+            let t = e.last_shared.as_secs();
+            if !(t.is_finite() && t >= 0.0) {
+                return Err(format!(
+                    "{keyword} was last shared at {t:?}, not a finite non-negative time"
+                ));
+            }
+            if let Some(p) = previous.filter(|&p| p >= keyword) {
+                return Err(format!(
+                    "keywords are not strictly ascending ({p} before {keyword})"
+                ));
+            }
+            previous = Some(keyword);
+        }
+        let mut table = InterestTable::new();
+        for (keyword, e) in wire {
+            table.keywords.insert(keyword);
+            if e.kind == InterestKind::Direct {
+                table.direct.insert(keyword);
+            }
+            table.rows.push(Row {
+                weight: e.weight,
+                last_shared: e.last_shared,
+            });
+        }
+        Ok(table)
     }
 
     /// Subscribes the user to `keyword` as a direct interest at the initial
     /// weight (0.5 per the paper). Re-subscribing an existing interest
     /// upgrades a transient entry to direct without losing its weight.
     pub fn subscribe(&mut self, keyword: Keyword, params: &ChitChatParams, now: SimTime) {
-        match self.position(keyword) {
-            Ok(i) => self.entries[i].kind = InterestKind::Direct,
-            Err(i) => {
-                self.entries.insert(
-                    i,
-                    InterestRow {
-                        keyword,
-                        kind: InterestKind::Direct,
-                        weight: params.initial_weight,
-                        last_shared: now,
-                    },
-                );
-                self.keywords.insert(keyword);
-            }
+        if !self.keywords.contains(keyword) {
+            let row = Row {
+                weight: params.initial_weight,
+                last_shared: now,
+            };
+            self.rows.insert(self.keywords.rank(keyword), row);
+            self.keywords.insert(keyword);
         }
+        self.direct.insert(keyword);
     }
 
     /// The bitmap of keywords present in this table.
@@ -237,27 +257,47 @@ impl InterestTable {
     #[must_use]
     pub fn state_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.entries.capacity() * std::mem::size_of::<InterestRow>()
+            + self.rows.capacity() * std::mem::size_of::<Row>()
             + self.keywords.state_bytes()
+            + self.direct.state_bytes()
+    }
+
+    /// The row of `keyword`, found by rank, if present.
+    fn row(&self, keyword: Keyword) -> Option<Row> {
+        self.keywords
+            .contains(keyword)
+            .then(|| self.rows[self.keywords.rank(keyword)])
+    }
+
+    /// The kind of member `keyword`.
+    fn kind(&self, keyword: Keyword) -> InterestKind {
+        if self.direct.contains(keyword) {
+            InterestKind::Direct
+        } else {
+            InterestKind::Transient
+        }
     }
 
     /// The entry for `keyword`, if present.
     #[must_use]
     pub fn get(&self, keyword: Keyword) -> Option<InterestEntry> {
-        self.position(keyword).ok().map(|i| self.entries[i].entry())
+        self.row(keyword).map(|r| InterestEntry {
+            weight: r.weight,
+            kind: self.kind(keyword),
+            last_shared: r.last_shared,
+        })
     }
 
     /// Current weight of `keyword` (0 when absent).
     #[must_use]
     pub fn weight(&self, keyword: Keyword) -> f64 {
-        self.get(keyword).map_or(0.0, |e| e.weight)
+        self.row(keyword).map_or(0.0, |r| r.weight)
     }
 
     /// Whether `keyword` is a *direct* interest — the destination test.
     #[must_use]
     pub fn is_direct(&self, keyword: Keyword) -> bool {
-        self.get(keyword)
-            .is_some_and(|e| e.kind == InterestKind::Direct)
+        self.direct.contains(keyword)
     }
 
     /// Whether the node has any direct interest among `keywords`.
@@ -294,94 +334,121 @@ impl InterestTable {
     /// nor accepted as a relay by `S_v > S_u`: every term of this table's
     /// sum is `<=` the same term of `from`'s, both sums add their terms in
     /// the same order, and round-to-nearest addition is monotone, so
-    /// `S_here <= S_from`. One merge walk over both sorted tables.
+    /// `S_here <= S_from`. One walk over the union of the two bitmaps.
     #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must fail `<=` and join
     pub fn offer_keywords_into(&self, from: &InterestTable, out: &mut KeywordSet) {
         out.clear();
-        let from = &from.entries;
-        let mut j = 0;
-        for row in &self.entries {
-            while j < from.len() && from[j].keyword < row.keyword {
-                // Only a negative or NaN weight in `from` could let an
-                // absent keyword here (weight 0) raise `S_here` above it.
-                if !(0.0 <= from[j].weight) {
-                    out.insert(from[j].keyword);
+        let words = self.keywords.words().len().max(from.keywords.words().len());
+        let (mut i, mut j) = (0, 0);
+        for w in 0..words {
+            let (here, there) = (self.keywords.word(w), from.keywords.word(w));
+            let direct = self.direct.word(w);
+            let mut offered = 0;
+            for bit in SetBits(here | there) {
+                let w_from = if there & bit != 0 {
+                    j += 1;
+                    from.rows[j - 1].weight
+                } else {
+                    0.0
+                };
+                let take = if here & bit != 0 {
+                    i += 1;
+                    // Only a negative or NaN weight in `from` could let an
+                    // absent keyword here (weight 0) raise `S_here` above it.
+                    direct & bit != 0 || !(self.rows[i - 1].weight <= w_from)
+                } else {
+                    !(0.0 <= w_from)
+                };
+                if take {
+                    offered |= bit;
                 }
-                j += 1;
             }
-            let w_from = if j < from.len() && from[j].keyword == row.keyword {
-                j += 1;
-                from[j - 1].weight
-            } else {
-                0.0
-            };
-            if row.kind == InterestKind::Direct || !(row.weight <= w_from) {
-                out.insert(row.keyword);
-            }
-        }
-        for r in &from[j..] {
-            if !(0.0 <= r.weight) {
-                out.insert(r.keyword);
-            }
+            out.push_word(offered);
         }
     }
 
     /// Number of interests tracked.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.rows.len()
     }
 
     /// Whether the table is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.rows.is_empty()
     }
 
     /// Iterates over `(keyword, entry)` pairs in ascending keyword order.
     pub fn iter(&self) -> impl Iterator<Item = (Keyword, InterestEntry)> + '_ {
-        self.entries.iter().map(|r| (r.keyword, r.entry()))
+        self.keywords.iter().zip(&self.rows).map(|(k, r)| {
+            (
+                k,
+                InterestEntry {
+                    weight: r.weight,
+                    kind: self.kind(k),
+                    last_shared: r.last_shared,
+                },
+            )
+        })
     }
 
     /// Algorithm 1 — decays every interest not currently shared by a
     /// connected device.
     ///
-    /// `shared_now(keyword)` reports whether some connected device has the
-    /// interest. Direct interests decay toward the 0.5 baseline; transient
-    /// interests decay toward 0 and are dropped at the floor.
-    pub fn decay(
-        &mut self,
-        now: SimTime,
-        params: &ChitChatParams,
-        mut shared_now: impl FnMut(Keyword) -> bool,
-    ) {
+    /// `shared_now` holds the keywords some connected device has; their
+    /// interests are frozen and stamped shared at `now`. Direct interests
+    /// decay toward the 0.5 baseline; transient interests decay toward 0
+    /// and are dropped at the floor. One pass over the bitmap, a word at
+    /// a time, compacting the rows in place.
+    pub fn decay(&mut self, now: SimTime, params: &ChitChatParams, shared_now: &KeywordSet) {
         let min_elapsed = params.exchange_interval_secs.max(1.0);
-        let keywords = &mut self.keywords;
-        self.entries.retain_mut(|e| {
-            let keyword = e.keyword;
-            if shared_now(keyword) {
-                e.last_shared = now;
-                return true;
+        // Rows `start..end` belong to word `w`; rows before `write` are the
+        // survivors so far (equal to `start` until a row drops).
+        let (mut start, mut write) = (0, 0);
+        for w in 0..self.keywords.words().len() {
+            let members = self.keywords.word(w);
+            let (shared, direct) = (shared_now.word(w), self.direct.word(w));
+            let end = start + members.count_ones() as usize;
+            let mut dropped = 0;
+            for (bit, row) in SetBits(members).zip(&mut self.rows[start..end]) {
+                if shared & bit != 0 {
+                    row.last_shared = now;
+                    continue;
+                }
+                let elapsed = now.duration_since(row.last_shared).as_secs();
+                if elapsed <= 0.0 {
+                    continue;
+                }
+                let divisor = (params.beta * elapsed.max(min_elapsed)).max(1.0);
+                let is_direct = direct & bit != 0;
+                let decayed = if is_direct {
+                    (row.weight - 0.5) / divisor + 0.5
+                } else {
+                    row.weight / divisor
+                };
+                // Decay never raises a weight (divisors < 1 are already
+                // clamped away, but a direct weight below baseline must not
+                // spring back above its previous value either).
+                row.weight = decayed.min(row.weight).clamp(0.0, 1.0);
+                if !(is_direct || row.weight >= params.transient_floor) {
+                    dropped |= bit;
+                }
             }
-            let elapsed = now.duration_since(e.last_shared).as_secs();
-            if elapsed <= 0.0 {
-                return true;
+            if dropped == 0 && write == start {
+                write = end;
+            } else {
+                for (bit, i) in SetBits(members).zip(start..end) {
+                    if dropped & bit == 0 {
+                        self.rows[write] = self.rows[i];
+                        write += 1;
+                    }
+                }
+                self.keywords.remove_word_bits(w, dropped);
             }
-            let divisor = (params.beta * elapsed.max(min_elapsed)).max(1.0);
-            let decayed = match e.kind {
-                InterestKind::Direct => (e.weight - 0.5) / divisor + 0.5,
-                InterestKind::Transient => e.weight / divisor,
-            };
-            // Decay never raises a weight (divisors < 1 are already clamped
-            // away, but a direct weight below baseline must not spring back
-            // above its previous value either).
-            e.weight = decayed.min(e.weight).clamp(0.0, 1.0);
-            let keep = e.kind == InterestKind::Direct || e.weight >= params.transient_floor;
-            if !keep {
-                keywords.remove(keyword);
-            }
-            keep
-        });
+            start = end;
+        }
+        self.rows.truncate(write);
     }
 
     /// Algorithm 2 — grows this table from a connected peer's (already
@@ -390,7 +457,8 @@ impl InterestTable {
     /// `connected_secs` is the time credited for this exchange: the span
     /// since the previous exchange with this peer (so repeated exchanges
     /// during one contact credit the contact time exactly once). Unknown
-    /// peer interests are acquired as transient entries.
+    /// peer interests are acquired as transient entries. The one-sided
+    /// form of [`crate::exchange::rtsr_exchange`]'s merge walk.
     pub fn grow(
         &mut self,
         peer: &InterestTable,
@@ -398,181 +466,174 @@ impl InterestTable {
         params: &ChitChatParams,
         now: SimTime,
     ) {
-        let mut out = Vec::new();
-        if self.grow_into(&peer.entries, connected_secs, params, now, &mut out) {
-            self.commit_entries(&mut out);
-        }
-    }
-
-    /// The raw sorted entry slice (crate-internal: the exchange ritual
-    /// reads a pre-growth table while its owner is mutably borrowed).
-    pub(crate) fn entries_slice(&self) -> &[InterestRow] {
-        &self.entries
-    }
-
-    /// Merge-walk core of [`Self::grow`]: writes the grown entry vector
-    /// into `out` (cleared first) and records newly-acquired keywords in
-    /// the bitmap, but leaves `self.entries` untouched so a caller can
-    /// still read the pre-growth table — the RTSR swap ritual grows both
-    /// sides from each other's *pre-growth* entries. Returns whether
-    /// anything was computed; commit with [`Self::commit_entries`].
-    ///
-    /// Both tables are in keyword order, so one linear walk replaces the
-    /// per-peer-entry binary search + mid-vector insert (quadratic while
-    /// tables fill, and the second-hottest call in the 1k-node settlement
-    /// profile). The per-entry arithmetic and its evaluation order are
-    /// unchanged, so weights stay bit-identical.
-    pub(crate) fn grow_into(
-        &mut self,
-        peer_entries: &[InterestRow],
-        connected_secs: f64,
-        params: &ChitChatParams,
-        now: SimTime,
-        out: &mut Vec<InterestRow>,
-    ) -> bool {
         if connected_secs <= 0.0 {
-            return false;
+            return;
         }
-        out.clear();
-        out.reserve(self.entries.len() + peer_entries.len());
-        let mut i = 0;
-        for peer_entry in peer_entries {
-            let keyword = peer_entry.keyword;
-            if peer_entry.weight <= 0.0 {
-                continue;
-            }
-            while i < self.entries.len() && self.entries[i].keyword < keyword {
-                out.push(self.entries[i]);
-                i += 1;
-            }
-            if i < self.entries.len() && self.entries[i].keyword == keyword {
-                let mut e = self.entries[i];
-                i += 1;
-                let psi = f64::from(psi(Some(e.kind), peer_entry.kind));
-                let delta = params.growth_rate * peer_entry.weight * connected_secs / psi;
-                e.weight = (e.weight + delta).min(1.0);
-                e.last_shared = now;
-                out.push(e);
-            } else {
-                let psi = f64::from(psi(None, peer_entry.kind));
-                let delta = params.growth_rate * peer_entry.weight * connected_secs / psi;
-                let weight = delta.min(1.0);
-                if weight >= params.transient_floor {
-                    out.push(InterestRow {
-                        keyword,
-                        kind: InterestKind::Transient,
-                        weight,
-                        last_shared: now,
-                    });
-                    self.keywords.insert(keyword);
-                }
-            }
-        }
-        out.extend_from_slice(&self.entries[i..]);
-        true
+        let credit = Credit::new(connected_secs, params, now);
+        MERGE_SCRATCH.with(|scratch| {
+            let grown = &mut *scratch.borrow_mut();
+            merge_walk::<false>(self, peer, &credit, grown);
+            self.commit(&grown[0]);
+        });
     }
 
-    /// Installs a vector produced by [`Self::grow_into`], handing the old
-    /// entry storage back through `out` for reuse.
-    pub(crate) fn commit_entries(&mut self, out: &mut Vec<InterestRow>) {
-        std::mem::swap(&mut self.entries, out);
-    }
-
-    /// Runs *both* directions of Algorithm 2 in place, for the steady
-    /// state where neither side contributes a new keyword to the other:
-    /// every unmatched peer keyword would arrive below the transient
-    /// floor. Then growth only rewrites matched entries' weights, so no
-    /// merge vector (and no pre-growth snapshot) is needed at all — one
-    /// two-pointer pass reads both sides' pre-growth weights into locals
-    /// and writes both updates. Returns `false` (both tables untouched)
-    /// when either side would have to insert a transient entry — the
-    /// caller falls back to the buffered merging path. The per-entry
-    /// arithmetic is the same expression as `grow_into` applied to the
-    /// same pre-growth inputs, so weights stay bit-identical whichever
-    /// path runs.
-    pub(crate) fn grow_mutual_in_place(
+    /// Both directions of Algorithm 2 in one walk: each table grows from
+    /// the other's *pre-growth* rows. When the two keyword bitmaps are
+    /// equal no row is added, so a lockstep loop updates both in place;
+    /// otherwise one union merge builds both sides in the per-thread
+    /// scratch and copies them back.
+    pub(crate) fn grow_mutual(
         a: &mut InterestTable,
         b: &mut InterestTable,
         connected_secs: f64,
         params: &ChitChatParams,
         now: SimTime,
-    ) -> bool {
+    ) {
         if connected_secs <= 0.0 {
-            return true;
+            return;
         }
-        // Read-only bail pass: any keyword one side holds (with positive
-        // weight) that the other would acquire at or above the floor
-        // forces the inserting merge path. Equal keyword bitmaps mean
-        // there is no unmatched keyword on either side, so the pass is
-        // vacuous — skip the walk entirely (the steady-state common case
-        // once a contact cluster's tables have converged).
-        let bitmaps_equal = a.keywords.same_keywords(&b.keywords);
-        let (mut i, mut j) = (0usize, 0usize);
-        while !bitmaps_equal && (i < a.entries.len() || j < b.entries.len()) {
-            let ka = a.entries.get(i).map(|r| r.keyword);
-            let kb = b.entries.get(j).map(|r| r.keyword);
-            match (ka, kb) {
-                (Some(ka), Some(kb)) if ka == kb => {
-                    i += 1;
-                    j += 1;
-                }
-                (Some(ka), kb) if kb.is_none() || ka < kb.expect("some") => {
-                    let e = a.entries[i];
-                    if e.weight > 0.0 {
-                        let psi = f64::from(psi(None, e.kind));
-                        let delta = params.growth_rate * e.weight * connected_secs / psi;
-                        if delta.min(1.0) >= params.transient_floor {
-                            return false;
-                        }
-                    }
-                    i += 1;
-                }
-                _ => {
-                    let e = b.entries[j];
-                    if e.weight > 0.0 {
-                        let psi = f64::from(psi(None, e.kind));
-                        let delta = params.growth_rate * e.weight * connected_secs / psi;
-                        if delta.min(1.0) >= params.transient_floor {
-                            return false;
-                        }
-                    }
-                    j += 1;
+        let credit = Credit::new(connected_secs, params, now);
+        if a.keywords.same_keywords(&b.keywords) {
+            let mut rows = a.rows.iter_mut().zip(b.rows.iter_mut());
+            for (w, &members) in a.keywords.words().iter().enumerate() {
+                let (da, db) = (a.direct.word(w), b.direct.word(w));
+                for (bit, (ra, rb)) in SetBits(members).zip(rows.by_ref()) {
+                    let (kind_a, kind_b) = (kind_of(da & bit), kind_of(db & bit));
+                    // Both updates read the pre-growth rows.
+                    (*ra, *rb) = (
+                        credit.grow(*ra, kind_a, *rb, kind_b),
+                        credit.grow(*rb, kind_b, *ra, kind_a),
+                    );
                 }
             }
+            return;
         }
-        // Apply pass over the keyword intersection. Kinds never change
-        // during growth, and each update reads only the other side's
-        // pre-growth weight (captured before either write), so the two
-        // directions cannot observe each other's updates.
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < a.entries.len() && j < b.entries.len() {
-            let (ka, kb) = (a.entries[i].keyword, b.entries[j].keyword);
-            if ka < kb {
+        MERGE_SCRATCH.with(|scratch| {
+            let grown = &mut *scratch.borrow_mut();
+            merge_walk::<true>(a, b, &credit, grown);
+            a.commit(&grown[0]);
+            b.commit(&grown[1]);
+        });
+    }
+
+    /// Installs a merge walk's rows and bitmap by copy, so the capacity
+    /// stays this table's own.
+    fn commit(&mut self, grown: &Grown) {
+        self.rows.clear();
+        self.rows.extend_from_slice(&grown.rows);
+        self.keywords.set_words(&grown.keywords);
+    }
+}
+
+/// The kind a direct-bitmap bit (masked to one keyword) encodes.
+fn kind_of(direct_bit: u64) -> InterestKind {
+    if direct_bit != 0 {
+        InterestKind::Direct
+    } else {
+        InterestKind::Transient
+    }
+}
+
+/// One exchange's growth terms (Algorithm 2): the credited contact
+/// seconds, the model constants and the time grown rows are stamped.
+struct Credit<'p> {
+    secs: f64,
+    params: &'p ChitChatParams,
+    now: SimTime,
+}
+
+impl<'p> Credit<'p> {
+    fn new(secs: f64, params: &'p ChitChatParams, now: SimTime) -> Self {
+        Credit { secs, params, now }
+    }
+
+    /// The increment `γ·w·secs/ψ` of a peer interest of weight `w`.
+    fn delta(&self, w: f64, own: Option<InterestKind>, peer: InterestKind) -> f64 {
+        let psi = f64::from(psi(own, peer));
+        self.params.growth_rate * w * self.secs / psi
+    }
+
+    /// A keyword both tables hold: `own` grown by `peer` and stamped
+    /// shared, or unchanged when the peer's weight is not positive.
+    fn grow(&self, own: Row, own_kind: InterestKind, peer: Row, peer_kind: InterestKind) -> Row {
+        if peer.weight > 0.0 {
+            let delta = self.delta(peer.weight, Some(own_kind), peer_kind);
+            Row {
+                weight: (own.weight + delta).min(1.0),
+                last_shared: self.now,
+            }
+        } else {
+            own
+        }
+    }
+
+    /// A keyword only the peer holds: the transient row it is acquired
+    /// as, if the peer's weight is positive and the row reaches the floor.
+    fn acquire(&self, peer: Row, peer_kind: InterestKind) -> Option<Row> {
+        if peer.weight <= 0.0 {
+            return None;
+        }
+        let weight = self.delta(peer.weight, None, peer_kind).min(1.0);
+        (weight >= self.params.transient_floor).then_some(Row {
+            weight,
+            last_shared: self.now,
+        })
+    }
+}
+
+/// One walk over the union of `a`'s and `b`'s keyword bitmaps: writes the
+/// rows and bitmap `a` grows to from `b`'s pre-growth rows into
+/// `grown[0]`, and, when `MUTUAL`, those `b` grows to from `a`'s into
+/// `grown[1]`.
+fn merge_walk<const MUTUAL: bool>(
+    a: &InterestTable,
+    b: &InterestTable,
+    credit: &Credit<'_>,
+    [into_a, into_b]: &mut [Grown; 2],
+) {
+    for g in [&mut *into_a, &mut *into_b] {
+        g.rows.clear();
+        g.keywords.clear();
+    }
+    let words = a.keywords.words().len().max(b.keywords.words().len());
+    let (mut i, mut j) = (0, 0);
+    for w in 0..words {
+        let (ka, kb) = (a.keywords.word(w), b.keywords.word(w));
+        let (da, db) = (a.direct.word(w), b.direct.word(w));
+        let (mut grown_a, mut grown_b) = (ka, kb);
+        for bit in SetBits(ka | kb) {
+            let (kind_a, kind_b) = (kind_of(da & bit), kind_of(db & bit));
+            if ka & kb & bit != 0 {
+                let (ra, rb) = (a.rows[i], b.rows[j]);
+                (i, j) = (i + 1, j + 1);
+                into_a.rows.push(credit.grow(ra, kind_a, rb, kind_b));
+                if MUTUAL {
+                    into_b.rows.push(credit.grow(rb, kind_b, ra, kind_a));
+                }
+            } else if ka & bit != 0 {
+                let ra = a.rows[i];
                 i += 1;
-            } else if kb < ka {
-                j += 1;
+                into_a.rows.push(ra);
+                if MUTUAL {
+                    if let Some(row) = credit.acquire(ra, kind_a) {
+                        into_b.rows.push(row);
+                        grown_b |= bit;
+                    }
+                }
             } else {
-                let (wa, kind_a) = (a.entries[i].weight, a.entries[i].kind);
-                let (wb, kind_b) = (b.entries[j].weight, b.entries[j].kind);
-                if wb > 0.0 {
-                    let psi = f64::from(psi(Some(kind_a), kind_b));
-                    let delta = params.growth_rate * wb * connected_secs / psi;
-                    let e = &mut a.entries[i];
-                    e.weight = (e.weight + delta).min(1.0);
-                    e.last_shared = now;
-                }
-                if wa > 0.0 {
-                    let psi = f64::from(psi(Some(kind_b), kind_a));
-                    let delta = params.growth_rate * wa * connected_secs / psi;
-                    let e = &mut b.entries[j];
-                    e.weight = (e.weight + delta).min(1.0);
-                    e.last_shared = now;
-                }
-                i += 1;
+                let rb = b.rows[j];
                 j += 1;
+                if let Some(row) = credit.acquire(rb, kind_b) {
+                    into_a.rows.push(row);
+                    grown_a |= bit;
+                }
+                if MUTUAL {
+                    into_b.rows.push(rb);
+                }
             }
         }
-        true
+        into_a.keywords.push(grown_a);
+        into_b.keywords.push(grown_b);
     }
 }
 
@@ -586,6 +647,18 @@ mod tests {
 
     fn params() -> ChitChatParams {
         ChitChatParams::paper_default()
+    }
+
+    fn set(keywords: &[u32]) -> KeywordSet {
+        let mut set = KeywordSet::new();
+        for &k in keywords {
+            set.insert(Keyword(k));
+        }
+        set
+    }
+
+    fn none() -> KeywordSet {
+        KeywordSet::new()
     }
 
     #[test]
@@ -637,10 +710,8 @@ mod tests {
         p.exchange_interval_secs = 5.0;
         let mut table = InterestTable::new();
         table.subscribe(Keyword(1), &p, t(0.0));
-        if let Some(e) = table.entries.iter_mut().find(|r| r.keyword == Keyword(1)) {
-            e.weight = 0.6;
-        }
-        table.decay(t(5.0), &p, |_| false);
+        table.rows[0].weight = 0.6;
+        table.decay(t(5.0), &p, &none());
         let w = table.weight(Keyword(1));
         assert!((w - 0.51).abs() < 1e-12, "got {w}");
     }
@@ -649,13 +720,11 @@ mod tests {
     fn decay_skips_shared_interests() {
         let mut table = InterestTable::new();
         table.subscribe(Keyword(1), &params(), t(0.0));
-        if let Some(e) = table.entries.iter_mut().find(|r| r.keyword == Keyword(1)) {
-            e.weight = 0.9;
-        }
-        table.decay(t(100.0), &params(), |_| true);
+        table.rows[0].weight = 0.9;
+        table.decay(t(100.0), &params(), &set(&[1]));
         assert_eq!(table.weight(Keyword(1)), 0.9, "shared interest frozen");
         // And T_l was refreshed, so a later decay measures from 100 s.
-        table.decay(t(101.0), &params(), |_| false);
+        table.decay(t(101.0), &params(), &none());
         assert!(table.weight(Keyword(1)) < 0.9);
     }
 
@@ -664,9 +733,7 @@ mod tests {
         let p = params();
         let mut table = InterestTable::new();
         table.subscribe(Keyword(1), &p, t(0.0));
-        if let Some(e) = table.entries.iter_mut().find(|r| r.keyword == Keyword(1)) {
-            e.weight = 1.0;
-        }
+        table.rows[0].weight = 1.0;
         let mut peer = InterestTable::new();
         peer.subscribe(Keyword(2), &p, t(0.0));
         table.grow(&peer, 200.0, &p, t(0.0));
@@ -674,7 +741,7 @@ mod tests {
         assert!(transient_before > 0.0);
 
         for step in 1..=50 {
-            table.decay(t(step as f64 * 60.0), &p, |_| false);
+            table.decay(t(step as f64 * 60.0), &p, &none());
         }
         let direct = table.weight(Keyword(1));
         assert!(
@@ -693,10 +760,8 @@ mod tests {
         let mut table = InterestTable::new();
         table.subscribe(Keyword(1), &p, t(0.0));
         // Direct weight *below* baseline must not spring back up.
-        if let Some(e) = table.entries.iter_mut().find(|r| r.keyword == Keyword(1)) {
-            e.weight = 0.2;
-        }
-        table.decay(t(10.0), &p, |_| false);
+        table.rows[0].weight = 0.2;
+        table.decay(t(10.0), &p, &none());
         assert!(table.weight(Keyword(1)) <= 0.2);
     }
 
@@ -755,5 +820,53 @@ mod tests {
         assert_eq!(table.mean_weight(&[]), 0.0);
         assert!(table.is_destination_for(&kws));
         assert!(!table.is_destination_for(&[Keyword(3)]));
+    }
+
+    /// A table's row capacity follows its own length: growing a small
+    /// table right after two large ones merged on the same thread leaves
+    /// it at most twice its row count (or the smallest allocation).
+    #[test]
+    fn capacity_follows_the_table_not_the_scratch() {
+        use crate::exchange::rtsr_exchange;
+        use dtn_sim::world::NodeId;
+        let p = params();
+        let exchange = |tables: &mut [InterestTable], round: u32| {
+            let now = t(60.0 * f64::from(round));
+            rtsr_exchange(
+                tables,
+                NodeId(0),
+                NodeId(1),
+                60.0,
+                &p,
+                now,
+                &none(),
+                &none(),
+            );
+        };
+        let mut big = vec![InterestTable::new(), InterestTable::new()];
+        for k in 0..150 {
+            big[usize::from(k % 3 == 0)].subscribe(Keyword(k), &p, t(0.0));
+        }
+        exchange(&mut big, 1);
+        assert_eq!(
+            big[0].len(),
+            150,
+            "each big table acquired the other's keywords"
+        );
+        let mut small = vec![InterestTable::new(), InterestTable::new()];
+        small[0].subscribe(Keyword(1), &p, t(0.0));
+        small[1].subscribe(Keyword(2), &p, t(0.0));
+        for round in 1..=50 {
+            exchange(&mut small, round);
+            let mut lone = InterestTable::new();
+            lone.grow(&big[0], 60.0, &p, t(60.0));
+            for table in small.iter().chain([&lone]) {
+                let (len, cap) = (table.len(), table.rows.capacity());
+                assert!(
+                    cap <= (2 * len).max(4),
+                    "round {round}: {cap} rows held for {len}"
+                );
+            }
+        }
     }
 }

@@ -1294,7 +1294,9 @@ impl<P: Protocol> Simulation<P> {
     /// world anywhere in the document (the error names the field), an
     /// open contact the restored world cannot explain (endpoints out of
     /// range at the restored positions, a crashed endpoint or a cut link),
-    /// or per-module state that fails its own consistency checks.
+    /// a `counters.contacts_down` other than `contacts_up` less the open
+    /// contacts, or per-module state that fails its own consistency
+    /// checks.
     /// On error the world may be partially overwritten — rebuild it before
     /// using it again.
     pub fn restore(&mut self, state: &WorldState) -> Result<(), SnapshotError> {
@@ -1392,6 +1394,18 @@ impl<P: Protocol> Simulation<P> {
             if cut.contains(&(a, b)) {
                 return Err(mismatch(format!("{pair} is blocked by a link cut")));
             }
+        }
+        // Every contact that came up is either still open or went down, so
+        // the down count is the up count less the open contacts.
+        let (up, down, open) = (
+            state.counters.contacts_up,
+            state.counters.contacts_down,
+            state.contacts.len() as u64,
+        );
+        if up.checked_sub(open) != Some(down) {
+            return Err(mismatch(format!(
+                "counters.contacts_down is {down}, but {up} contacts came up and {open} are open"
+            )));
         }
         let bodies: HashMap<MessageId, Arc<MessageBody>> = state
             .bodies
@@ -2391,6 +2405,7 @@ mod tests {
         let in_range = |w: &mut WorldState| {
             w.positions[b.index()] = w.positions[a.index()];
             w.contacts.push((a, b, now));
+            w.counters.contacts_up += 1;
         };
         let mut explained = world.clone();
         in_range(&mut explained);

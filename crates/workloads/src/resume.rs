@@ -579,6 +579,117 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The body of a faithful snapshot of the template world at 240 s
+    /// (seed 7), written in `dir`.
+    fn snapshot_at_240s(dir: &Path) -> String {
+        std::fs::create_dir_all(dir).unwrap();
+        let m = meta(&scenario(), 7);
+        let mut sim = m.build(false);
+        while sim.api().now() < SimTime::from_secs(240.0) {
+            sim.step_once();
+        }
+        let path = dir.join("faithful.dtnsnap");
+        write_snapshot(&sim, &m, &path).unwrap();
+        resume_simulation(&read_snapshot(&path).unwrap()).expect("a faithful snapshot restores");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (_, body) = text.split_once('\n').unwrap();
+        body.to_string()
+    }
+
+    /// Resumes `body` under a recomputed checksum and returns the typed
+    /// mismatch's detail, failing on any other outcome.
+    fn refusal(dir: &Path, body: &str) -> String {
+        let tampered = dir.join("tampered.dtnsnap");
+        write_checksummed(&tampered, snapshot::FORMAT_VERSION, body);
+        let doc = read_snapshot(&tampered).expect("the checksum holds");
+        match resume_simulation(&doc) {
+            Err(SnapshotError::Mismatch { detail }) => detail,
+            Err(other) => panic!("expected a Mismatch, got {other}"),
+            Ok(_) => panic!("the tampered body restored"),
+        }
+    }
+
+    /// A checksum-valid body whose interest table for n3 is out of keyword
+    /// order, names a keyword outside the pool, or carries a weight or a
+    /// time no run can reach is refused at restore with a typed mismatch
+    /// naming the node, before any keyword bitmap is sized.
+    #[test]
+    fn restore_refuses_hostile_interest_tables() {
+        let dir = std::env::temp_dir().join(format!("dtn-interests-{}", std::process::id()));
+        let body = snapshot_at_240s(&dir);
+        let entries = ["world", "protocol", "backend", "3", "entries"];
+        let mut parsed: serde::Value = serde_json::from_str(&body).unwrap();
+        let rows = at(&mut parsed, &entries)
+            .as_seq()
+            .map_or(0, <[serde::Value]>::len);
+        assert!(rows >= 2, "n3 holds {rows} interests");
+        let last = (rows - 1).to_string();
+        let edit = |change: &dyn Fn(&mut serde::Value)| {
+            let mut v = parsed.clone();
+            change(&mut v);
+            serde_json::to_string(&v).unwrap()
+        };
+        let cases = [
+            (
+                "at or above the keyword pool of 200",
+                edit(&|v| {
+                    *at(v, &[&entries[..], &[&last, "0"]].concat()) =
+                        serde::Value::U64(4_000_000_000)
+                }),
+            ),
+            (
+                "not strictly ascending",
+                edit(&|v| {
+                    if let serde::Value::Seq(rows) = at(v, &entries) {
+                        rows.reverse();
+                    }
+                }),
+            ),
+            (
+                "weighs 7.0, outside [0, 1]",
+                edit(&|v| {
+                    *at(v, &[&entries[..], &["0", "1", "weight"]].concat()) = serde::Value::F64(7.0)
+                }),
+            ),
+            (
+                "not a finite non-negative time",
+                edit(&|v| {
+                    *at(v, &[&entries[..], &["0", "1", "last_shared"]].concat()) =
+                        serde::Value::Str("tampered-t".to_string());
+                })
+                .replacen("\"tampered-t\"", "1e999", 1),
+            ),
+        ];
+        for (reason, body) in cases {
+            let detail = refusal(&dir, &body);
+            assert!(
+                detail.contains("interest table of n3"),
+                "{reason}: {detail}"
+            );
+            assert!(detail.contains(reason), "{reason}: {detail}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `counters.contacts_down` is `contacts_up` less the open contacts; a
+    /// checksum-valid body where the two disagree is refused with a typed
+    /// mismatch naming the field.
+    #[test]
+    fn restore_refuses_contacts_down_that_disagrees_with_the_open_contacts() {
+        let dir = std::env::temp_dir().join(format!("dtn-contacts-down-{}", std::process::id()));
+        let body = snapshot_at_240s(&dir);
+        let mut value: serde::Value = serde_json::from_str(&body).unwrap();
+        let down = at(&mut value, &["world", "counters", "contacts_down"]);
+        let serde::Value::U64(n) = *down else {
+            panic!("contacts_down is a {}", down.kind());
+        };
+        assert!(n > 0, "no contact went down by 240 s");
+        *down = serde::Value::U64(n - 1);
+        let detail = refusal(&dir, &serde_json::to_string(&value).unwrap());
+        assert!(detail.contains("counters.contacts_down"), "{detail}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// The no-double-pay audit compares two ledgers, the router's
     /// settlement count and the kernel's delivered pairs: a world whose
     /// ledgers disagree fails it.
