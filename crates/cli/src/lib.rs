@@ -484,17 +484,42 @@ ROUTERS:
 
 /// Loads and validates a scenario file.
 ///
+/// A key the scenario does not serialize is refused: the parser skips
+/// unknown keys, so a typo would otherwise run silently with the default.
+/// A key whose value is `null` means "unset" and is accepted.
+///
 /// # Errors
 ///
-/// Returns a message naming the file and the parse or validation failure.
+/// Returns a message naming the file and the parse failure, the dotted
+/// path of an unknown key, or the validation failure.
 pub fn load_scenario(path: &str) -> Result<Scenario, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let scenario: Scenario =
+    let read: serde::Value =
         serde_json::from_str(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
+    let scenario = <Scenario as serde::Deserialize>::from_value(&read)
+        .map_err(|e| format!("cannot parse {path}: {e}"))?;
+    if let Some(key) = unknown_key(&read, &serde::Serialize::to_value(&scenario)) {
+        return Err(format!("{path} has an unknown key `{key}`"));
+    }
     scenario
         .validate()
         .map_err(|e| format!("{path} is invalid: {e}"))?;
     Ok(scenario)
+}
+
+/// The dotted path of the first key of `read` that `known` lacks, looking
+/// into the maps both documents hold; a key whose value is `null` is unset
+/// and never unknown.
+fn unknown_key(read: &serde::Value, known: &serde::Value) -> Option<String> {
+    let (Some(read), Some(known)) = (read.as_map(), known.as_map()) else {
+        return None;
+    };
+    read.iter()
+        .find_map(|(key, value)| match known.iter().find(|(k, _)| k == key) {
+            None if *value == serde::Value::Null => None,
+            None => Some(key.clone()),
+            Some((_, inner)) => unknown_key(value, inner).map(|path| format!("{key}.{path}")),
+        })
 }
 
 /// The scenario template `dtn template` prints: the reduced-scale paper
@@ -1173,6 +1198,84 @@ mod tests {
         assert!(load_scenario(path.to_str().expect("utf8"))
             .unwrap_err()
             .contains("invalid"));
+    }
+
+    /// A key the scenario does not serialize is refused with its dotted
+    /// path; a `null` one means unset, so files from an older template
+    /// still load.
+    #[test]
+    fn load_refuses_unknown_keys_and_accepts_null_ones() {
+        let dir = scratch_dir("unknown-keys");
+        let path = dir.join("scenario.json");
+        let load = |text: &str| {
+            std::fs::write(&path, text).expect("write");
+            load_scenario(path.to_str().expect("utf8"))
+        };
+        let template = template_json();
+        let with = |entry: &str| template.replacen('{', &format!("{{{entry},"), 1);
+        let mut recovered = reduced_scenario();
+        recovered.recovery = Some(dtn_sim::transfer::RecoveryPolicy::default());
+        let adaptive = serde_json::to_string(&recovered).expect("json").replacen(
+            "\"recovery\":{",
+            "\"recovery\":{\"adaptive_backoff\":true,",
+            1,
+        );
+        for (text, key) in [
+            (with("\"selfish_fraktion\": 0.4"), "selfish_fraktion"),
+            (with("\"selfish_duty_cycle\": 0.25"), "selfish_duty_cycle"),
+            (adaptive, "recovery.adaptive_backoff"),
+        ] {
+            let err = load(&text).expect_err(key);
+            assert!(
+                err.contains(&format!("unknown key `{key}`")),
+                "{key}: {err}"
+            );
+        }
+        assert!(load(&template).is_ok(), "the template loads");
+        let unset = with("\"selfish_duty_cycle\": null");
+        assert!(load(&unset).is_ok(), "a null key is unset");
+    }
+
+    /// The key check looks into maps at any depth, reports the first
+    /// unknown key in document order, and skips `null` values and the
+    /// elements of arrays.
+    #[test]
+    fn unknown_key_walks_maps_in_document_order() {
+        let parse = |text: &str| serde_json::from_str::<serde::Value>(text).expect("json");
+        let known = parse(r#"{"a":{"b":{"c":1}},"d":[{"e":1}],"f":null}"#);
+        let unknown = |text: &str| unknown_key(&parse(text), &known);
+        assert_eq!(unknown(r#"{"a":{"b":{"c":2}},"f":3}"#), None);
+        assert_eq!(
+            unknown(r#"{"a":{"b":{"c":2,"x":1}}}"#),
+            Some("a.b.x".into())
+        );
+        assert_eq!(
+            unknown(r#"{"z":1,"a":{"y":1}}"#),
+            Some("z".into()),
+            "first in document order"
+        );
+        assert_eq!(unknown(r#"{"a":{"y":1},"z":1}"#), Some("a.y".into()));
+        assert_eq!(unknown(r#"{"a":{"b":{"q":null}},"z":null}"#), None);
+        assert_eq!(
+            unknown(r#"{"d":[{"zz":1}]}"#),
+            None,
+            "arrays are not walked"
+        );
+        // Below a key whose parsed value is not a map, nothing is judged.
+        assert_eq!(unknown(r#"{"f":{"anything":1}}"#), None);
+    }
+
+    #[test]
+    fn validate_command_refuses_an_unknown_key() {
+        let dir = scratch_dir("val-unknown");
+        let path = dir.join("scenario.json");
+        let text = template_json().replacen('{', "{\"nodez\": 5,", 1);
+        std::fs::write(&path, text).expect("write");
+        let err = execute(Command::Validate {
+            path: path.to_str().expect("utf8").to_owned(),
+        })
+        .expect_err("unknown key");
+        assert!(err.ends_with("has an unknown key `nodez`"), "{err}");
     }
 
     #[test]

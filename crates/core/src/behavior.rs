@@ -55,28 +55,6 @@ impl NodeBehavior {
     pub fn is_malicious(&self) -> bool {
         matches!(self, NodeBehavior::Malicious)
     }
-
-    /// Validates the behavior's parameters: a selfish duty cycle must be a
-    /// finite probability in `[0, 1]`. NaN or out-of-range values would
-    /// silently skew [`Self::participates`] (the kernel's `chance` clamps
-    /// nothing), so scenarios reject them at build time.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the offending parameter.
-    pub fn validate(&self) -> Result<(), String> {
-        match *self {
-            NodeBehavior::Selfish { duty_cycle } => {
-                if !duty_cycle.is_finite() || !(0.0..=1.0).contains(&duty_cycle) {
-                    return Err(format!(
-                        "selfish duty_cycle must be a probability in [0, 1], got {duty_cycle}"
-                    ));
-                }
-                Ok(())
-            }
-            NodeBehavior::Honest | NodeBehavior::Malicious => Ok(()),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -93,7 +71,7 @@ mod tests {
     }
 
     #[test]
-    fn selfish_duty_cycle_is_roughly_one_in_ten() {
+    fn paper_selfish_opens_roughly_one_encounter_in_ten() {
         let mut rng = SimRng::new(2);
         let b = NodeBehavior::paper_selfish();
         let open = (0..10_000).filter(|_| b.participates(&mut rng)).count();
@@ -110,23 +88,6 @@ mod tests {
     }
 
     #[test]
-    fn validation_rejects_bad_duty_cycles() {
-        assert_eq!(NodeBehavior::Honest.validate(), Ok(()));
-        assert_eq!(NodeBehavior::Malicious.validate(), Ok(()));
-        assert_eq!(NodeBehavior::paper_selfish().validate(), Ok(()));
-        for bad in [f64::NAN, f64::INFINITY, -0.1, 1.1] {
-            assert!(
-                NodeBehavior::Selfish { duty_cycle: bad }
-                    .validate()
-                    .is_err(),
-                "duty_cycle {bad} must be rejected"
-            );
-        }
-        assert_eq!(NodeBehavior::Selfish { duty_cycle: 0.0 }.validate(), Ok(()));
-        assert_eq!(NodeBehavior::Selfish { duty_cycle: 1.0 }.validate(), Ok(()));
-    }
-
-    #[test]
     fn extreme_duty_cycles() {
         let mut rng = SimRng::new(3);
         let never = NodeBehavior::Selfish { duty_cycle: 0.0 };
@@ -135,5 +96,40 @@ mod tests {
             assert!(!never.participates(&mut rng));
             assert!(always.participates(&mut rng));
         }
+    }
+
+    /// Behaviors are externally tagged and a selfish node carries its
+    /// duty cycle, so a serialized behavior reads back exactly.
+    #[test]
+    fn behaviors_round_trip_through_json() {
+        for (b, json) in [
+            (NodeBehavior::Honest, r#""Honest""#),
+            (
+                NodeBehavior::paper_selfish(),
+                r#"{"Selfish":{"duty_cycle":0.1}}"#,
+            ),
+            (NodeBehavior::Malicious, r#""Malicious""#),
+        ] {
+            assert_eq!(serde_json::to_string(&b).expect("serializes"), json);
+            assert_eq!(
+                serde_json::from_str::<NodeBehavior>(json).expect("parses"),
+                b
+            );
+        }
+    }
+
+    /// Only a selfish node draws from the encounter stream, one draw per
+    /// encounter, so adding honest or malicious nodes never shifts it.
+    #[test]
+    fn only_selfish_nodes_consume_draws() {
+        let mut rng = SimRng::new(4);
+        let before = rng.state();
+        assert!(NodeBehavior::Honest.participates(&mut rng));
+        assert!(NodeBehavior::Malicious.participates(&mut rng));
+        assert_eq!(rng.state(), before);
+        let mut one_draw = SimRng::new(4);
+        let _ = one_draw.chance(0.1);
+        let _ = NodeBehavior::paper_selfish().participates(&mut rng);
+        assert_eq!(rng.state(), one_draw.state());
     }
 }

@@ -80,4 +80,27 @@ mod tests {
     fn annotate_rejects_zero_fraction() {
         let _ = annotate(&[Keyword(1)], 0.0, &mut SimRng::new(1));
     }
+
+    /// The source keeps the rounded share of the truth (at least one
+    /// keyword), listed in ground-truth order.
+    #[test]
+    fn annotate_keeps_the_rounded_share_in_truth_order() {
+        let truth: Vec<Keyword> = [9, 2, 7, 4, 1, 8, 3, 6, 5, 0].map(Keyword).to_vec();
+        let mut rng = SimRng::new(2);
+        for (frac, keep) in [(0.25, 3), (0.5, 5), (0.04, 1), (1.0, 10)] {
+            let tags = annotate(&truth, frac, &mut rng);
+            assert_eq!(tags.len(), keep, "fraction {frac}");
+            let positions: Vec<usize> = tags
+                .iter()
+                .map(|t| truth.iter().position(|k| k == t).expect("from the truth"))
+                .collect();
+            assert!(positions.windows(2).all(|w| w[0] < w[1]), "{positions:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "content must have at least one keyword")]
+    fn annotate_rejects_empty_content() {
+        let _ = annotate(&[], 0.5, &mut SimRng::new(1));
+    }
 }

@@ -29,7 +29,7 @@
 use dtn_sim::fxhash::FxHashMap;
 
 use dtn_sim::buffer::InsertOutcome;
-use dtn_sim::kernel::SimApi;
+use dtn_sim::kernel::{SimApi, STEP_SECS};
 use dtn_sim::message::{MessageId, Priority};
 use dtn_sim::protocol::{Protocol, Reception};
 use dtn_sim::rng::{RngState, SimRng};
@@ -1154,7 +1154,7 @@ impl<B: RouterBackend> Protocol for DcimRouter<B> {
         }
         self.open_pair(a, b);
         self.backend.on_contact_open(api.now(), a, b);
-        self.exchange(api, a, b, api.step_len().as_secs());
+        self.exchange(api, a, b, STEP_SECS);
         self.exchange_wheel
             .note_serviced(pair(a, b), api.now(), api.counters().steps);
         self.route(api, a, b);
@@ -1369,7 +1369,7 @@ impl<B: RouterBackend> Protocol for DcimRouter<B> {
             now,
             step,
             self.params.chitchat.exchange_interval_secs,
-            api.step_len().as_secs(),
+            STEP_SECS,
             &mut due,
         );
         for &((a, b), credited) in &due {

@@ -80,4 +80,39 @@ mod tests {
         assert_eq!(d.interests_of(NodeId(2)).len(), 1);
         assert_eq!(d.node_count(), 3);
     }
+
+    #[test]
+    fn subscriptions_accumulate_without_repeats() {
+        let mut d = InterestDirectory::new(2);
+        d.subscribe(NodeId(0), [Keyword(3)]);
+        d.subscribe(NodeId(0), [Keyword(3), Keyword(4)]);
+        d.subscribe(NodeId(0), []);
+        let mut held: Vec<Keyword> = d.interests_of(NodeId(0)).iter().copied().collect();
+        held.sort_unstable();
+        assert_eq!(held, vec![Keyword(3), Keyword(4)]);
+        assert!(d.interests_of(NodeId(1)).is_empty());
+        assert!(
+            !d.is_destination(NodeId(0), &[]),
+            "no keywords, no destination"
+        );
+    }
+
+    #[test]
+    fn destinations_are_sorted_and_exclude_only_the_given_node() {
+        let mut d = InterestDirectory::new(6);
+        for node in [5, 0, 3, 2] {
+            d.subscribe(NodeId(node), [Keyword(node % 2), Keyword(7)]);
+        }
+        assert_eq!(
+            d.destinations_for(&[Keyword(7)], NodeId(3)),
+            vec![NodeId(0), NodeId(2), NodeId(5)]
+        );
+        assert_eq!(
+            d.destinations_for(&[Keyword(1), Keyword(9)], NodeId(4)),
+            vec![NodeId(3), NodeId(5)]
+        );
+        assert!(InterestDirectory::default()
+            .destinations_for(&[Keyword(7)], NodeId(0))
+            .is_empty());
+    }
 }

@@ -20,8 +20,6 @@ use crate::world::NodeId;
 /// What to evict when an arriving message does not fit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DropPolicy {
-    /// Never evict; reject the newcomer instead.
-    RejectNew,
     /// Evict the copy that has been buffered the longest (ONE's default).
     DropOldest,
     /// Evict lowest-priority first, oldest within a priority class.
@@ -36,7 +34,7 @@ pub enum InsertOutcome {
         /// Ids of evicted copies, in eviction order.
         evicted: Vec<MessageId>,
     },
-    /// The copy was rejected (too large, duplicate, or policy refused).
+    /// The copy was rejected (duplicate, too large, or lost in flight).
     Rejected(RejectReason),
 }
 
@@ -47,7 +45,8 @@ pub enum RejectReason {
     Duplicate,
     /// The message is larger than the whole buffer.
     TooLarge,
-    /// The policy is [`DropPolicy::RejectNew`] and there was no room.
+    /// The copy never arrived: the sender lost it within the step its
+    /// transfer completed, so the kernel reports the reception as refused.
     NoRoom,
 }
 
@@ -200,13 +199,9 @@ impl Buffer {
         }
         let mut evicted = Vec::new();
         while self.used_bytes + size > self.capacity_bytes {
-            match self.pick_victim() {
-                Some(victim) => {
-                    self.remove(victim);
-                    evicted.push(victim);
-                }
-                None => return InsertOutcome::Rejected(RejectReason::NoRoom),
-            }
+            let victim = self.pick_victim();
+            self.remove(victim);
+            evicted.push(victim);
         }
         self.used_bytes += size;
         self.copies.insert(id, copy);
@@ -241,10 +236,10 @@ impl Buffer {
         expired
     }
 
-    /// Chooses an eviction victim per policy, or `None` to reject.
-    fn pick_victim(&self) -> Option<MessageId> {
-        match self.policy {
-            DropPolicy::RejectNew => None,
+    /// Chooses an eviction victim per policy. Only called while the buffer
+    /// is over capacity, so it holds at least one copy.
+    fn pick_victim(&self) -> MessageId {
+        let victim = match self.policy {
             DropPolicy::DropOldest => self
                 .copies
                 .values()
@@ -272,7 +267,8 @@ impl Buffer {
                         .then(a.id().cmp(&b.id()))
                 })
                 .map(MessageCopy::id),
-        }
+        };
+        victim.expect("a buffer over capacity holds a copy")
     }
 }
 
@@ -421,17 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn reject_new_policy_refuses_when_full() {
-        let mut b = Buffer::new(100, DropPolicy::RejectNew);
-        b.insert(copy(1, 80, Priority::High, 1.0));
-        assert_eq!(
-            b.insert(copy(2, 40, Priority::High, 2.0)),
-            InsertOutcome::Rejected(RejectReason::NoRoom)
-        );
-        assert_eq!(b.len(), 1);
-    }
-
-    #[test]
     fn duplicate_and_oversize_rejected() {
         let mut b = Buffer::new(100, DropPolicy::DropOldest);
         b.insert(copy(1, 10, Priority::High, 1.0));
@@ -545,5 +530,100 @@ mod tests {
             b.ids_sorted(),
             vec![MessageId(1), MessageId(3), MessageId(5), MessageId(9)]
         );
+    }
+
+    /// Copies received in the same instant are evicted in id order:
+    /// the lowest id under `DropOldest`, the highest under
+    /// `DropLowestPriority` within the lowest class.
+    #[test]
+    fn exact_ties_break_by_id() {
+        let victim = |policy| {
+            let mut b = Buffer::new(100, policy);
+            b.insert(copy(4, 40, Priority::Low, 2.0));
+            b.insert(copy(7, 40, Priority::Low, 2.0));
+            match b.insert(copy(9, 40, Priority::High, 3.0)) {
+                InsertOutcome::Stored { evicted } => evicted,
+                other => panic!("unexpected outcome {other:?}"),
+            }
+        };
+        assert_eq!(victim(DropPolicy::DropOldest), vec![MessageId(4)]);
+        assert_eq!(victim(DropPolicy::DropLowestPriority), vec![MessageId(7)]);
+    }
+
+    #[test]
+    fn generation_moves_only_on_mutation() {
+        let mut b = Buffer::new(100, DropPolicy::DropOldest);
+        let g0 = b.generation();
+        b.insert(copy(1, 40, Priority::High, 1.0));
+        let g1 = b.generation();
+        assert!(g1 > g0);
+        // Refused inserts and misses change nothing.
+        b.insert(copy(1, 40, Priority::High, 1.0));
+        b.insert(copy(2, 400, Priority::High, 1.0));
+        assert!(b.remove(MessageId(5)).is_none());
+        let _ = b.get(MessageId(1));
+        assert_eq!(b.generation(), g1);
+        // Mutable access may change what orderings depend on.
+        let _ = b.get_mut(MessageId(1));
+        let g2 = b.generation();
+        assert!(g2 > g1);
+        assert!(b.sweep_expired(SimTime::from_secs(5000.0)) == vec![MessageId(1)]);
+        assert!(b.generation() > g2);
+        assert_eq!(b.free_bytes(), 100);
+    }
+
+    #[test]
+    fn export_import_restores_copies_and_counters() {
+        let mut b = Buffer::new(100, DropPolicy::DropOldest);
+        let mut bodies = HashMap::new();
+        for (id, size) in [(3, 30), (1, 20), (2, 10)] {
+            let c = copy(id, size, Priority::Medium, id as f64);
+            bodies.insert(c.id(), Arc::clone(&c.body));
+            b.insert(c);
+        }
+        b.remove(MessageId(2));
+        let state = b.export_state();
+        let ids: Vec<MessageId> = state.copies.iter().map(|c| c.id).collect();
+        assert_eq!(ids, vec![MessageId(1), MessageId(3)], "sorted by id");
+        assert_eq!((state.lifetime_stored, state.lifetime_removed), (3, 1));
+
+        let mut restored = Buffer::new(100, DropPolicy::DropOldest);
+        let before = restored.generation();
+        restored.import_state(&state, &bodies).expect("restores");
+        assert_eq!(restored.export_state(), state);
+        assert_eq!(restored.used_bytes(), 50);
+        assert_eq!(restored.len(), 2);
+        assert!(restored.generation() > before, "cached orderings go stale");
+    }
+
+    #[test]
+    fn import_refuses_missing_bodies_and_overflow_and_keeps_its_state() {
+        let mut donor = Buffer::new(100, DropPolicy::DropOldest);
+        let mut bodies = HashMap::new();
+        for id in [1, 2] {
+            let c = copy(id, 40, Priority::High, 0.0);
+            bodies.insert(c.id(), Arc::clone(&c.body));
+            donor.insert(c);
+        }
+        let state = donor.export_state();
+
+        let mut small = Buffer::new(50, DropPolicy::DropOldest);
+        small.insert(copy(9, 5, Priority::High, 0.0));
+        let err = small.import_state(&state, &bodies).unwrap_err();
+        assert_eq!(
+            err,
+            "snapshot holds 80 bytes but the rebuilt buffer capacity is 50"
+        );
+        bodies.remove(&MessageId(2));
+        let err = small.import_state(&state, &bodies).unwrap_err();
+        assert!(err.contains("has no body in the snapshot"), "{err}");
+        assert_eq!(small.ids_sorted(), vec![MessageId(9)]);
+        assert_eq!(small.used_bytes(), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "buffer capacity must be positive")]
+    fn zero_capacity_is_refused() {
+        let _ = Buffer::new(0, DropPolicy::DropOldest);
     }
 }

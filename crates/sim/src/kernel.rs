@@ -1,8 +1,9 @@
 //! The time-stepped simulation kernel.
 //!
-//! [`Simulation`] advances the world in fixed steps (default 1 s, matching
-//! ONE's pedestrian scenarios): move nodes → detect contacts → release
-//! scheduled messages → progress transfers → sweep TTLs → tick the protocol.
+//! [`Simulation`] advances the world in fixed steps of [`STEP_SECS`] (1 s,
+//! matching ONE's pedestrian scenarios): move nodes → detect contacts →
+//! release scheduled messages → progress transfers → sweep TTLs → tick the
+//! protocol.
 //! All state a protocol may touch lives in [`SimApi`]; the protocol object
 //! itself is a sibling field so Rust's split borrows let the two interact
 //! without interior mutability.
@@ -40,8 +41,12 @@ use crate::world::{cell_width, check_node_ids, NodeId, SpatialGrid};
 /// enabling recovery never perturbs the mobility/fault/protocol streams.
 const RETRY_STREAM: u64 = 0x5245_5452_5900_0000;
 
-/// Simulated seconds between TTL sweeps.
-const TTL_SWEEP_SECS: f64 = 60.0;
+/// The step length in seconds. Every world steps 1 s at a time, so the
+/// clock is the step count in whole seconds.
+pub const STEP_SECS: f64 = 1.0;
+
+/// Steps between TTL sweeps: one sweep every 60 simulated seconds.
+const TTL_SWEEP_STEPS: u64 = 60;
 
 /// One aborted transfer waiting out its backoff in the retry queue.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -52,19 +57,6 @@ struct PendingRetry {
     /// Earliest release time (backoff expiry); release additionally waits
     /// for the pair to be back in contact.
     ready_at: SimTime,
-}
-
-/// Running mean of a pair's observed down→up gaps, for adaptive backoff
-/// (see [`RecoveryPolicy::adaptive_backoff`]). Only maintained while the
-/// flag is on, so a disabled run carries no tracker state at all.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-struct GapTracker {
-    /// When the pair's contact last went down (`None` while up).
-    last_down: Option<SimTime>,
-    /// Complete down→up gaps observed.
-    count: u32,
-    /// Mean observed gap, seconds.
-    mean_secs: f64,
 }
 
 /// Deterministic retry/backoff state for the recovery layer (see
@@ -82,9 +74,6 @@ struct RetryScheduler {
     peer_spent: HashMap<(NodeId, NodeId), u32>,
     /// Corruption (`Injected`) redeliveries consumed per message.
     redeliveries: HashMap<MessageId, u32>,
-    /// Observed inter-contact gaps per pair; empty unless
-    /// [`RecoveryPolicy::adaptive_backoff`] is on.
-    gaps: HashMap<ContactKey, GapTracker>,
 }
 
 impl RetryScheduler {
@@ -96,52 +85,7 @@ impl RetryScheduler {
             attempts: HashMap::new(),
             peer_spent: HashMap::new(),
             redeliveries: HashMap::new(),
-            gaps: HashMap::new(),
         }
-    }
-
-    fn adaptive(&self) -> bool {
-        self.policy.adaptive_backoff == Some(true)
-    }
-
-    /// Notes a contact teardown for gap observation. Draws no randomness
-    /// and is a no-op unless adaptive backoff is on, so the disabled path
-    /// stays byte-identical.
-    fn note_contact_down(&mut self, key: ContactKey, now: SimTime) {
-        if !self.adaptive() {
-            return;
-        }
-        self.gaps.entry(key).or_default().last_down = Some(now);
-    }
-
-    /// Notes a contact establishment, folding the completed down→up gap
-    /// into the pair's running mean. No-op unless adaptive backoff is on.
-    fn note_contact_up(&mut self, key: ContactKey, now: SimTime) {
-        if !self.adaptive() {
-            return;
-        }
-        let tracker = self.gaps.entry(key).or_default();
-        if let Some(down_at) = tracker.last_down.take() {
-            let gap = now.duration_since(down_at).as_secs();
-            tracker.count += 1;
-            tracker.mean_secs += (gap - tracker.mean_secs) / f64::from(tracker.count);
-        }
-    }
-
-    /// The backoff base for a retry between `from` and `to`: the pair's
-    /// mean observed inter-contact gap once at least two complete gaps
-    /// have been seen, the configured fixed base otherwise.
-    fn backoff_base(&self, from: NodeId, to: NodeId) -> f64 {
-        if self.adaptive() {
-            if let Some(t) = self.gaps.get(&ContactKey::new(from, to)) {
-                if t.count >= 2 {
-                    // A pair that flaps sub-millisecond still gets a
-                    // positive base, or the exponential schedule collapses.
-                    return t.mean_secs.max(1e-3);
-                }
-            }
-        }
-        self.policy.backoff_base_secs
     }
 
     /// Decides whether `a` earns a retry and, if so, enqueues it with a
@@ -151,9 +95,8 @@ impl RetryScheduler {
             return None;
         }
         match a.reason {
-            // Deliberate cancellation and source loss are final: there is
-            // nothing left to redeliver.
-            AbortReason::Cancelled | AbortReason::SourceGone => return None,
+            // Source loss is final: there is nothing left to redeliver.
+            AbortReason::SourceGone => return None,
             AbortReason::ContactDown => {}
             AbortReason::Injected => {
                 if self
@@ -189,10 +132,8 @@ impl RetryScheduler {
         let attempt = *attempts;
         // base * 2^(attempt-1), jittered ±50%, capped. The exponent is
         // clamped so a huge retry_max cannot push the power to infinity.
-        // The jitter draw happens in the same order either way, so the
-        // adaptive flag cannot shift any other stream.
         let exp = (attempt - 1).min(60);
-        let raw = self.backoff_base(a.from, a.to) * 2f64.powi(exp as i32);
+        let raw = self.policy.backoff_base_secs * 2f64.powi(exp as i32);
         let delay = (raw * self.rng.uniform(0.5, 1.5)).min(self.policy.backoff_cap_secs);
         self.queue.push(PendingRetry {
             from: a.from,
@@ -222,19 +163,12 @@ impl RetryScheduler {
         let mut redeliveries: Vec<(MessageId, u32)> =
             self.redeliveries.iter().map(|(&m, &n)| (m, n)).collect();
         redeliveries.sort_unstable_by_key(|&(m, _)| m);
-        let mut gaps: Vec<(NodeId, NodeId, GapTracker)> = self
-            .gaps
-            .iter()
-            .map(|(&ContactKey(a, b), &t)| (a, b, t))
-            .collect();
-        gaps.sort_unstable_by_key(|&(a, b, _)| (a, b));
         RetrySchedulerState {
             rng: self.rng.state(),
             queue: self.queue.clone(),
             attempts,
             peer_spent,
             redeliveries,
-            gaps,
         }
     }
 
@@ -254,11 +188,6 @@ impl RetryScheduler {
             .map(|&(from, to, n)| ((from, to), n))
             .collect();
         self.redeliveries = state.redeliveries.iter().copied().collect();
-        self.gaps = state
-            .gaps
-            .iter()
-            .map(|&(a, b, t)| (ContactKey(a, b), t))
-            .collect();
     }
 }
 
@@ -272,8 +201,6 @@ pub struct RetrySchedulerState {
     attempts: Vec<(NodeId, NodeId, MessageId, u32)>,
     peer_spent: Vec<(NodeId, NodeId, u32)>,
     redeliveries: Vec<(MessageId, u32)>,
-    #[serde(default)]
-    gaps: Vec<(NodeId, NodeId, GapTracker)>,
 }
 
 /// A message creation scheduled by the workload.
@@ -304,7 +231,6 @@ pub struct ScheduledMessage {
 #[derive(Debug)]
 pub struct SimApi {
     now: SimTime,
-    step: SimDuration,
     area: Area,
     radio: RadioConfig,
     positions: Vec<Point>,
@@ -320,7 +246,7 @@ pub struct SimApi {
 }
 
 impl SimApi {
-    /// The current simulation time: `counters.steps × step`.
+    /// The current simulation time: `counters.steps × STEP_SECS`.
     #[must_use]
     pub fn now(&self) -> SimTime {
         self.now
@@ -328,13 +254,7 @@ impl SimApi {
 
     /// Sets the cached clock from the step count, the kernel's one clock.
     fn sync_clock(&mut self) {
-        self.now = SimTime::ZERO + self.step * self.counters.steps as f64;
-    }
-
-    /// The step length.
-    #[must_use]
-    pub fn step_len(&self) -> SimDuration {
-        self.step
+        self.now = SimTime::from_secs(self.counters.steps as f64 * STEP_SECS);
     }
 
     /// Number of nodes in the world.
@@ -523,16 +443,6 @@ impl SimApi {
         self.transfers.checkpoint_count()
     }
 
-    /// Cancels a pending transfer. Returns `true` if one was cancelled.
-    pub fn cancel_send(&mut self, from: NodeId, to: NodeId, message: MessageId) -> bool {
-        if self.transfers.cancel(from, to, message).is_some() {
-            self.counters.note_abort(AbortReason::Cancelled);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Marks `message` as delivered to `node` (for the delivery-ratio
     /// metric). Only the first call per `(message, node)` counts; returns
     /// `true` when it did.
@@ -621,7 +531,6 @@ impl SimApi {
 /// use dtn_sim::prelude::*;
 ///
 /// let sim = SimulationBuilder::new(Area::new(500.0, 500.0), 42)
-///     .step(SimDuration::from_secs(1.0))
 ///     .node(Box::new(RandomWaypoint::pedestrian()))
 ///     .node(Box::new(RandomWaypoint::pedestrian()))
 ///     .build(NullProtocol);
@@ -633,7 +542,6 @@ impl SimApi {
 pub struct SimulationBuilder {
     area: Area,
     seed: u64,
-    step: SimDuration,
     radio: RadioConfig,
     buffer_capacity: u64,
     drop_policy: DropPolicy,
@@ -656,7 +564,6 @@ impl SimulationBuilder {
         SimulationBuilder {
             area,
             seed,
-            step: SimDuration::from_secs(1.0),
             radio: RadioConfig::paper_default(),
             buffer_capacity: 250_000_000,
             drop_policy: DropPolicy::DropOldest,
@@ -699,14 +606,6 @@ impl SimulationBuilder {
     pub fn threads(mut self, n: usize) -> Self {
         assert!(n > 0, "threads must be at least 1");
         self.threads = n;
-        self
-    }
-
-    /// Sets the step length (default 1 s).
-    #[must_use]
-    pub fn step(mut self, step: SimDuration) -> Self {
-        assert!(step.as_secs() > 0.0, "step must be positive");
-        self.step = step;
         self
     }
 
@@ -896,7 +795,7 @@ impl SimulationBuilder {
                     engine: Box::new(ContactEngine::new(
                         self.area,
                         self.radio.range_m,
-                        self.step.as_secs(),
+                        STEP_SECS,
                         workers,
                         &positions,
                         vmax,
@@ -924,7 +823,6 @@ impl SimulationBuilder {
         Simulation {
             api: SimApi {
                 now: SimTime::ZERO,
-                step: self.step,
                 area: self.area,
                 radio: self.radio,
                 positions,
@@ -997,8 +895,6 @@ fn check_world_node_ids(state: &WorldState, n: usize) -> Result<(), String> {
         check_node_ids("retries.attempts", n, ids)?;
         let ids = r.peer_spent.iter().flat_map(|&(a, b, _)| [a, b]);
         check_node_ids("retries.peer_spent", n, ids)?;
-        let ids = r.gaps.iter().flat_map(|&(a, b, _)| [a, b]);
-        check_node_ids("retries.gaps", n, ids)?;
     }
     if let Some(f) = &state.faults {
         let ids = f.blocked_until.iter().flat_map(|&(a, b, _)| [a, b]);
@@ -1022,8 +918,8 @@ fn check_world_node_ids(state: &WorldState, n: usize) -> Result<(), String> {
 /// count, scratch pair buffers, the phase profiler, the event core's
 /// pair-check count, and every fact with an owner elsewhere in the
 /// document. `counters.steps` is the kernel's one clock: the simulation
-/// time is `steps × step`, and the TTL sweep and the invariant audit fire
-/// on step-count multiples. The schedule cursor and next message id are
+/// time is `steps × STEP_SECS`, and the TTL sweep and the invariant audit
+/// fire on step-count multiples. The schedule cursor and next message id are
 /// `counters.messages_created`, "started" is `counters.steps > 0`, and
 /// the node count is `positions.len()`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -1295,8 +1191,9 @@ impl<P: Protocol> Simulation<P> {
     /// open contact the restored world cannot explain (endpoints out of
     /// range at the restored positions, a crashed endpoint or a cut link),
     /// a `counters.contacts_down` other than `contacts_up` less the open
-    /// contacts, or per-module state that fails its own consistency
-    /// checks.
+    /// contacts, a `counters.transfers_aborted` other than the sum of the
+    /// per-reason abort counts, or per-module state that fails its own
+    /// consistency checks.
     /// On error the world may be partially overwritten — rebuild it before
     /// using it again.
     pub fn restore(&mut self, state: &WorldState) -> Result<(), SnapshotError> {
@@ -1407,6 +1304,24 @@ impl<P: Protocol> Simulation<P> {
                 "counters.contacts_down is {down}, but {up} contacts came up and {open} are open"
             )));
         }
+        // The abort total is the sum of its per-reason counts.
+        let c = &state.counters;
+        let by_reason = [
+            c.transfers_aborted_contact,
+            c.transfers_aborted_source,
+            c.transfers_aborted_injected,
+        ]
+        .into_iter()
+        .try_fold(0u64, u64::checked_add);
+        if by_reason != Some(c.transfers_aborted) {
+            return Err(mismatch(format!(
+                "counters.transfers_aborted is {}, but the per-reason aborts are {} contact, {} source and {} injected",
+                c.transfers_aborted,
+                c.transfers_aborted_contact,
+                c.transfers_aborted_source,
+                c.transfers_aborted_injected
+            )));
+        }
         let bodies: HashMap<MessageId, Arc<MessageBody>> = state
             .bodies
             .iter()
@@ -1490,7 +1405,7 @@ impl<P: Protocol> Simulation<P> {
         if self.api.counters.steps == 0 {
             self.protocol.on_start(&mut self.api);
         }
-        let dt = self.api.step;
+        let dt = SimDuration::from_secs(STEP_SECS);
         let now = self.api.now;
         let step_scope = self.profiler.start();
 
@@ -1569,9 +1484,6 @@ impl<P: Protocol> Simulation<P> {
                     self.api
                         .trace
                         .record(now, TraceEvent::ContactDown { a: key.0, b: key.1 });
-                    if let Some(rs) = self.retries.as_mut() {
-                        rs.note_contact_down(key, now);
-                    }
                     let aborted = self.api.transfers.abort_between(key.0, key.1, now);
                     for a in aborted {
                         self.api.counters.note_abort(a.reason);
@@ -1593,9 +1505,6 @@ impl<P: Protocol> Simulation<P> {
                     self.api
                         .trace
                         .record(now, TraceEvent::ContactUp { a: key.0, b: key.1 });
-                    if let Some(rs) = self.retries.as_mut() {
-                        rs.note_contact_up(key, now);
-                    }
                     self.protocol.on_contact_up(&mut self.api, key.0, key.1);
                 }
             }
@@ -1740,12 +1649,10 @@ impl<P: Protocol> Simulation<P> {
         }
         self.profiler.stop(Phase::Transfers, scope);
 
-        // 5. Periodic TTL sweep: step `k > 0` sweeps when `k` is a multiple
-        // of `ceil(60 s / step)`.
+        // 5. Periodic TTL sweep.
         let scope = self.profiler.start();
         let k = self.api.counters.steps;
-        let sweep_every = (TTL_SWEEP_SECS / dt.as_secs()).ceil() as u64;
-        if k > 0 && k.is_multiple_of(sweep_every) {
+        if k > 0 && k.is_multiple_of(TTL_SWEEP_STEPS) {
             for i in 0..self.api.buffers.len() {
                 let expired = self.api.buffers[i].sweep_expired(now);
                 if !expired.is_empty() {
@@ -2322,6 +2229,96 @@ mod tests {
         assert!(err.to_string().contains("recovery policy"), "{err}");
     }
 
+    /// Restore refuses a snapshot whose optional subsystems differ from
+    /// the world's, naming which side holds the one the other lacks.
+    #[test]
+    fn restore_names_the_side_that_holds_an_optional_subsystem() {
+        let build = |recovery: bool, faults: bool| {
+            let mut b = SimulationBuilder::new(Area::new(1000.0, 1000.0), 7)
+                .nodes(3, || Box::new(Stationary));
+            if recovery {
+                b = b.recovery(RecoveryPolicy::default());
+            }
+            if faults {
+                b = b.faults("cut=20,cutdown=15".parse().expect("plan"));
+            }
+            b.build(NullProtocol)
+        };
+        let snapshot = |recovery, faults| {
+            let mut donor = build(recovery, faults);
+            donor.step_once();
+            donor.snapshot()
+        };
+        let detail = |world: &mut Simulation<NullProtocol>, state: &WorldState| match world
+            .restore(state)
+            .unwrap_err()
+        {
+            SnapshotError::Mismatch { detail } => detail,
+            other => panic!("expected Mismatch, got {other}"),
+        };
+        assert_eq!(
+            detail(&mut build(false, false), &snapshot(true, false)),
+            "the snapshot has a recovery policy, this world does not"
+        );
+        assert_eq!(
+            detail(&mut build(false, true), &snapshot(false, false)),
+            "this world has a fault plan, the snapshot does not"
+        );
+        assert_eq!(
+            detail(&mut build(true, false), &snapshot(true, true)),
+            "the snapshot has a fault plan, this world does not"
+        );
+        assert_eq!(
+            build(true, true).restore(&snapshot(true, true)).ok(),
+            Some(())
+        );
+    }
+
+    #[test]
+    fn restore_refuses_a_snapshot_from_the_other_core() {
+        let build = |mode: KernelMode| {
+            SimulationBuilder::new(Area::new(1000.0, 1000.0), 7)
+                .nodes(3, || Box::new(Stationary))
+                .kernel_mode(mode)
+                .build(NullProtocol)
+        };
+        let mut donor = build(KernelMode::TimeStepped);
+        donor.step_once();
+        let err = build(KernelMode::EventDriven)
+            .restore(&donor.snapshot())
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "snapshot does not match this run: snapshot was taken on the time-stepped core, \
+             this world runs event-driven"
+        );
+    }
+
+    /// A snapshot that already created more messages than the restored
+    /// workload schedules cannot belong to it.
+    #[test]
+    fn restore_refuses_more_creations_than_the_workload_schedules() {
+        let build = |messages: usize| {
+            SimulationBuilder::new(Area::new(1000.0, 1000.0), 7)
+                .nodes(2, || Box::new(Stationary))
+                .messages((0..messages).map(|i| msg(i as f64, 0)))
+                .build(NullProtocol)
+        };
+        let mut donor = build(3);
+        for _ in 0..5 {
+            donor.step_once();
+        }
+        let world = donor.snapshot();
+        assert_eq!(world.counters.messages_created, 3);
+        let err = build(2).restore(&world).unwrap_err();
+        assert!(
+            err.to_string()
+                .ends_with("snapshot consumed 3 scheduled creations, this workload has 2"),
+            "{err}"
+        );
+        assert_eq!(build(3).restore(&world).ok(), Some(()));
+    }
+
     /// A flooding world under link cuts and payload loss, with recovery
     /// on and messages that expire before the horizon: its run bumps
     /// every kernel event count the summary carries.
@@ -2362,6 +2359,176 @@ mod tests {
             s.ttl_expiries,
         ];
         assert_eq!(in_summary, in_counters);
+    }
+
+    /// `DTNSNAP v5` bodies carry `KernelCounters` and `RetrySchedulerState`
+    /// with these keys in this order: adding, dropping or moving one
+    /// changes the wire shape and needs a `FORMAT_VERSION` bump.
+    #[test]
+    fn counters_and_retry_state_keys_are_pinned() {
+        fn keys(doc: &impl Serialize) -> Vec<String> {
+            let doc = Serialize::to_value(doc);
+            let map = doc.as_map().expect("an object");
+            map.iter().map(|(k, _)| k.clone()).collect()
+        }
+        assert_eq!(
+            keys(&KernelCounters::default()),
+            [
+                "steps",
+                "contacts_up",
+                "contacts_down",
+                "messages_created",
+                "transfers_completed",
+                "transfers_aborted",
+                "transfers_aborted_contact",
+                "transfers_aborted_source",
+                "transfers_aborted_injected",
+                "transfers_retried",
+                "transfers_resumed",
+                "transfers_abandoned",
+                "ttl_expiries",
+                "contact_pairs",
+                "transfer_batch_senders",
+                "peak_buffer_bytes",
+            ]
+        );
+        let scheduler = RetryScheduler::new(RecoveryPolicy::default(), &SimRng::new(1));
+        assert_eq!(
+            keys(&scheduler.export_state()),
+            ["rng", "queue", "attempts", "peer_spent", "redeliveries"]
+        );
+    }
+
+    fn aborted(from: u32, to: u32, message: u64, reason: AbortReason) -> AbortedTransfer {
+        AbortedTransfer {
+            from: NodeId(from),
+            to: NodeId(to),
+            message: MessageId(message),
+            bytes_sent: 0.0,
+            reason,
+        }
+    }
+
+    /// Attempt `k` waits `base * 2^(k-1)`, jittered to within ±50%, and
+    /// never longer than the cap; `retry_max` attempts are granted.
+    #[test]
+    fn retry_backoff_doubles_from_the_base_within_jitter_and_cap() {
+        let policy = RecoveryPolicy {
+            retry_max: 8,
+            backoff_base_secs: 4.0,
+            backoff_cap_secs: 100.0,
+            peer_budget: 100,
+            ..RecoveryPolicy::default()
+        };
+        let mut retries = RetryScheduler::new(policy, &SimRng::new(5));
+        let abort = aborted(0, 1, 7, AbortReason::ContactDown);
+        let now = SimTime::from_secs(50.0);
+        for attempt in 1..=8u32 {
+            assert_eq!(retries.on_abort(&abort, now), Some(attempt));
+            let delay = retries.queue.last().expect("queued").ready_at.as_secs() - 50.0;
+            let raw = 4.0 * 2f64.powi(attempt as i32 - 1);
+            let (low, high) = ((0.5 * raw).min(100.0), (1.5 * raw).min(100.0));
+            assert!(
+                (low - 1e-9..=high + 1e-9).contains(&delay),
+                "attempt {attempt}: {delay} outside [{low}, {high}]"
+            );
+        }
+        assert_eq!(retries.on_abort(&abort, now), None, "retry_max is spent");
+        assert_eq!(retries.queue.len(), 8);
+    }
+
+    /// Each budget refuses on its own: retries off, source loss, the
+    /// per-message redelivery cap for corruption, and the per-pair budget.
+    #[test]
+    fn retry_budgets_refuse_past_their_caps() {
+        let now = SimTime::ZERO;
+        let rng = SimRng::new(9);
+        let mut off = RetryScheduler::new(RecoveryPolicy::disabled(), &rng);
+        assert_eq!(
+            off.on_abort(&aborted(0, 1, 0, AbortReason::ContactDown), now),
+            None
+        );
+
+        let policy = RecoveryPolicy {
+            retry_max: 5,
+            redelivery_cap: 1,
+            peer_budget: 2,
+            ..RecoveryPolicy::default()
+        };
+        let mut retries = RetryScheduler::new(policy, &rng);
+        assert_eq!(
+            retries.on_abort(&aborted(0, 1, 0, AbortReason::SourceGone), now),
+            None
+        );
+        // One corruption redelivery per message, whichever link it is on.
+        assert_eq!(
+            retries.on_abort(&aborted(2, 3, 9, AbortReason::Injected), now),
+            Some(1)
+        );
+        assert_eq!(
+            retries.on_abort(&aborted(4, 5, 9, AbortReason::Injected), now),
+            None
+        );
+        assert_eq!(
+            retries.on_abort(&aborted(4, 5, 9, AbortReason::ContactDown), now),
+            Some(1)
+        );
+        // Two retransmissions per (sender, receiver) pair across messages.
+        assert_eq!(
+            retries.on_abort(&aborted(0, 1, 1, AbortReason::ContactDown), now),
+            Some(1)
+        );
+        assert_eq!(
+            retries.on_abort(&aborted(0, 1, 2, AbortReason::ContactDown), now),
+            Some(1)
+        );
+        assert_eq!(
+            retries.on_abort(&aborted(0, 1, 3, AbortReason::ContactDown), now),
+            None
+        );
+        assert_eq!(
+            retries.on_abort(&aborted(1, 0, 3, AbortReason::ContactDown), now),
+            Some(1)
+        );
+        assert_eq!(retries.queue.len(), 5);
+    }
+
+    /// An imported state carries on exactly where the exported one was:
+    /// the same budgets and the same jitter for the next retry.
+    #[test]
+    fn retry_state_round_trips_through_export_and_import() {
+        let policy = RecoveryPolicy::default();
+        let mut original = RetryScheduler::new(policy, &SimRng::new(3));
+        for (from, message) in [(0, 1), (0, 2), (2, 1)] {
+            original.on_abort(
+                &aborted(from, 1, message, AbortReason::Injected),
+                SimTime::ZERO,
+            );
+        }
+        let state = original.export_state();
+        let mut imported = RetryScheduler::new(policy, &SimRng::new(99));
+        imported.import_state(&state);
+        assert_eq!(imported.export_state(), state);
+        let next = aborted(0, 1, 1, AbortReason::ContactDown);
+        let now = SimTime::from_secs(7.0);
+        assert_eq!(original.on_abort(&next, now), Some(2));
+        assert_eq!(imported.on_abort(&next, now), Some(2));
+        assert_eq!(original.queue.last(), imported.queue.last());
+        assert_eq!(original.export_state(), imported.export_state());
+    }
+
+    /// The clock is the step count in whole seconds, exactly.
+    #[test]
+    fn clock_is_the_step_count_in_whole_seconds() {
+        let mut sim = SimulationBuilder::new(Area::new(10.0, 10.0), 1)
+            .node(Box::new(Stationary))
+            .build(NullProtocol);
+        assert_eq!(sim.api().now(), SimTime::ZERO);
+        for step in 1..=2000u64 {
+            sim.step_once();
+            assert_eq!(sim.api().now(), SimTime::from_secs(step as f64 * STEP_SECS));
+        }
+        assert_eq!(sim.api().counters().steps, 2000);
     }
 
     /// Restore refuses an open contact the restored world cannot explain,
@@ -2515,68 +2682,6 @@ mod tests {
             runs.push((sparse.api().trace().render(), summary));
         }
         assert_eq!(runs[0], runs[1], "both cores agree on a sparse world");
-    }
-
-    #[test]
-    fn adaptive_backoff_flag_off_is_byte_identical() {
-        let plan: FaultPlan = "cut=20,cutdown=15,loss=0.2".parse().unwrap();
-        let run = |adaptive: Option<bool>| {
-            let mut sim = SimulationBuilder::new(Area::new(2000.0, 2000.0), 41)
-                .nodes(20, || {
-                    Box::new(crate::mobility::RandomWaypoint::pedestrian())
-                })
-                .messages((0..10).map(|i| ScheduledMessage {
-                    expected_destinations: vec![NodeId((i as u32 + 1) % 20)],
-                    ..msg(i as f64 * 30.0, i as u32 % 20)
-                }))
-                .faults(plan)
-                .recovery(RecoveryPolicy {
-                    adaptive_backoff: adaptive,
-                    ..RecoveryPolicy::default()
-                })
-                .trace(TraceLog::unbounded())
-                .build(PushAll);
-            let summary = sim.run_until(SimTime::from_secs(1800.0));
-            (summary, sim.api().trace().render())
-        };
-        assert_eq!(
-            run(None),
-            run(Some(false)),
-            "an explicit `false` must match an absent flag byte-for-byte"
-        );
-    }
-
-    #[test]
-    fn adaptive_backoff_bases_on_observed_gaps() {
-        let policy = RecoveryPolicy {
-            adaptive_backoff: Some(true),
-            backoff_base_secs: 4.0,
-            ..RecoveryPolicy::default()
-        };
-        let mut rs = RetryScheduler::new(policy, &SimRng::new(1));
-        let key = ContactKey::new(NodeId(0), NodeId(1));
-        // One complete gap is not enough evidence: still the fixed base.
-        rs.note_contact_down(key, SimTime::from_secs(10.0));
-        rs.note_contact_up(key, SimTime::from_secs(40.0));
-        assert_eq!(rs.backoff_base(NodeId(0), NodeId(1)), 4.0);
-        // Two gaps (30 s and 60 s) switch the pair to its observed mean.
-        rs.note_contact_down(key, SimTime::from_secs(50.0));
-        rs.note_contact_up(key, SimTime::from_secs(110.0));
-        assert!((rs.backoff_base(NodeId(0), NodeId(1)) - 45.0).abs() < 1e-9);
-        // Other pairs have no observations and keep the fixed base.
-        assert_eq!(rs.backoff_base(NodeId(2), NodeId(3)), 4.0);
-
-        // Disabled: observations are not even collected.
-        let mut off = RetryScheduler::new(RecoveryPolicy::default(), &SimRng::new(1));
-        off.note_contact_down(key, SimTime::from_secs(10.0));
-        off.note_contact_up(key, SimTime::from_secs(40.0));
-        off.note_contact_down(key, SimTime::from_secs(50.0));
-        off.note_contact_up(key, SimTime::from_secs(110.0));
-        assert!(off.gaps.is_empty());
-        assert_eq!(
-            off.backoff_base(NodeId(0), NodeId(1)),
-            RecoveryPolicy::default().backoff_base_secs
-        );
     }
 
     #[test]
@@ -2975,33 +3080,30 @@ mod tests {
         assert_eq!(resumed.invariant_checks_run(), Some(7));
     }
 
-    /// The TTL sweep runs every 60 simulated seconds, whatever the step
-    /// length: a copy that expired at 10 s is swept at 60 s.
+    /// The TTL sweep runs every 60 simulated seconds: a copy that expired
+    /// at 10 s is swept at 60 s.
     #[test]
     fn ttl_sweep_expires_a_copy_at_sixty_seconds() {
-        for step in [1.0, 0.5] {
-            let mut sim = SimulationBuilder::new(Area::new(100.0, 100.0), 3)
-                .step(SimDuration::from_secs(step))
-                .node(Box::new(Stationary))
-                .message(ScheduledMessage {
-                    ttl_secs: 10.0,
-                    ..msg(0.0, 0)
-                })
-                .trace(TraceLog::unbounded())
-                .build(NullProtocol);
-            sim.run_until(SimTime::from_secs(100.0));
-            let expired: Vec<SimTime> = sim
-                .api()
-                .trace()
-                .entries()
-                .iter()
-                .filter(|e| matches!(e.event, TraceEvent::Expired { .. }))
-                .map(|e| e.at)
-                .collect();
-            assert_eq!(expired, vec![SimTime::from_secs(60.0)], "step {step} s");
-            assert_eq!(sim.api().counters().ttl_expiries, 1);
-            assert!(sim.api().buffer(NodeId(0)).is_empty());
-        }
+        let mut sim = SimulationBuilder::new(Area::new(100.0, 100.0), 3)
+            .node(Box::new(Stationary))
+            .message(ScheduledMessage {
+                ttl_secs: 10.0,
+                ..msg(0.0, 0)
+            })
+            .trace(TraceLog::unbounded())
+            .build(NullProtocol);
+        sim.run_until(SimTime::from_secs(100.0));
+        let expired: Vec<SimTime> = sim
+            .api()
+            .trace()
+            .entries()
+            .iter()
+            .filter(|e| matches!(e.event, TraceEvent::Expired { .. }))
+            .map(|e| e.at)
+            .collect();
+        assert_eq!(expired, vec![SimTime::from_secs(60.0)]);
+        assert_eq!(sim.api().counters().ttl_expiries, 1);
+        assert!(sim.api().buffer(NodeId(0)).is_empty());
     }
 
     #[test]

@@ -441,14 +441,12 @@ pub struct KernelCounters {
     /// Physically completed transfers (before fault rolls).
     pub transfers_completed: u64,
     /// Aborted transfers — lumped total across every reason (equals the
-    /// sum of the four per-reason fields below).
+    /// sum of the three per-reason fields below).
     pub transfers_aborted: u64,
     /// Aborts caused by the contact dropping mid-transfer.
     pub transfers_aborted_contact: u64,
     /// Aborts caused by the sender losing its copy (TTL/eviction).
     pub transfers_aborted_source: u64,
-    /// Aborts caused by deliberate protocol cancellation.
-    pub transfers_aborted_cancelled: u64,
     /// Aborts injected by the fault layer (payload loss/corruption).
     pub transfers_aborted_injected: u64,
     /// Retries scheduled by the recovery layer (0 without a policy).
@@ -486,7 +484,6 @@ impl KernelCounters {
         match reason {
             AbortReason::ContactDown => self.transfers_aborted_contact += 1,
             AbortReason::SourceGone => self.transfers_aborted_source += 1,
-            AbortReason::Cancelled => self.transfers_aborted_cancelled += 1,
             AbortReason::Injected => self.transfers_aborted_injected += 1,
         }
     }
@@ -522,10 +519,6 @@ impl KernelCounters {
         registry.add(
             "kernel.transfers_aborted_source",
             self.transfers_aborted_source,
-        );
-        registry.add(
-            "kernel.transfers_aborted_cancelled",
-            self.transfers_aborted_cancelled,
         );
         registry.add(
             "kernel.transfers_aborted_injected",
@@ -651,7 +644,6 @@ mod tests {
             transfers_aborted: 1,
             transfers_aborted_contact: 1,
             transfers_aborted_source: 0,
-            transfers_aborted_cancelled: 0,
             transfers_aborted_injected: 0,
             transfers_retried: 2,
             transfers_resumed: 1,
@@ -683,15 +675,11 @@ mod tests {
         c.note_abort(AbortReason::ContactDown);
         c.note_abort(AbortReason::ContactDown);
         c.note_abort(AbortReason::SourceGone);
-        c.note_abort(AbortReason::Cancelled);
         c.note_abort(AbortReason::Injected);
-        assert_eq!(c.transfers_aborted, 5);
+        assert_eq!(c.transfers_aborted, 4);
         assert_eq!(
             c.transfers_aborted,
-            c.transfers_aborted_contact
-                + c.transfers_aborted_source
-                + c.transfers_aborted_cancelled
-                + c.transfers_aborted_injected
+            c.transfers_aborted_contact + c.transfers_aborted_source + c.transfers_aborted_injected
         );
         assert_eq!(c.transfers_aborted_contact, 2);
         assert_eq!(c.transfers_aborted_injected, 1);

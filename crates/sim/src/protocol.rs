@@ -67,7 +67,7 @@ pub trait Protocol {
         let _ = (api, reception);
     }
 
-    /// A transfer was aborted (contact loss, source loss or cancellation).
+    /// A transfer was aborted (contact loss, source loss or an injected fault).
     fn on_transfer_aborted(&mut self, api: &mut SimApi, aborted: &AbortedTransfer) {
         let _ = (api, aborted);
     }
@@ -145,3 +145,32 @@ pub trait Protocol {
 pub struct NullProtocol;
 
 impl Protocol for NullProtocol {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::geometry::Area;
+    use crate::kernel::SimulationBuilder;
+    use crate::mobility::Stationary;
+
+    /// A stateless protocol snapshots nothing and refuses a snapshot that
+    /// carries protocol state, rather than silently dropping it.
+    #[test]
+    fn stateless_protocols_snapshot_null_and_refuse_foreign_state() {
+        let mut p = NullProtocol;
+        assert_eq!(p.snapshot_state(), serde::Value::Null);
+        assert_eq!(p.restore_state(&serde::Value::Null), Ok(()));
+        let foreign = serde::Value::Map(vec![("tokens".into(), serde::Value::U64(3))]);
+        assert_eq!(
+            p.restore_state(&foreign),
+            Err("snapshot carries protocol state but this protocol keeps none".to_string())
+        );
+        let mut registry = MetricsRegistry::new();
+        p.export_metrics(&mut registry);
+        assert_eq!(registry.counters().count(), 0);
+        let sim = SimulationBuilder::new(Area::new(10.0, 10.0), 1)
+            .node(Box::new(Stationary))
+            .build(NullProtocol);
+        assert!(p.check_invariants(sim.api()).is_empty());
+    }
+}

@@ -3,7 +3,7 @@
 //! A snapshot file is one header line followed by a JSON body:
 //!
 //! ```text
-//! DTNSNAP v4 <fnv128-hex-of-body>\n
+//! DTNSNAP v5 <fnv128-hex-of-body>\n
 //! { ... }
 //! ```
 //!
@@ -33,7 +33,7 @@ pub const MAGIC: &str = "DTNSNAP";
 /// The format version this build writes and accepts. Bump it whenever the
 /// body layout changes shape incompatibly, and record the change in
 /// DESIGN.md §14 (CI enforces that pairing).
-pub const FORMAT_VERSION: &str = "v4";
+pub const FORMAT_VERSION: &str = "v5";
 
 /// Why a snapshot could not be written or read back.
 #[derive(Debug)]
@@ -367,5 +367,109 @@ mod tests {
     fn missing_file_is_io() {
         let err = load::<Doc>(Path::new("/nonexistent/dir/world.snap")).unwrap_err();
         assert!(matches!(err, SnapshotError::Io { .. }), "{err}");
+        assert!(std::error::Error::source(&err).is_some(), "the OS error");
+    }
+
+    #[test]
+    fn fnv128_matches_reference_digests_and_streams() {
+        assert_eq!(fnv128_hex(b""), "6c62272e07bb014262b821756295c58d");
+        assert_eq!(fnv128_hex(b"a"), "d228cb696f1a8caf78912b704e4a8964");
+        assert_eq!(fnv128_hex(b"foobar"), "343e1662793c64bf6f0d3597ba446f18");
+        let mut streamed = Fnv128::default();
+        for chunk in [&b"fo"[..], b"", b"ob", b"ar"] {
+            streamed.update(chunk);
+        }
+        assert_eq!(format!("{:032x}", streamed.finish()), fnv128_hex(b"foobar"));
+    }
+
+    #[test]
+    fn header_carries_magic_version_and_body_digest() {
+        let dir = tmpdir("header");
+        let path = dir.join("world.snap");
+        save(&doc(), &path).expect("save");
+        let raw = std::fs::read_to_string(&path).unwrap();
+        let (header, body) = raw.split_once('\n').expect("a header line");
+        assert_eq!(body, r#"{"name":"demo","steps":12345,"ratio":0.625}"#);
+        assert_eq!(
+            header,
+            format!("DTNSNAP {FORMAT_VERSION} {}", fnv128_hex(body.as_bytes()))
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A file from an older build is named as such, before its digest is
+    /// checked: the older formats are refused, not reported as corrupt.
+    #[test]
+    fn older_formats_are_version_mismatches() {
+        let dir = tmpdir("older");
+        let path = dir.join("world.snap");
+        for old in ["v2", "v3", "v4"] {
+            std::fs::write(&path, format!("{MAGIC} {old} 0123\n{{}}")).unwrap();
+            let err = load::<Doc>(&path).unwrap_err();
+            assert!(
+                matches!(&err, SnapshotError::VersionMismatch { found, .. } if found == old),
+                "{old}: {err}"
+            );
+            assert!(err
+                .to_string()
+                .ends_with(&format!("is format {old}, this build speaks v5")));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn incomplete_headers_and_bodies_are_malformed() {
+        let dir = tmpdir("fields");
+        let path = dir.join("world.snap");
+        let detail = |contents: &str| {
+            std::fs::write(&path, contents).unwrap();
+            match load::<Doc>(&path) {
+                Err(SnapshotError::Malformed { detail, .. }) => detail,
+                other => panic!("expected Malformed for {contents:?}, got {other:?}"),
+            }
+        };
+        assert_eq!(detail("DTNSNAP\n{}"), "header is missing the version field");
+        assert_eq!(
+            detail(&format!("DTNSNAP {FORMAT_VERSION}\n{{}}")),
+            "header is missing the checksum field"
+        );
+        let with_body = |body: &str| {
+            format!(
+                "{MAGIC} {FORMAT_VERSION} {}\n{body}",
+                fnv128_hex(body.as_bytes())
+            )
+        };
+        assert!(detail(&with_body("{not json")).starts_with("body is not valid JSON"));
+        assert_eq!(
+            detail(&with_body(r#"{"name":"demo"}"#)),
+            "body does not parse: missing field `steps` while deserializing Doc"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unserializable_document_writes_nothing() {
+        let dir = tmpdir("nan");
+        let path = dir.join("world.snap");
+        let bad = Doc {
+            ratio: f64::NAN,
+            ..doc()
+        };
+        let err = save(&bad, &path).unwrap_err();
+        assert!(matches!(err, SnapshotError::Malformed { .. }), "{err}");
+        assert!(!path.exists() && !tmp_path(&path).exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn save_replaces_an_earlier_snapshot() {
+        let dir = tmpdir("replace");
+        let path = dir.join("world.snap");
+        save(&doc(), &path).expect("first save");
+        let later = Doc { steps: 99, ..doc() };
+        save(&later, &path).expect("second save");
+        assert_eq!(load::<Doc>(&path).expect("load"), later);
+        assert_eq!(tmp_path(&path), dir.join("world.snap.tmp"));
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -70,7 +70,7 @@ pub struct RunSummary {
     pub relays_completed: u64,
     /// Bytes moved by completed transfers.
     pub relay_bytes: u64,
-    /// Transfers aborted (contact loss, source loss, cancels).
+    /// Transfers aborted (contact loss, source loss, injected faults).
     pub transfers_aborted: u64,
     /// Retries scheduled by the recovery layer (0 without a policy).
     #[serde(default)]

@@ -11,8 +11,8 @@
 //! a `ContactDown` abort strikes, and a later enqueue of the same transfer
 //! resumes from that offset instead of restarting from zero (reactive
 //! fragmentation). Checkpoints are sender-side bookkeeping only — no payload
-//! is stored — and are dropped on completion, cancellation, source loss, or
-//! a buffer wipe at either endpoint.
+//! is stored — and are dropped on completion, source loss, or a buffer wipe
+//! at either endpoint.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
@@ -54,15 +54,6 @@ pub struct RecoveryPolicy {
     /// the least-recently-touched checkpoint (by sim time, ties broken by
     /// key) is evicted — its transfer restarts from byte zero if retried.
     pub checkpoint_capacity: usize,
-    /// Derive the retry backoff base from *observed* per-peer inter-contact
-    /// gaps instead of the fixed `backoff_base_secs`: once a pair has seen
-    /// at least two complete down→up gaps, the mean observed gap becomes
-    /// the base for that pair (still doubled per attempt, jittered, and
-    /// capped by `backoff_cap_secs`). Pairs with fewer than two observed
-    /// gaps keep `backoff_base_secs`. `None`/`Some(false)` (the default)
-    /// disables it; a disabled run is byte-identical to one without the
-    /// field.
-    pub adaptive_backoff: Option<bool>,
 }
 
 impl Default for RecoveryPolicy {
@@ -75,7 +66,6 @@ impl Default for RecoveryPolicy {
             redelivery_cap: 2,
             peer_budget: 64,
             checkpoint_capacity: 1024,
-            adaptive_backoff: None,
         }
     }
 }
@@ -191,8 +181,6 @@ pub enum AbortReason {
     ContactDown,
     /// The sender no longer holds the message (TTL expiry or eviction).
     SourceGone,
-    /// The protocol cancelled it.
-    Cancelled,
     /// The fault-injection layer destroyed the payload (loss or
     /// corruption): the transfer physically completed but nothing usable
     /// arrived.
@@ -251,7 +239,7 @@ pub struct TransferEngine {
     /// One FIFO per sender; the head is the in-flight transfer.
     queues: Vec<VecDeque<Transfer>>,
     /// Senders with a non-empty queue, maintained incrementally by
-    /// enqueue/cancel/abort/step. [`Self::step`] walks only this index in
+    /// enqueue/abort/step. [`Self::step`] walks only this index in
     /// one batched pass instead of scanning every sender's (mostly empty)
     /// queue each step. A `BTreeSet` iterates in ascending sender id, which
     /// is exactly the order the full scan used — output is byte-identical.
@@ -268,7 +256,7 @@ pub struct TransferEngine {
     /// [`RecoveryPolicy::checkpoint_capacity`].
     checkpoint_capacity: usize,
     /// Checkpoints dropped by the capacity bound (not by completion,
-    /// cancellation, or wipes).
+    /// source loss, or wipes).
     checkpoints_evicted: u64,
 }
 
@@ -618,30 +606,6 @@ impl TransferEngine {
         out
     }
 
-    /// Cancels a specific pending transfer, if present. Cancellation is
-    /// deliberate, so any saved checkpoint is dropped too.
-    pub fn cancel(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        message: MessageId,
-    ) -> Option<AbortedTransfer> {
-        let q = &mut self.queues[from.index()];
-        let pos = q.iter().position(|t| t.to == to && t.message == message)?;
-        let t = q.remove(pos).expect("position valid");
-        if q.is_empty() {
-            self.active.remove(&from);
-        }
-        self.checkpoints.remove(&(from, to, message));
-        Some(AbortedTransfer {
-            from: t.from,
-            to: t.to,
-            message: t.message,
-            bytes_sent: t.bytes_sent,
-            reason: AbortReason::Cancelled,
-        })
-    }
-
     /// Advances every sender's head transfer by `dt`.
     ///
     /// `sender_has_copy(from, message)` lets the engine abort transfers whose
@@ -819,18 +783,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_removes_pending() {
-        let mut e = engine();
-        e.enqueue(NodeId(0), NodeId(1), MessageId(1), 1000, SimTime::ZERO);
-        let a = e
-            .cancel(NodeId(0), NodeId(1), MessageId(1))
-            .expect("pending");
-        assert_eq!(a.reason, AbortReason::Cancelled);
-        assert!(e.cancel(NodeId(0), NodeId(1), MessageId(1)).is_none());
-        assert_eq!(e.pending_total(), 0);
-    }
-
-    #[test]
     fn partial_progress_is_tracked() {
         let mut e = engine();
         e.enqueue(NodeId(0), NodeId(1), MessageId(1), 1000, SimTime::ZERO);
@@ -916,25 +868,10 @@ mod tests {
     }
 
     #[test]
-    fn cancel_and_source_gone_drop_checkpoints() {
+    fn source_gone_drops_checkpoints() {
         let mut e = engine();
         e.set_resume(true);
-        e.enqueue(NodeId(0), NodeId(1), MessageId(1), 1000, SimTime::ZERO);
-        step_all(&mut e, 3.0, 0.0);
-        e.abort_between(NodeId(0), NodeId(1), SimTime::ZERO);
-        assert_eq!(e.checkpoint_count(), 1);
-        // Re-enqueue then cancel: deliberate abandonment clears custody.
-        e.enqueue(
-            NodeId(0),
-            NodeId(1),
-            MessageId(1),
-            1000,
-            SimTime::from_secs(10.0),
-        );
-        e.cancel(NodeId(0), NodeId(1), MessageId(1));
-        assert_eq!(e.checkpoint_count(), 0);
-
-        // Source-gone mid-flight clears the checkpoint too.
+        // Source-gone mid-flight clears the checkpoint.
         e.enqueue(
             NodeId(0),
             NodeId(1),
@@ -1000,7 +937,7 @@ mod tests {
         assert_eq!(e.active_senders(), 1);
         e.audit_active_index().unwrap();
 
-        e.cancel(NodeId(2), NodeId(3), MessageId(2)).unwrap();
+        e.abort_between(NodeId(2), NodeId(3), SimTime::ZERO);
         assert_eq!(e.active_senders(), 0);
         e.audit_active_index().unwrap();
 
@@ -1102,5 +1039,90 @@ mod tests {
             ..RecoveryPolicy::default()
         };
         assert!(zero_base.validate().is_err());
+    }
+
+    /// A busy engine exported mid-run and imported into a fresh one
+    /// finishes the same transfers at the same times.
+    #[test]
+    fn export_import_resumes_queues_and_checkpoints() {
+        let mut e = engine();
+        e.set_resume(true);
+        e.enqueue(NodeId(0), NodeId(1), MessageId(1), 1000, SimTime::ZERO);
+        step_all(&mut e, 2.0, 0.0);
+        e.abort_between(NodeId(0), NodeId(1), SimTime::from_secs(2.0));
+        e.enqueue(NodeId(2), NodeId(3), MessageId(2), 450, SimTime::ZERO);
+        e.enqueue(NodeId(2), NodeId(0), MessageId(3), 100, SimTime::ZERO);
+        step_all(&mut e, 1.0, 2.0);
+        let state = e.export_state();
+        assert_eq!(state.queues[2].len(), 2, "FIFO order is kept");
+        assert_eq!(state.checkpoints.len(), 1);
+
+        let mut restored = engine();
+        restored.set_resume(true);
+        restored.import_state(&state).expect("imports");
+        assert_eq!(restored.export_state(), state);
+        assert_eq!(restored.active_senders(), 1);
+        restored.audit_active_index().expect("index rebuilt");
+        for now in 3..10 {
+            let a = step_all(&mut e, 1.0, f64::from(now));
+            let b = step_all(&mut restored, 1.0, f64::from(now));
+            assert_eq!(a, b, "step at {now}");
+        }
+    }
+
+    #[test]
+    fn import_refuses_a_foreign_world_or_unexpected_checkpoints() {
+        let mut e = engine();
+        e.set_resume(true);
+        e.enqueue(NodeId(0), NodeId(1), MessageId(1), 1000, SimTime::ZERO);
+        step_all(&mut e, 2.0, 0.0);
+        e.abort_between(NodeId(0), NodeId(1), SimTime::ZERO);
+        let state = e.export_state();
+
+        let mut wider = TransferEngine::new(5, 100.0);
+        wider.set_resume(true);
+        assert_eq!(
+            wider.import_state(&state).unwrap_err(),
+            "snapshot has 4 sender queues, world has 5 nodes"
+        );
+        let mut no_resume = engine();
+        assert_eq!(
+            no_resume.import_state(&state).unwrap_err(),
+            "snapshot carries 1 checkpoints but resume is disabled in this scenario"
+        );
+        assert_eq!(no_resume.checkpoint_count(), 0);
+    }
+
+    #[test]
+    fn byte_audit_names_impossible_progress() {
+        let mut e = engine();
+        e.set_resume(true);
+        assert!(e.audit_bytes().is_empty());
+        let mut state = e.export_state();
+        state.queues[1].push(Transfer {
+            from: NodeId(1),
+            to: NodeId(2),
+            message: MessageId(8),
+            bytes_total: 100,
+            bytes_sent: 150.0,
+            started_at: Some(SimTime::ZERO),
+            requested_at: SimTime::ZERO,
+        });
+        state.checkpoints.push(CheckpointState {
+            from: NodeId(0),
+            to: NodeId(3),
+            message: MessageId(9),
+            bytes_sent: 0.0,
+            bytes_total: 100,
+            last_touch: SimTime::ZERO,
+        });
+        e.import_state(&state).expect("imports");
+        assert_eq!(
+            e.audit_bytes(),
+            vec![
+                "checkpoint 0->3 msg 9 has bytes_sent 0 outside (0, 100]".to_string(),
+                "transfer 1->2 msg 8 has bytes_sent 150 outside [0, 100]".to_string(),
+            ]
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! Integration tests for the kernel's protocol-facing API surface:
-//! cancellation, contact queries, energy accounting, sampling, and the
-//! less-travelled SimApi paths.
+//! contact queries, energy accounting, sampling, and the less-travelled
+//! SimApi paths.
 
 use dtn_sim::buffer::InsertOutcome;
 use dtn_sim::kernel::{ScheduledMessage, SimApi, SimulationBuilder};
@@ -18,63 +18,6 @@ fn msg(at: f64, source: u32, size: u64) -> ScheduledMessage {
         source_tags: vec![Keyword(1)],
         expected_destinations: vec![NodeId(1)],
     }
-}
-
-/// A protocol that sends on creation and then cancels its own transfer on
-/// the first tick after a trigger time.
-#[derive(Debug)]
-struct CancelAfter {
-    cancel_at: f64,
-    cancelled: bool,
-    cancel_result: Option<bool>,
-}
-
-impl Protocol for CancelAfter {
-    fn on_message_created(&mut self, api: &mut SimApi, node: NodeId, message: MessageId) {
-        for peer in api.peers_of(node) {
-            api.send(node, peer, message);
-        }
-    }
-
-    fn on_tick(&mut self, api: &mut SimApi) {
-        if !self.cancelled && api.now().as_secs() >= self.cancel_at {
-            self.cancelled = true;
-            self.cancel_result = Some(api.cancel_send(NodeId(0), NodeId(1), MessageId(0)));
-        }
-    }
-}
-
-#[test]
-fn cancel_send_aborts_a_pending_transfer() {
-    // 10 MB at 250 kB/s = 40 s of airtime; cancel at t = 5 s.
-    let mut sim = SimulationBuilder::new(Area::new(500.0, 500.0), 1)
-        .node(Box::new(ScriptedWaypoints::pinned(Point::new(0.0, 0.0))))
-        .node(Box::new(ScriptedWaypoints::pinned(Point::new(50.0, 0.0))))
-        .message(msg(1.0, 0, 10_000_000))
-        .build(CancelAfter {
-            cancel_at: 5.0,
-            cancelled: false,
-            cancel_result: None,
-        });
-    let summary = sim.run_until(SimTime::from_secs(60.0));
-    assert_eq!(sim.protocol().cancel_result, Some(true), "cancel succeeded");
-    assert_eq!(summary.relays_completed, 0);
-    assert_eq!(summary.transfers_aborted, 1, "cancel counted as abort");
-    assert!(!sim.api().buffer(NodeId(1)).contains(MessageId(0)));
-}
-
-#[test]
-fn cancel_send_returns_false_when_nothing_pending() {
-    let mut sim = SimulationBuilder::new(Area::new(500.0, 500.0), 1)
-        .node(Box::new(Stationary))
-        .node(Box::new(Stationary))
-        .build(CancelAfter {
-            cancel_at: 1.0,
-            cancelled: false,
-            cancel_result: None,
-        });
-    let _ = sim.run_until(SimTime::from_secs(5.0));
-    assert_eq!(sim.protocol().cancel_result, Some(false));
 }
 
 /// A protocol that records what it observes about contacts and energy.
@@ -214,26 +157,6 @@ fn mark_delivered_for_unknown_message_is_refused() {
     let summary = sim.run_until(SimTime::from_secs(5.0));
     assert_eq!(sim.protocol().result, Some(false));
     assert_eq!(summary.delivered_pairs, 0);
-}
-
-#[test]
-fn smaller_steps_preserve_delivery_outcomes() {
-    // Halving the step must not change whether an easy delivery happens
-    // (finer steps refine timing, not reachability).
-    let run = |step: f64| {
-        let mut sim = SimulationBuilder::new(Area::new(500.0, 500.0), 5)
-            .step(SimDuration::from_secs(step))
-            .node(Box::new(ScriptedWaypoints::pinned(Point::new(0.0, 0.0))))
-            .node(Box::new(ScriptedWaypoints::pinned(Point::new(60.0, 0.0))))
-            .message(msg(5.0, 0, 1_000_000))
-            .build(Recorder::default());
-        sim.run_until(SimTime::from_secs(120.0))
-    };
-    let coarse = run(1.0);
-    let fine = run(0.5);
-    assert_eq!(coarse.relays_completed, 1);
-    assert_eq!(fine.relays_completed, 1);
-    assert_eq!(coarse.relay_bytes, fine.relay_bytes);
 }
 
 #[test]

@@ -39,12 +39,11 @@ proptest! {
     #[test]
     fn buffer_accounting_is_exact(
         capacity in 1_000u64..100_000,
-        policy_pick in 0u8..3,
+        policy_pick in 0u8..2,
         ops in prop::collection::vec((0u64..50, 100u64..40_000, 0.0f64..1000.0, prop::bool::ANY), 1..60)
     ) {
         let policy = match policy_pick {
-            0 => DropPolicy::RejectNew,
-            1 => DropPolicy::DropOldest,
+            0 => DropPolicy::DropOldest,
             _ => DropPolicy::DropLowestPriority,
         };
         let mut buf = Buffer::new(capacity, policy);

@@ -156,4 +156,18 @@ mod tests {
         let plain = RunSummary::mean_of(&runs);
         assert!((plain.delivery_ratio - stats.delivery_ratio.mean).abs() < 1e-12);
     }
+
+    #[test]
+    fn display_rounds_to_the_requested_decimals() {
+        let d = Dispersion::of(&[1.0, 2.0, 4.0]);
+        assert_eq!(d.display(2), "2.33 ± 1.53");
+        assert_eq!(d.display(0), "2 ± 2");
+        assert_eq!(Dispersion::of(&[0.5]).display(1), "0.5 ± 0.0");
+    }
+
+    #[test]
+    #[should_panic(expected = "dispersion of zero values is undefined")]
+    fn dispersion_of_nothing_panics() {
+        let _ = Dispersion::of(&[]);
+    }
 }

@@ -60,7 +60,6 @@ pub fn table51_scenario() -> Scenario {
         backend: None,
         strategies: None,
         audit_every: None,
-        selfish_duty_cycle: None,
         kernel_mode: None,
     }
 }

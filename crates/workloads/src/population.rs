@@ -97,12 +97,9 @@ impl Population {
         let malicious_count = (scenario.malicious_fraction * n as f64).round() as usize;
         let special = behavior_rng.choose_indices(n, (selfish_count + malicious_count).min(n));
         let mut behaviors = vec![NodeBehavior::Honest; n];
-        let selfish = NodeBehavior::Selfish {
-            duty_cycle: scenario.effective_selfish_duty_cycle(),
-        };
         for (rank, &idx) in special.iter().enumerate() {
             behaviors[idx] = if rank < selfish_count {
-                selfish
+                NodeBehavior::paper_selfish()
             } else {
                 NodeBehavior::Malicious
             };
@@ -304,24 +301,70 @@ mod tests {
     }
 
     #[test]
-    fn selfish_duty_cycle_override_reaches_behaviors() {
-        let mut s = paper::reduced_scenario();
-        s.selfish_fraction = 0.3;
-        s.selfish_duty_cycle = Some(0.25);
-        let p = Population::synthesize(&s, &SimRng::new(11));
-        assert!(p
-            .behaviors
-            .iter()
-            .filter(|b| b.is_selfish())
-            .all(|b| *b == NodeBehavior::Selfish { duty_cycle: 0.25 }));
-    }
-
-    #[test]
     fn class_properties_are_ordered() {
         assert!(SourceClass::High.quality_range().0 > SourceClass::Medium.quality_range().0);
         assert!(SourceClass::Medium.quality_range().0 > SourceClass::Low.quality_range().0);
         assert!(SourceClass::High.size_multiplier() > SourceClass::Low.size_multiplier());
         assert_eq!(SourceClass::High.priority(), Priority::High);
         assert_eq!(SourceClass::Low.priority(), Priority::Low);
+    }
+
+    /// Every selfish node is the paper's: medium open one encounter in
+    /// ten. No scenario field tunes the duty cycle.
+    #[test]
+    fn every_selfish_node_has_the_paper_duty_cycle() {
+        for selfish in [0.1, 0.4, 1.0] {
+            let p = pop(selfish, 0.0);
+            assert!(p.selfish_count() > 0);
+            for b in &p.behaviors {
+                assert!(
+                    *b == NodeBehavior::Honest || *b == NodeBehavior::paper_selfish(),
+                    "{b:?}"
+                );
+            }
+        }
+        assert_eq!(
+            NodeBehavior::paper_selfish(),
+            NodeBehavior::Selfish { duty_cycle: 0.1 }
+        );
+    }
+
+    /// Fractions that together exceed the population fill it: selfish
+    /// nodes take their share first and malicious ones get the rest.
+    #[test]
+    fn oversubscribed_fractions_fill_the_population() {
+        let p = pop(0.7, 0.6);
+        let n = p.behaviors.len();
+        assert_eq!(p.selfish_count(), (0.7 * n as f64).round() as usize);
+        assert_eq!(p.malicious_count(), n - p.selfish_count());
+        assert!(p.behaviors.iter().all(|b| *b != NodeBehavior::Honest));
+    }
+
+    #[test]
+    fn interests_and_destinations_are_sorted() {
+        let p = pop(0.0, 0.0);
+        for node in 0..p.interests.len() {
+            let sorted = p.sorted_interests(NodeId(node as u32));
+            assert!(sorted.windows(2).all(|w| w[0] < w[1]));
+            assert_eq!(sorted.len(), p.interests[node].len());
+        }
+        let all: Vec<Keyword> = (0..p.interests.len() as u32)
+            .flat_map(|i| p.sorted_interests(NodeId(i)))
+            .collect();
+        let dests = p.destinations_for(&all, NodeId(0));
+        let expected: Vec<NodeId> = (1..p.interests.len() as u32).map(NodeId).collect();
+        assert_eq!(dests, expected, "everyone but the source, ascending");
+        assert!(p.destinations_for(&[], NodeId(0)).is_empty());
+    }
+
+    /// The role stream gives about one node in ten the top role.
+    #[test]
+    fn about_one_node_in_ten_gets_the_top_role() {
+        let mut s = paper::reduced_scenario();
+        s.nodes = 2000;
+        let p = Population::synthesize(&s, &SimRng::new(4));
+        let top = p.roles.iter().filter(|r| **r == Role::TOP).count();
+        assert!((140..260).contains(&top), "≈10% top, got {top}");
+        assert!(p.strategies.iter().all(Option::is_none));
     }
 }

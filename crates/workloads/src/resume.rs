@@ -425,7 +425,7 @@ mod tests {
     /// A checksum-valid body that names a node outside the world is
     /// refused at restore with a typed mismatch naming the field, at each
     /// site that would otherwise index past a per-node table later in the
-    /// run. `v2` and `v3` bodies are refused by version.
+    /// run. `v2`, `v3` and `v4` bodies are refused by version.
     #[test]
     fn restore_refuses_node_ids_outside_the_world() {
         let dir = std::env::temp_dir().join(format!("dtn-outside-{}", std::process::id()));
@@ -514,7 +514,7 @@ mod tests {
             }
         }
 
-        for version in ["v2", "v3"] {
+        for version in ["v2", "v3", "v4"] {
             let old = dir.join(format!("{version}.dtnsnap"));
             write_checksummed(&old, version, body);
             match read_snapshot(&old) {
@@ -687,6 +687,25 @@ mod tests {
         *down = serde::Value::U64(n - 1);
         let detail = refusal(&dir, &serde_json::to_string(&value).unwrap());
         assert!(detail.contains("counters.contacts_down"), "{detail}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `counters.transfers_aborted` is the sum of the per-reason abort
+    /// counts; a checksum-valid body where the two disagree is refused
+    /// with a typed mismatch naming the field.
+    #[test]
+    fn restore_refuses_an_abort_total_that_disagrees_with_its_reasons() {
+        let dir = std::env::temp_dir().join(format!("dtn-aborted-{}", std::process::id()));
+        let body = snapshot_at_240s(&dir);
+        let mut value: serde::Value = serde_json::from_str(&body).unwrap();
+        let total = at(&mut value, &["world", "counters", "transfers_aborted"]);
+        let serde::Value::U64(n) = *total else {
+            panic!("transfers_aborted is a {}", total.kind());
+        };
+        assert!(n > 0, "no transfer aborted by 240 s");
+        *total = serde::Value::U64(n + 1);
+        let detail = refusal(&dir, &serde_json::to_string(&value).unwrap());
+        assert!(detail.contains("counters.transfers_aborted"), "{detail}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

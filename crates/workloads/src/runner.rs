@@ -399,12 +399,11 @@ impl PerfReport {
         let c = |name: &str| self.metrics.counter(name);
         let _ = writeln!(
             out,
-            "  transfers: {} completed · {} aborted (contact {} / source {} / cancelled {} / injected {})",
+            "  transfers: {} completed · {} aborted (contact {} / source {} / injected {})",
             c("kernel.transfers_completed"),
             c("kernel.transfers_aborted"),
             c("kernel.transfers_aborted_contact"),
             c("kernel.transfers_aborted_source"),
-            c("kernel.transfers_aborted_cancelled"),
             c("kernel.transfers_aborted_injected"),
         );
         let _ = writeln!(
@@ -925,5 +924,51 @@ mod tests {
         let (cmp, perf) = compare(&s, BackendKind::ChitChat, &[1], true);
         assert_eq!(perf.expect("profiled").runs, 2, "one run per arm");
         assert!(cmp.incentive != cmp.chitchat);
+    }
+
+    /// The report reads its counters from the registry: the abort line
+    /// names the three abort reasons and the phase shares sum to 100%.
+    #[test]
+    fn perf_render_lists_the_abort_reasons_and_phase_shares() {
+        let mut metrics = MetricsRegistry::new();
+        for (name, n) in [
+            ("kernel.transfers_completed", 7),
+            ("kernel.transfers_aborted", 6),
+            ("kernel.transfers_aborted_contact", 3),
+            ("kernel.transfers_aborted_source", 2),
+            ("kernel.transfers_aborted_injected", 1),
+            ("kernel.transfers_retried", 4),
+        ] {
+            metrics.add(name, n);
+        }
+        let phase = |phase: &str, secs| PhaseTiming {
+            phase: phase.to_string(),
+            secs,
+            calls: 1,
+        };
+        let report = PerfReport {
+            runs: 2,
+            wall_secs: 1.5,
+            sim_secs: 3000.0,
+            sim_secs_per_sec: 2000.0,
+            steps: 3000,
+            events: 900,
+            events_per_sec: 600.0,
+            peak_buffer_bytes: 2_500_000,
+            phases: vec![phase("mobility", 0.75), phase("transfers", 0.25)],
+            metrics,
+        };
+        let lines: Vec<String> = report.render().lines().map(str::to_owned).collect();
+        assert_eq!(
+            lines,
+            [
+                "perf: 2 run(s), 1.50 s wall · 2000× real time · 600 events/s · peak buffers 2.5 MB",
+                "  transfers: 7 completed · 6 aborted (contact 3 / source 2 / injected 1)",
+                "  recovery: 4 retried · 0 resumed · 0 abandoned",
+                "  phase              wall (s)    share",
+                "  mobility              0.750    75.0%",
+                "  transfers             0.250    25.0%",
+            ]
+        );
     }
 }

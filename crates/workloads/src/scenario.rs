@@ -196,13 +196,6 @@ pub struct Scenario {
     /// = no in-run audit. Auditing never changes a result.
     #[serde(default)]
     pub audit_every: Option<u64>,
-    /// Duty cycle of the selfish population (`None` = the paper's 0.1:
-    /// "open one out of ten times"). Read through
-    /// [`Scenario::effective_selfish_duty_cycle`]; validated at build time
-    /// so NaN or out-of-range probabilities cannot skew the participation
-    /// gate silently.
-    #[serde(default)]
-    pub selfish_duty_cycle: Option<f64>,
     /// Which simulation core drives the run (`None` = the event-driven
     /// core, the default since snapshot format v2). Both cores are
     /// byte-identical — this is a wall-clock/conformance knob only. Read
@@ -291,17 +284,7 @@ impl Scenario {
         if self.audit_every == Some(0) {
             return Err("audit_every must be at least 1 when set".into());
         }
-        dtn_core::behavior::NodeBehavior::Selfish {
-            duty_cycle: self.effective_selfish_duty_cycle(),
-        }
-        .validate()?;
         Ok(())
-    }
-
-    /// The selfish population's duty cycle (default: the paper's 0.1).
-    #[must_use]
-    pub fn effective_selfish_duty_cycle(&self) -> f64 {
-        self.selfish_duty_cycle.unwrap_or(0.1)
     }
 
     /// The routing backend this scenario asks for (default: ChitChat).
@@ -604,25 +587,21 @@ mod tests {
         let mut s = paper::reduced_scenario();
         s.strategies = Some("free=0.2,defense".parse().expect("valid mix"));
         s.audit_every = Some(300);
-        s.selfish_duty_cycle = Some(0.25);
         assert_eq!(s.validate(), Ok(()));
         let json = serde_json::to_string(&s).expect("serializable");
         let back: Scenario = serde_json::from_str(&json).expect("deserializable");
         assert_eq!(back, s);
-        assert_eq!(back.effective_selfish_duty_cycle(), 0.25);
         // Configs written before the adversary suite existed still parse
         // (and mean what they always meant: no strategies, no standing
-        // audit, the paper's 0.1 duty cycle).
+        // audit).
         let plain = serde_json::to_string(&paper::reduced_scenario()).expect("serializable");
         let stripped = plain
             .replace(",\"strategies\":null", "")
-            .replace(",\"audit_every\":null", "")
-            .replace(",\"selfish_duty_cycle\":null", "");
+            .replace(",\"audit_every\":null", "");
         assert_ne!(stripped, plain, "the fields were present to strip");
         let legacy: Scenario = serde_json::from_str(&stripped).expect("legacy parses");
         assert_eq!(legacy.strategies, None);
         assert_eq!(legacy.audit_every, None);
-        assert_eq!(legacy.effective_selfish_duty_cycle(), 0.1);
     }
 
     #[test]
@@ -630,12 +609,6 @@ mod tests {
         let mut s = paper::reduced_scenario();
         s.audit_every = Some(0);
         assert!(s.validate().is_err(), "zero audit cadence rejected");
-
-        let mut s = paper::reduced_scenario();
-        s.selfish_duty_cycle = Some(f64::NAN);
-        assert!(s.validate().is_err(), "NaN duty cycle rejected");
-        s.selfish_duty_cycle = Some(1.5);
-        assert!(s.validate().is_err(), "out-of-range duty cycle rejected");
 
         let mut s = paper::reduced_scenario();
         s.strategies = Some(dtn_core::strategy::StrategyMix {

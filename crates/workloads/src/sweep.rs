@@ -140,10 +140,9 @@ impl Cell {
     /// `kind` tag is the authoritative grid coordinate (the runner ignores
     /// the scenario field once a cell is built), and its absence keeps
     /// every pre-grid cache entry byte-compatible. Optional fields added
-    /// later (`strategies`, `audit_every`, `selfish_duty_cycle`,
-    /// `kernel_mode`) are stripped while unset: a scenario that leaves
-    /// them at their defaults hashes to the key it always had. Setting
-    /// `strategies` or `selfish_duty_cycle` forks the key because it
+    /// later (`strategies`, `audit_every`, `kernel_mode`) are stripped
+    /// while unset: a scenario that leaves them at their defaults hashes to
+    /// the key it always had. Setting `strategies` forks the key because it
     /// changes the simulation; setting `audit_every` forks it because an
     /// audited result is a stronger claim than an unaudited one.
     ///
@@ -164,24 +163,10 @@ impl Cell {
                 if key == "backend" {
                     return false;
                 }
-                let null_when_unset = matches!(
-                    key.as_str(),
-                    "strategies" | "audit_every" | "selfish_duty_cycle" | "kernel_mode"
-                );
+                let null_when_unset =
+                    matches!(key.as_str(), "strategies" | "audit_every" | "kernel_mode");
                 !(null_when_unset && matches!(value, serde_json::Value::Null))
             });
-            // Optional knobs *inside* the recovery policy follow the same
-            // rule: unset (`null`) strips, so a policy predating the knob
-            // hashes to the key it always had.
-            for (key, value) in entries.iter_mut() {
-                if key == "recovery" {
-                    if let serde_json::Value::Map(policy) = value {
-                        policy.retain(|(k, v)| {
-                            !(k == "adaptive_backoff" && matches!(v, serde_json::Value::Null))
-                        });
-                    }
-                }
-            }
         }
         let scenario_json =
             serde_json::to_string(&RawJson(value)).expect("scenario serializes to JSON");
@@ -540,6 +525,53 @@ mod tests {
         assert_ne!(spray(4), spray(8), "the ticket budget is part of the key");
     }
 
+    /// Recovery is never stripped from the key: turning it on, and each
+    /// of its knobs, forks the cell.
+    #[test]
+    fn every_recovery_knob_forks_the_cache_key() {
+        use dtn_sim::transfer::RecoveryPolicy;
+        let key = |recovery: Option<RecoveryPolicy>| {
+            let mut s = tiny("recovery");
+            s.recovery = recovery;
+            Cell::arm(s, Arm::Incentive, 7).cache_key()
+        };
+        let base = RecoveryPolicy::default();
+        let variants = [
+            RecoveryPolicy {
+                resume: false,
+                ..base
+            },
+            RecoveryPolicy {
+                retry_max: 4,
+                ..base
+            },
+            RecoveryPolicy {
+                backoff_base_secs: 11.0,
+                ..base
+            },
+            RecoveryPolicy {
+                backoff_cap_secs: 301.0,
+                ..base
+            },
+            RecoveryPolicy {
+                redelivery_cap: 3,
+                ..base
+            },
+            RecoveryPolicy {
+                peer_budget: 65,
+                ..base
+            },
+            RecoveryPolicy {
+                checkpoint_capacity: 1025,
+                ..base
+            },
+        ];
+        let mut keys: Vec<u128> = vec![key(None), key(Some(base))];
+        keys.extend(variants.into_iter().map(|v| key(Some(v))));
+        let distinct: std::collections::HashSet<u128> = keys.iter().copied().collect();
+        assert_eq!(distinct.len(), keys.len(), "{keys:x?}");
+    }
+
     #[test]
     fn cache_keys_are_pinned_to_literal_values() {
         // Every other key test is relative (`a == b` / `a != b`); these
@@ -556,8 +588,17 @@ mod tests {
             0xcfc1_74c4_e497_087e_5665_3ef6_c92f_4291
         );
         assert_eq!(
-            Cell::backend(s, BackendKind::SprayAndWait(8), Overlay::Off, 7).cache_key(),
+            Cell::backend(s.clone(), BackendKind::SprayAndWait(8), Overlay::Off, 7).cache_key(),
             0x59da_a01e_26ed_8d4a_c13b_3e8b_414a_3522
+        );
+        // A recovery cell: its policy document feeds the key too.
+        let recovery = Scenario {
+            recovery: Some(dtn_sim::transfer::RecoveryPolicy::default()),
+            ..s
+        };
+        assert_eq!(
+            Cell::arm(recovery, Arm::Incentive, 7).cache_key(),
+            0x7e30_3b16_0ddd_4f10_70dd_91dd_1293_1e25
         );
     }
 
@@ -668,7 +709,6 @@ mod tests {
             let mut s = tiny("strat");
             s.strategies = None;
             s.audit_every = None;
-            s.selfish_duty_cycle = None;
             Cell::arm(s, Arm::Incentive, 9)
         };
         assert_eq!(bare.cache_key(), defaulted.cache_key());
@@ -691,12 +731,6 @@ mod tests {
         assert_ne!(
             bare.cache_key(),
             Cell::arm(audited, Arm::Incentive, 9).cache_key()
-        );
-        let mut duty = tiny("strat");
-        duty.selfish_duty_cycle = Some(0.2);
-        assert_ne!(
-            bare.cache_key(),
-            Cell::arm(duty, Arm::Incentive, 9).cache_key()
         );
     }
 
@@ -734,45 +768,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn unset_adaptive_backoff_keeps_pre_existing_recovery_cache_keys() {
-        // A recovery policy predating the adaptive-backoff knob must hash
-        // to the key it always had; arming the knob forks it.
-        let mut with_recovery = tiny("recov");
-        with_recovery.recovery = Some(dtn_sim::transfer::RecoveryPolicy::default());
-        let bare = Cell::arm(with_recovery.clone(), Arm::Incentive, 9);
-        let json = {
-            let mut canonical = with_recovery.clone();
-            canonical.name = String::new();
-            serde_json::to_string(&Serialize::to_value(&canonical)).unwrap()
-        };
-        assert!(
-            json.contains("\"adaptive_backoff\":null"),
-            "the raw serialization carries the unset knob: {json}"
-        );
-
-        let mut adaptive = with_recovery.clone();
-        adaptive.recovery = Some(dtn_sim::transfer::RecoveryPolicy {
-            adaptive_backoff: Some(true),
-            ..dtn_sim::transfer::RecoveryPolicy::default()
-        });
-        assert_ne!(
-            bare.cache_key(),
-            Cell::arm(adaptive, Arm::Incentive, 9).cache_key(),
-            "arming adaptive backoff changes the condition"
-        );
-        let mut disabled = with_recovery;
-        disabled.recovery = Some(dtn_sim::transfer::RecoveryPolicy {
-            adaptive_backoff: Some(false),
-            ..dtn_sim::transfer::RecoveryPolicy::default()
-        });
-        assert_ne!(
-            bare.cache_key(),
-            Cell::arm(disabled, Arm::Incentive, 9).cache_key(),
-            "an explicit `false` is a different document than unset"
-        );
     }
 
     #[test]

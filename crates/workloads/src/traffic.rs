@@ -126,4 +126,27 @@ mod tests {
             assert_eq!(x.source_tags, y.source_tags);
         }
     }
+
+    /// One message every interval from the first interval on, stopping
+    /// one TTL (at most a quarter of the run) before the end.
+    #[test]
+    fn creation_is_periodic_and_stops_before_the_end() {
+        let mut s = paper::reduced_scenario();
+        s.duration_secs = 1000.0;
+        s.message_interval_secs = 30.0;
+        for (ttl, count) in [(100.0, 30), (600.0, 25)] {
+            s.message_ttl_secs = ttl;
+            let rng = SimRng::new(6);
+            let pop = Population::synthesize(&s, &rng);
+            let sched = generate_schedule(&s, &pop, &rng);
+            assert_eq!(sched.len(), count, "ttl {ttl}");
+            for (k, m) in sched.iter().enumerate() {
+                assert_eq!(m.at, SimTime::from_secs((k as f64 + 1.0) * 30.0));
+                assert_eq!(
+                    m.expected_destinations,
+                    pop.destinations_for(&m.source_tags, m.source)
+                );
+            }
+        }
+    }
 }

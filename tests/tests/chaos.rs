@@ -186,18 +186,13 @@ enum EngineOp {
         a: u32,
         b: u32,
     },
-    Cancel {
-        from: u32,
-        to: u32,
-        msg: u64,
-    },
 }
 
 fn arb_engine_op() -> impl Strategy<Value = EngineOp> {
     // (The vendored proptest stand-in has no `prop_oneof!`; a mapped
-    // selector tuple covers the same four-way choice.)
+    // selector tuple covers the same three-way choice.)
     (
-        0u8..4,
+        0u8..3,
         0u32..4,
         0u32..4,
         0u64..6,
@@ -212,8 +207,7 @@ fn arb_engine_op() -> impl Strategy<Value = EngineOp> {
                 bytes,
             },
             1 => EngineOp::Step { dt_secs },
-            2 => EngineOp::AbortBetween { a: from, b: to },
-            _ => EngineOp::Cancel { from, to, msg },
+            _ => EngineOp::AbortBetween { a: from, b: to },
         })
 }
 
@@ -221,7 +215,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Transfer-engine byte conservation: across arbitrary interleavings
-    /// of enqueue/step/abort/cancel — with and without checkpointing —
+    /// of enqueue/step/abort — with and without checkpointing —
     /// every in-flight offset and every saved checkpoint stays within
     /// `[0, bytes_total]`, completions deliver exactly their payload, and
     /// disabling resume leaves no checkpoint behind.
@@ -265,9 +259,6 @@ proptest! {
                 }
                 EngineOp::AbortBetween { a, b } => {
                     let _ = engine.abort_between(NodeId(a), NodeId(b), now);
-                }
-                EngineOp::Cancel { from, to, msg } => {
-                    let _ = engine.cancel(NodeId(from), NodeId(to), MessageId(msg));
                 }
             }
             let violations = engine.audit_bytes();

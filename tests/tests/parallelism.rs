@@ -115,16 +115,11 @@ enum EngineOp {
         a: u32,
         b: u32,
     },
-    Cancel {
-        from: u32,
-        to: u32,
-        msg: u64,
-    },
 }
 
 fn arb_engine_op() -> impl Strategy<Value = EngineOp> {
     (
-        0u8..4,
+        0u8..3,
         0u32..5,
         0u32..5,
         0u64..6,
@@ -139,8 +134,7 @@ fn arb_engine_op() -> impl Strategy<Value = EngineOp> {
                 bytes,
             },
             1 => EngineOp::Step { dt_secs },
-            2 => EngineOp::AbortBetween { a: from, b: to },
-            _ => EngineOp::Cancel { from, to, msg },
+            _ => EngineOp::AbortBetween { a: from, b: to },
         })
 }
 
@@ -157,7 +151,7 @@ proptest! {
 
     /// The batched active-sender index agrees with a brute-force scan of
     /// all queues after every op in an arbitrary interleaving of
-    /// enqueue/step/abort/cancel, with and without checkpointing.
+    /// enqueue/step/abort, with and without checkpointing.
     #[test]
     fn active_index_matches_brute_force_scan(
         resume in prop::bool::ANY,
@@ -190,9 +184,6 @@ proptest! {
                 }
                 EngineOp::AbortBetween { a, b } => {
                     let _ = engine.abort_between(NodeId(a), NodeId(b), now);
-                }
-                EngineOp::Cancel { from, to, msg } => {
-                    let _ = engine.cancel(NodeId(from), NodeId(to), MessageId(msg));
                 }
             }
             let audit = engine.audit_active_index();
