@@ -48,76 +48,98 @@ pub struct Cli {
     pub expect_warm: bool,
 }
 
+/// The flags every figure binary takes, printed by `--help` and after a
+/// refused command line.
+pub const USAGE: &str = "usage: <figure binary> [--full] [--seeds N] [--sweep-workers N] \
+[--sweep-cache] [--smoke] [--expect-warm]
+
+  --full             Table 5.1 scale (default: the reduced scale)
+  --seeds N          average over the scale's first N seeds
+  --sweep-workers N  sweep executor pool size (default: the machine's cores)
+  --sweep-cache      persist the run cache under results/.sweep-cache/
+  --smoke            divide simulated durations by 12 (CI smoke runs)
+  --expect-warm      fail if any cell misses the cache
+  -h, --help         print this message";
+
+/// Why [`Cli::parse_from`] produced no options.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CliError {
+    /// `--help` or `-h`: print [`USAGE`] and exit 0.
+    Help,
+    /// An unknown flag or a bad value: print the message and [`USAGE`],
+    /// and exit 2.
+    Invalid(String),
+}
+
 impl Cli {
     /// Parses `std::env::args` and applies the sweep-executor flags
     /// (worker count, cache persistence) to the process-global executor
-    /// configuration.
-    ///
-    /// Flags: `--full` (paper scale), `--seeds N` (use the first N
-    /// seeds), `--sweep-workers N` (executor pool size; default = cores),
-    /// `--sweep-cache` (persist the run cache under
-    /// `results/.sweep-cache/`), `--smoke` (divide durations by 12),
-    /// `--expect-warm` (fail on any cache miss).
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on unknown flags.
+    /// configuration. `--help` prints [`USAGE`] and exits 0; a refused
+    /// command line prints the reason and [`USAGE`] and exits 2.
     #[must_use]
     pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1).collect())
+        match Self::parse_from(std::env::args().skip(1).collect()) {
+            Ok(cli) => cli,
+            Err(CliError::Help) => {
+                println!("{USAGE}");
+                std::process::exit(0);
+            }
+            Err(CliError::Invalid(reason)) => {
+                eprintln!("error: {reason}\n\n{USAGE}");
+                std::process::exit(2);
+            }
+        }
     }
 
-    /// [`Cli::parse`] over an explicit argument vector (testable).
+    /// [`Cli::parse`] over an explicit argument vector (testable). The
+    /// executor flags are applied only once the whole line is accepted.
     ///
-    /// # Panics
+    /// Flags: see [`USAGE`].
     ///
-    /// Panics with a usage message on unknown flags.
-    #[must_use]
-    pub fn parse_from(args: Vec<String>) -> Self {
+    /// # Errors
+    ///
+    /// [`CliError::Help`] on `--help`/`-h`, and [`CliError::Invalid`] on
+    /// an unknown flag or a missing or non-positive count.
+    pub fn parse_from(args: Vec<String>) -> Result<Self, CliError> {
         let mut scale = Scale::Reduced;
         let mut seed_count: Option<usize> = None;
+        let mut workers: Option<usize> = None;
+        let mut cache = false;
         let mut smoke = false;
         let mut expect_warm = false;
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let mut count = || {
+                args.next()
+                    .and_then(|s| s.parse::<usize>().ok())
+                    .filter(|&n| n > 0)
+                    .ok_or_else(|| CliError::Invalid(format!("{flag} needs a positive integer")))
+            };
+            match flag.as_str() {
                 "--full" => scale = Scale::Full,
-                "--seeds" => {
-                    i += 1;
-                    let n = args
-                        .get(i)
-                        .and_then(|s| s.parse::<usize>().ok())
-                        .unwrap_or_else(|| panic!("--seeds needs a positive integer"));
-                    assert!(n > 0, "--seeds needs a positive integer");
-                    seed_count = Some(n);
-                }
-                "--sweep-workers" => {
-                    i += 1;
-                    let n = args
-                        .get(i)
-                        .and_then(|s| s.parse::<usize>().ok())
-                        .unwrap_or_else(|| panic!("--sweep-workers needs a positive integer"));
-                    assert!(n > 0, "--sweep-workers needs a positive integer");
-                    sweep::set_workers(n);
-                }
-                "--sweep-cache" => sweep::set_cache_dir(Some(PathBuf::from(SWEEP_CACHE_DIR))),
+                "--seeds" => seed_count = Some(count()?),
+                "--sweep-workers" => workers = Some(count()?),
+                "--sweep-cache" => cache = true,
                 "--smoke" => smoke = true,
                 "--expect-warm" => expect_warm = true,
-                other => panic!(
-                    "unknown flag {other}; use --full, --seeds N, --sweep-workers N, \
-                     --sweep-cache, --smoke and/or --expect-warm"
-                ),
+                "--help" | "-h" => return Err(CliError::Help),
+                other => return Err(CliError::Invalid(format!("unknown flag {other}"))),
             }
-            i += 1;
+        }
+        if let Some(n) = workers {
+            sweep::set_workers(n);
+        }
+        if cache {
+            sweep::set_cache_dir(Some(PathBuf::from(SWEEP_CACHE_DIR)));
         }
         let all = scale.seeds();
         let n = seed_count.unwrap_or(all.len()).min(all.len());
-        Cli {
+        Ok(Cli {
             scale,
             seeds: all[..n].to_vec(),
             smoke,
             expect_warm,
-        }
+        })
     }
 
     /// Applies the smoke transform: under `--smoke` the simulated
@@ -277,6 +299,55 @@ mod tests {
         // Flat series must not divide by zero.
         let flat = ascii_chart(&[(0.0, 2.0), (1.0, 2.0), (2.0, 2.0)], 3, "t");
         assert_eq!(flat.matches('*').count(), 3);
+    }
+
+    fn parse(line: &str) -> Result<Cli, CliError> {
+        Cli::parse_from(line.split_whitespace().map(str::to_owned).collect())
+    }
+
+    #[test]
+    fn parse_from_reads_the_figure_flags() {
+        let cli = parse("--full --seeds 2 --smoke --expect-warm").expect("valid");
+        assert_eq!(cli.scale, Scale::Full);
+        assert_eq!(cli.seeds, Scale::Full.seeds()[..2].to_vec());
+        assert!(cli.smoke && cli.expect_warm);
+        let cli = parse("").expect("no flags");
+        assert_eq!(cli.scale, Scale::Reduced);
+        assert_eq!(cli.seeds, Scale::Reduced.seeds());
+        assert!(!cli.smoke && !cli.expect_warm);
+        let cli = parse("--seeds 999").expect("more seeds than the scale has");
+        assert_eq!(cli.seeds, Scale::Reduced.seeds());
+    }
+
+    #[test]
+    fn parse_from_answers_help_without_a_panic() {
+        assert_eq!(parse("--help").unwrap_err(), CliError::Help);
+        assert_eq!(parse("--full -h").unwrap_err(), CliError::Help);
+    }
+
+    #[test]
+    fn parse_from_refuses_unknown_flags_and_bad_counts() {
+        for (line, reason) in [
+            ("--bogus", "unknown flag --bogus"),
+            ("--full extra", "unknown flag extra"),
+            ("--seeds", "--seeds needs a positive integer"),
+            ("--seeds 0", "--seeds needs a positive integer"),
+            ("--seeds two", "--seeds needs a positive integer"),
+            (
+                "--sweep-workers",
+                "--sweep-workers needs a positive integer",
+            ),
+            (
+                "--sweep-workers -1",
+                "--sweep-workers needs a positive integer",
+            ),
+        ] {
+            assert_eq!(
+                parse(line).unwrap_err(),
+                CliError::Invalid(reason.into()),
+                "{line}"
+            );
+        }
     }
 
     #[test]

@@ -1278,6 +1278,39 @@ mod tests {
         assert!(err.ends_with("has an unknown key `nodez`"), "{err}");
     }
 
+    /// Out-of-range ChitChat constants are refused by `validate` and
+    /// `run` alike, naming the field, before any world is built.
+    #[test]
+    fn validate_and_run_refuse_bad_chitchat_constants() {
+        let dir = scratch_dir("val-chitchat");
+        let path = dir.join("scenario.json");
+        let path = path.to_str().expect("utf8");
+        for (from, to, field) in [
+            (
+                "\"initial_weight\": 0.5",
+                "\"initial_weight\": 7.0",
+                "initial_weight",
+            ),
+            (
+                "\"exchange_interval_secs\": 30.0",
+                "\"exchange_interval_secs\": -5.0",
+                "exchange_interval_secs",
+            ),
+        ] {
+            let text = template_json().replacen(from, to, 1);
+            assert_ne!(text, template_json(), "{field} was edited");
+            std::fs::write(path, text).expect("write");
+            let err = execute(Command::Validate {
+                path: path.to_owned(),
+            })
+            .expect_err(field);
+            assert!(err.contains("invalid") && err.contains(field), "{err}");
+            let run = parse_args(&argv(&format!("run {path}"))).expect("parses");
+            let err = execute(run).expect_err(field);
+            assert!(err.contains(field), "{err}");
+        }
+    }
+
     #[test]
     fn validate_command_summarizes() {
         let dir = scratch_dir("val");

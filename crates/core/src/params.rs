@@ -94,6 +94,7 @@ impl ProtocolParams {
     ///
     /// Returns the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
+        self.chitchat.validate()?;
         self.incentive.validate()?;
         self.rating.validate()?;
         if !(0.0..=1.0).contains(&self.honest_enrich_prob) {
@@ -102,8 +103,8 @@ impl ProtocolParams {
         if self.keyword_pool_size == 0 {
             return Err("keyword_pool_size must be positive".into());
         }
-        if self.sample_interval_secs <= 0.0 {
-            return Err("sample_interval_secs must be positive".into());
+        if !(self.sample_interval_secs.is_finite() && self.sample_interval_secs > 0.0) {
+            return Err("sample_interval_secs must be finite and positive".into());
         }
         if !(0.0..=1.0).contains(&self.rating_prob) {
             return Err("rating_prob must lie in [0, 1]".into());

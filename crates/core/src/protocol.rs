@@ -29,7 +29,7 @@
 use dtn_sim::fxhash::FxHashMap;
 
 use dtn_sim::buffer::InsertOutcome;
-use dtn_sim::kernel::{SimApi, STEP_SECS};
+use dtn_sim::kernel::{whole_steps, SimApi, STEP_SECS};
 use dtn_sim::message::{MessageId, Priority};
 use dtn_sim::protocol::{Protocol, Reception};
 use dtn_sim::rng::{RngState, SimRng};
@@ -139,11 +139,10 @@ pub struct DcimRouter<B: RouterBackend = ChitChatBackend> {
     /// handful of open peers beats hashing the pair. Indexes the wheel's
     /// pairs, so restore rebuilds it from the wheel's rows.
     open_adj: Vec<Vec<NodeId>>,
-    /// Open pairs and their settlement schedule: the bucketed timing
-    /// wheel replaces the per-tick full scan of a `pair → last-serviced`
-    /// map — each settlement tick now touches only pairs actually due.
-    /// Snapshots carry the plain sorted map; the schedule is derived
-    /// state, rebuilt on restore.
+    /// Open pairs and their settlement schedule: each settlement tick
+    /// touches only the pairs actually due. Snapshots carry the sorted
+    /// `pair → last-serviced step` rows; the schedule is derived state,
+    /// rebuilt on restore.
     exchange_wheel: ExchangeWheel,
     /// Reusable due-pair emission buffer for [`Self::on_tick`] (same
     /// scratch discipline as `digest_scratch`).
@@ -155,7 +154,6 @@ pub struct DcimRouter<B: RouterBackend = ChitChatBackend> {
     participation_rng: SimRng,
     judge_rng: SimRng,
     enrich_rng: SimRng,
-    last_sample: f64,
     stats: ProtocolStats,
     /// Per-node economic strategy (`None` = plays the protocol straight).
     strategies: Vec<Option<StrategyKind>>,
@@ -229,13 +227,11 @@ struct DcimState {
     reputation: Vec<ReputationTableState>,
     meta: Vec<(NodeId, MessageId, CarriedMeta)>,
     pending: Vec<(NodeId, NodeId, MessageId, PendingOffer)>,
-    last_exchange: Vec<(NodeId, NodeId, SimTime)>,
+    /// Open pairs, each with the kernel step of its last exchange.
+    last_exchange: Vec<(NodeId, NodeId, u64)>,
     participation_rng: RngState,
     judge_rng: RngState,
     enrich_rng: RngState,
-    /// `None` encodes the non-finite force-next-sample sentinel
-    /// (JSON cannot carry `-inf`).
-    last_sample: Option<f64>,
     stats: ProtocolStats,
     watchdogs: Vec<WatchdogState>,
     strategy_state: Vec<StrategyState>,
@@ -297,12 +293,11 @@ impl<B: RouterBackend> DcimRouter<B> {
             meta: FxHashMap::default(),
             pending: FxHashMap::default(),
             open_adj: vec![Vec::new(); node_count],
-            exchange_wheel: ExchangeWheel::new(),
+            exchange_wheel: ExchangeWheel::new(params.chitchat.exchange_interval_secs),
             due_scratch: Vec::new(),
             participation_rng: SimRng::new(seed ^ 0xD0C1_33D5).stream(1),
             judge_rng: SimRng::new(seed ^ 0xD0C1_33D5).stream(2),
             enrich_rng: SimRng::new(seed ^ 0xD0C1_33D5).stream(3),
-            last_sample: 0.0,
             params,
             stats: ProtocolStats::default(),
             strategies: vec![None; node_count],
@@ -1008,10 +1003,10 @@ impl<B: RouterBackend> DcimRouter<B> {
             .map(|(&(f, t, m), &o)| (f, t, m, o))
             .collect();
         pending.sort_unstable_by_key(|&(f, t, m, _)| (f, t, m));
-        let mut last_exchange: Vec<(NodeId, NodeId, SimTime)> = self
+        let mut last_exchange: Vec<(NodeId, NodeId, u64)> = self
             .exchange_wheel
             .iter()
-            .map(|((a, b), t)| (a, b, t))
+            .map(|((a, b), step)| (a, b, step))
             .collect();
         last_exchange.sort_unstable_by_key(|&(a, b, _)| (a, b));
         DcimState {
@@ -1028,7 +1023,6 @@ impl<B: RouterBackend> DcimRouter<B> {
             participation_rng: self.participation_rng.state(),
             judge_rng: self.judge_rng.state(),
             enrich_rng: self.enrich_rng.state(),
-            last_sample: self.last_sample.is_finite().then_some(self.last_sample),
             stats: self.stats,
             watchdogs: self.watchdogs.iter().map(Watchdog::export_state).collect(),
             strategy_state: self.strategy_state.clone(),
@@ -1095,11 +1089,13 @@ impl<B: RouterBackend> DcimRouter<B> {
             .map(|&(f, t, m, o)| ((f, t, m), o))
             .collect();
         // The wheel's schedule and the open adjacency are derived state:
-        // only the `pair → last-serviced` rows travel in the snapshot, and
-        // the next settlement drain rebuilds the buckets against the live
-        // clock.
-        self.exchange_wheel
-            .restore(state.last_exchange.iter().map(|&(a, b, t)| ((a, b), t)));
+        // only the `pair → last-serviced step` rows travel in the snapshot.
+        self.exchange_wheel.restore(
+            state
+                .last_exchange
+                .iter()
+                .map(|&(a, b, step)| ((a, b), step)),
+        );
         self.open_adj.iter_mut().for_each(Vec::clear);
         for &(a, b, _) in &state.last_exchange {
             self.open_pair(a, b);
@@ -1107,7 +1103,6 @@ impl<B: RouterBackend> DcimRouter<B> {
         self.participation_rng = SimRng::from_state(state.participation_rng);
         self.judge_rng = SimRng::from_state(state.judge_rng);
         self.enrich_rng = SimRng::from_state(state.enrich_rng);
-        self.last_sample = state.last_sample.unwrap_or(f64::NEG_INFINITY);
         self.stats = state.stats;
         for (watchdog, doc) in self.watchdogs.iter_mut().zip(&state.watchdogs) {
             watchdog.import_state(doc);
@@ -1118,11 +1113,6 @@ impl<B: RouterBackend> DcimRouter<B> {
 
     /// Fig. 5.4 sampling plus broke-node tracking.
     fn sample(&mut self, api: &mut SimApi) {
-        let now = api.now().as_secs();
-        if now - self.last_sample < self.params.sample_interval_secs {
-            return;
-        }
-        self.last_sample = now;
         // Reconcile the carried-meta side table: creation-time buffer
         // evictions are reported only to statistics, so entries for copies
         // no longer buffered are dropped here rather than leaking.
@@ -1156,7 +1146,7 @@ impl<B: RouterBackend> Protocol for DcimRouter<B> {
         self.backend.on_contact_open(api.now(), a, b);
         self.exchange(api, a, b, STEP_SECS);
         self.exchange_wheel
-            .note_serviced(pair(a, b), api.now(), api.counters().steps);
+            .note_serviced(pair(a, b), api.counters().steps);
         self.route(api, a, b);
         self.route(api, b, a);
     }
@@ -1362,29 +1352,22 @@ impl<B: RouterBackend> Protocol for DcimRouter<B> {
         // together on contact up/down). The wheel emits the same sorted
         // `(pair, credited)` rows the full scan produced, touching only
         // pairs actually due.
-        let now = api.now();
         let step = api.counters().steps;
         let mut due = std::mem::take(&mut self.due_scratch);
-        self.exchange_wheel.drain_due_into(
-            now,
-            step,
-            self.params.chitchat.exchange_interval_secs,
-            STEP_SECS,
-            &mut due,
-        );
+        self.exchange_wheel.drain_due_into(step, &mut due);
         for &((a, b), credited) in &due {
             self.exchange(api, a, b, credited);
-            self.exchange_wheel.note_serviced((a, b), now, step);
             self.route(api, a, b);
             self.route(api, b, a);
         }
         self.due_scratch = due;
-        self.sample(api);
+        if step > 0 && step.is_multiple_of(whole_steps(self.params.sample_interval_secs)) {
+            self.sample(api);
+        }
     }
 
     fn on_finish(&mut self, api: &mut SimApi) {
         // Final sample so short runs still record the series.
-        self.last_sample = f64::NEG_INFINITY;
         self.sample(api);
     }
 
@@ -1395,7 +1378,7 @@ impl<B: RouterBackend> Protocol for DcimRouter<B> {
         );
         registry.set_gauge(
             "settlement.wheel_occupancy",
-            self.exchange_wheel.bucket_occupancy() as f64,
+            self.exchange_wheel.occupancy() as f64,
         );
         registry.set_gauge("arena.interest_bytes", self.backend.state_bytes() as f64);
         registry.set_gauge(

@@ -432,6 +432,80 @@ fn reputation_gossip_reaches_third_parties() {
     );
 }
 
+/// The Fig. 5.4 series are sampled on whole steps: at a 90.5-s interval,
+/// on steps 91, 182, 273, … (the multiples of ⌈90.5⌉), plus the final
+/// sample at the horizon. A run killed between two samples and resumed
+/// from its snapshot records the same series, since the cadence is a
+/// function of the step count alone.
+#[test]
+fn samples_fall_on_whole_steps_and_survive_a_resume() {
+    let build = || {
+        let mut params = ProtocolParams::paper_default();
+        params.sample_interval_secs = 90.5;
+        let mut router = DcimRouter::new(3, params, 1);
+        router.subscribe(NodeId(2), [Keyword(1)]);
+        router.set_behavior(NodeId(1), NodeBehavior::Malicious);
+        let messages: Vec<ScheduledMessage> = (0..4)
+            .map(|i| {
+                msg(
+                    30.0 + 60.0 * f64::from(i),
+                    0,
+                    vec![Keyword(1)],
+                    vec![NodeId(2)],
+                )
+            })
+            .collect();
+        chain(router, messages)
+    };
+    let horizon = SimTime::from_secs(400.0);
+    let golden = build().run_until(horizon);
+    for series in [BROKE_NODES_SERIES, MALICIOUS_RATING_SERIES] {
+        let times: Vec<f64> = golden.series[series].iter().map(|&(t, _)| t).collect();
+        assert_eq!(times, [91.0, 182.0, 273.0, 364.0, 400.0], "{series}");
+    }
+
+    let mut killed = build();
+    while killed.api().now() < SimTime::from_secs(200.0) {
+        killed.step_once();
+    }
+    let world = killed.snapshot();
+    let mut resumed = build();
+    resumed
+        .restore(&world)
+        .expect("a fresh build restores the world");
+    assert_eq!(resumed.run_until(horizon), golden);
+}
+
+/// An exchange interval of a billion seconds is valid: the settlement
+/// wheel schedules on the kernel's event queue, so it allocates nothing
+/// for the interval, and a 20-node world runs to its horizon with every
+/// open pair watched and scheduled once, far ahead.
+#[test]
+fn a_huge_exchange_interval_runs_to_the_horizon() {
+    let mut params = ProtocolParams::paper_default();
+    params.chitchat.exchange_interval_secs = 1e9;
+    let mut router = DcimRouter::new(20, params, 1);
+    router.subscribe(NodeId(1), [Keyword(1)]);
+    let xs: Vec<f64> = (0..20).map(|i| 60.0 * f64::from(i)).collect();
+    let messages = (0..5)
+        .map(|i| {
+            msg(
+                10.0 + 60.0 * f64::from(i),
+                0,
+                vec![Keyword(1)],
+                vec![NodeId(1)],
+            )
+        })
+        .collect();
+    let mut sim = world(router, line(&xs), messages);
+    let summary = sim.run_until(SimTime::from_secs(600.0));
+    assert_eq!(sim.api().now(), SimTime::from_secs(600.0));
+    assert_eq!((summary.created, summary.delivered_pairs), (5, 5));
+    let metrics = sim.export_metrics();
+    assert_eq!(metrics.gauge("settlement.watched_pairs"), Some(19.0));
+    assert_eq!(metrics.gauge("settlement.wheel_occupancy"), Some(19.0));
+}
+
 #[test]
 fn enrichment_creates_new_destinations() {
     // Ground truth {1, 2}; source tags only {1}. n1 (interested in 1,

@@ -11,7 +11,9 @@
 
 use std::collections::HashMap;
 
+use dtn_sim::events::EventQueue;
 use dtn_sim::fxhash::FxHashMap;
+use dtn_sim::kernel::{whole_steps, STEP_SECS};
 use dtn_sim::message::Keyword;
 use dtn_sim::time::SimTime;
 use dtn_sim::world::NodeId;
@@ -255,228 +257,105 @@ pub fn due_pairs_into<S: std::hash::BuildHasher>(
     out.sort_unstable_by_key(|(pair, _)| *pair);
 }
 
-/// A watched pair's wheel slot: when it was last serviced and the absolute
-/// step its current bucket entry is scheduled for (bucket entries are
-/// lazily deleted, so a popped entry is live only if the slot agrees).
-#[derive(Debug, Clone, Copy)]
-struct PairSlot {
-    last_serviced: SimTime,
-    due_step: u64,
-}
-
-/// An incremental due-pair scheduler: a bucketed timing wheel keyed by
-/// next-due step, replacing the per-tick full scan of [`due_pairs`] with
-/// work proportional to the pairs actually due.
+/// An incremental due-pair scheduler: each watched pair's step of last
+/// service, and the kernel's [`EventQueue`] keyed by the step the pair is
+/// next due, replacing the per-tick full scan of [`due_pairs`] with work
+/// proportional to the pairs actually due.
 ///
-/// Determinism argument (see DESIGN.md §16): the kernel clock is the float
-/// product `steps × dt`, so for a step length that does not divide the
-/// interval exactly, the step at which `now − last ≥ interval` first holds
-/// depends on rounding in the subtraction. The wheel therefore schedules
-/// *conservatively early* —
-/// `service_step + max(1, ⌊interval/dt⌋)` — and re-validates the exact
-/// legacy predicate on every pop, pushing not-yet-due pairs one bucket
-/// forward. A pair is emitted at exactly the first step where the legacy
-/// predicate holds (scheduling is never late, and from the scheduled step
-/// on the pair is re-checked every step), with the same credited span and
-/// the same sorted emission order, so traces stay byte-identical to the
-/// full scan. Stale bucket entries from serviced or closed pairs are
-/// dropped lazily when popped (`PairSlot::due_step` no longer matches).
+/// The clock is a whole number of [`STEP_SECS`] steps, so the full scan's
+/// predicate `(step − last) × STEP_SECS ≥ interval` first holds at
+/// `last + interval_steps`, with `interval_steps = whole_steps(interval)`
+/// (DESIGN.md §16). The wheel schedules each pair there, emits the due
+/// pairs sorted by pair and credits each `(step − last) × STEP_SECS`, so
+/// it emits what the full scan emits over an equal watched set. Entries
+/// of closed or re-serviced pairs are dropped lazily: a popped entry is
+/// live only if its pair is watched and due at the entry's step.
 ///
-/// The wheel is derived state: snapshots carry only the
-/// `pair → last-serviced` map (the same wire shape as before the wheel
-/// existed), and [`ExchangeWheel::restore`] marks the schedule for lazy
-/// rebuild on the next [`ExchangeWheel::drain_due_into`].
-#[derive(Debug, Default)]
+/// The queue is derived state: snapshots carry only the
+/// `pair → last-serviced step` rows, and [`ExchangeWheel::restore`]
+/// schedules each of them again.
+#[derive(Debug)]
 pub struct ExchangeWheel {
-    slots: FxHashMap<(NodeId, NodeId), PairSlot>,
-    /// Ring of buckets, indexed by `due_step % buckets.len()`. Sized to
-    /// `interval_steps + 2` so a pair scheduled the full interval ahead
-    /// never aliases the bucket currently being drained.
-    buckets: Vec<Vec<(NodeId, NodeId)>>,
-    /// Steps per exchange interval (`max(1, ⌊interval/dt⌋)`); 0 until the
-    /// first call that knows the kernel step length.
+    /// Steps from a service to the pair's next due step.
     interval_steps: u64,
-    /// Pairs inserted before the step length is known (or awaiting a
-    /// post-restore rebuild) — scheduled on the next drain.
-    unscheduled: Vec<(NodeId, NodeId)>,
+    /// Every watched pair's step of last service.
+    last: FxHashMap<(NodeId, NodeId), u64>,
+    /// `(due step, pair)` entries, stale ones included.
+    queue: EventQueue<(NodeId, NodeId)>,
 }
 
 impl ExchangeWheel {
-    /// Creates an empty wheel.
+    /// Creates an empty wheel that services each pair every
+    /// `interval_secs`, rounded up to whole steps.
     #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+    pub fn new(interval_secs: f64) -> Self {
+        ExchangeWheel {
+            interval_steps: whole_steps(interval_secs),
+            last: FxHashMap::default(),
+            queue: EventQueue::new(),
+        }
     }
 
     /// Number of watched (open) pairs.
     #[must_use]
     pub fn watched_pairs(&self) -> usize {
-        self.slots.len()
+        self.last.len()
     }
 
-    /// Total bucket entries, including stale ones awaiting lazy deletion —
-    /// the schedule's memory occupancy, exported as a gauge.
+    /// Scheduled queue entries, including stale ones awaiting lazy
+    /// deletion — the schedule's memory occupancy, exported as a gauge.
     #[must_use]
-    pub fn bucket_occupancy(&self) -> usize {
-        self.buckets.iter().map(Vec::len).sum::<usize>() + self.unscheduled.len()
+    pub fn occupancy(&self) -> usize {
+        self.queue.len()
     }
 
-    /// Whether `pair` is watched.
-    #[must_use]
-    pub fn contains(&self, pair: (NodeId, NodeId)) -> bool {
-        self.slots.contains_key(&pair)
+    /// Iterates `(pair, last-serviced step)` in arbitrary order (callers
+    /// that serialize must sort).
+    pub fn iter(&self) -> impl Iterator<Item = ((NodeId, NodeId), u64)> + '_ {
+        self.last.iter().map(|(&p, &s)| (p, s))
     }
 
-    /// When `pair` was last serviced, if watched.
-    #[must_use]
-    pub fn last_serviced(&self, pair: (NodeId, NodeId)) -> Option<SimTime> {
-        self.slots.get(&pair).map(|s| s.last_serviced)
+    /// Records that `pair` was serviced during `step` (the kernel step
+    /// counter) and schedules its next service. Called on contact-up.
+    pub fn note_serviced(&mut self, pair: (NodeId, NodeId), step: u64) {
+        self.last.insert(pair, step);
+        self.queue
+            .push(step.saturating_add(self.interval_steps), pair);
     }
 
-    /// Iterates `(pair, last_serviced)` in arbitrary order (callers that
-    /// serialize must sort, exactly as with the map this replaced).
-    pub fn iter(&self) -> impl Iterator<Item = ((NodeId, NodeId), SimTime)> + '_ {
-        self.slots.iter().map(|(&p, s)| (p, s.last_serviced))
-    }
-
-    /// Records that `pair` was serviced at `now` during `step` and
-    /// schedules its next due check. Called on contact-up and after each
-    /// settlement service; `step` is the kernel step counter.
-    pub fn note_serviced(&mut self, pair: (NodeId, NodeId), now: SimTime, step: u64) {
-        let due_step = if self.interval_steps == 0 {
-            // Step length not seen yet (contact-up before the first
-            // settlement drain): park the pair; the first drain schedules
-            // it properly.
-            self.unscheduled.push(pair);
-            u64::MAX
-        } else {
-            let due = step + self.interval_steps;
-            self.push_bucket(pair, due);
-            due
-        };
-        self.slots.insert(
-            pair,
-            PairSlot {
-                last_serviced: now,
-                due_step,
-            },
-        );
-    }
-
-    /// Stops watching `pair` (contact closed). Its bucket entry is dropped
+    /// Stops watching `pair` (contact closed). Its queue entry is dropped
     /// lazily when popped.
     pub fn remove(&mut self, pair: (NodeId, NodeId)) {
-        self.slots.remove(&pair);
+        self.last.remove(&pair);
     }
 
-    /// Replaces the watched set with `pair → last-serviced` entries from a
-    /// snapshot. Scheduling is deferred to the next
-    /// [`Self::drain_due_into`] (the restore path does not know the kernel
-    /// clock); the wheel is rebuilt as derived state, so the snapshot wire
-    /// format is unchanged from the full-scan era.
-    pub fn restore(&mut self, entries: impl IntoIterator<Item = ((NodeId, NodeId), SimTime)>) {
-        self.slots.clear();
-        for bucket in &mut self.buckets {
-            bucket.clear();
-        }
-        self.unscheduled.clear();
-        for (pair, last_serviced) in entries {
-            self.slots.insert(
-                pair,
-                PairSlot {
-                    last_serviced,
-                    due_step: u64::MAX,
-                },
-            );
-            self.unscheduled.push(pair);
+    /// Replaces the watched set with `pair → last-serviced step` rows
+    /// from a snapshot and schedules each of them.
+    pub fn restore(&mut self, rows: impl IntoIterator<Item = ((NodeId, NodeId), u64)>) {
+        self.last.clear();
+        self.queue = EventQueue::new();
+        for (pair, step) in rows {
+            self.note_serviced(pair, step);
         }
     }
 
-    fn push_bucket(&mut self, pair: (NodeId, NodeId), due_step: u64) {
-        let len = self.buckets.len() as u64;
-        self.buckets[(due_step % len) as usize].push(pair);
-    }
-
-    /// Lazily sizes the ring once the step length is known and schedules
-    /// any parked pairs relative to `(now, step)`.
-    fn ensure_scheduled(&mut self, now: SimTime, step: u64, interval_secs: f64, step_secs: f64) {
-        if self.interval_steps == 0 {
-            let steps = if step_secs > 0.0 {
-                (interval_secs / step_secs).floor() as u64
-            } else {
-                1
-            };
-            self.interval_steps = steps.max(1);
-            self.buckets
-                .resize_with(self.interval_steps as usize + 2, Vec::new);
-        }
-        if self.unscheduled.is_empty() {
-            return;
-        }
-        let parked = std::mem::take(&mut self.unscheduled);
-        for pair in parked {
-            let Some(slot) = self.slots.get_mut(&pair) else {
-                continue; // closed while parked
-            };
-            if slot.due_step != u64::MAX {
-                continue; // rescheduled while parked (reopened contact)
-            }
-            // Conservative-early: schedule at the remaining whole steps of
-            // the interval (never later than the legacy predicate can
-            // first hold), clamped into the ring.
-            let elapsed = now.duration_since(slot.last_serviced).as_secs();
-            let remaining = interval_secs - elapsed;
-            let wait = if step_secs > 0.0 && remaining > 0.0 {
-                ((remaining / step_secs).floor() as u64).min(self.interval_steps)
-            } else {
-                0
-            };
-            slot.due_step = step + wait;
-            let due = slot.due_step;
-            self.push_bucket(pair, due);
-        }
-    }
-
-    /// Pops every pair due at `(now, step)` into `out` (cleared first) as
-    /// `(pair, credited_secs)` sorted by pair — the same contract as
-    /// [`due_pairs`] over an equal watched set. Pairs whose conservative
-    /// schedule fired early are re-checked next step. The caller services
-    /// each emitted pair and calls [`Self::note_serviced`].
-    pub fn drain_due_into(
-        &mut self,
-        now: SimTime,
-        step: u64,
-        interval_secs: f64,
-        step_secs: f64,
-        out: &mut Vec<((NodeId, NodeId), f64)>,
-    ) {
+    /// Pops every pair due at `step` into `out` (cleared first) as
+    /// `(pair, credited_secs)` sorted by pair — the contract of
+    /// [`due_pairs`] over an equal watched set — and records each as
+    /// serviced at `step`.
+    pub fn drain_due_into(&mut self, step: u64, out: &mut Vec<((NodeId, NodeId), f64)>) {
         out.clear();
-        self.ensure_scheduled(now, step, interval_secs, step_secs);
-        let len = self.buckets.len() as u64;
-        let bucket = (step % len) as usize;
-        let next_bucket = ((step + 1) % len) as usize;
-        let mut popped = std::mem::take(&mut self.buckets[bucket]);
-        for pair in popped.drain(..) {
-            let Some(slot) = self.slots.get_mut(&pair) else {
+        while let Some((due, pair)) = self.queue.pop_due(step) {
+            let Some(last) = self.last.get_mut(&pair) else {
                 continue; // closed: lazy delete
             };
-            if slot.due_step != step {
-                continue; // stale entry (re-serviced or reopened): lazy delete
+            if last.saturating_add(self.interval_steps) != due {
+                continue; // re-serviced since: lazy delete
             }
-            let elapsed = now.duration_since(slot.last_serviced).as_secs();
-            if elapsed >= interval_secs {
-                out.push((pair, elapsed));
-            } else {
-                // Scheduled early (float accumulation): check again next
-                // step, exactly as the full scan would.
-                slot.due_step = step + 1;
-                self.buckets[next_bucket].push(pair);
-            }
-        }
-        // Hand the drained bucket's storage back for reuse.
-        let slot = &mut self.buckets[bucket];
-        if slot.is_empty() {
-            *slot = popped;
+            out.push((pair, (step - *last) as f64 * STEP_SECS));
+            *last = step;
+            self.queue
+                .push(step.saturating_add(self.interval_steps), pair);
         }
         out.sort_unstable_by_key(|(pair, _)| *pair);
     }

@@ -82,6 +82,32 @@ impl ChitChatParams {
             initial_weight: 0.5,
         }
     }
+
+    /// Validates the constants: a finite positive exchange interval,
+    /// finite non-negative `beta` and `growth_rate`, and `initial_weight`
+    /// and `transient_floor` in [0, 1] (every weight lies in [0, 1]).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated constraint.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.exchange_interval_secs.is_finite() && self.exchange_interval_secs > 0.0) {
+            return Err("exchange_interval_secs must be finite and positive".into());
+        }
+        if !(self.beta.is_finite() && self.beta >= 0.0) {
+            return Err("beta must be finite and non-negative".into());
+        }
+        if !(self.growth_rate.is_finite() && self.growth_rate >= 0.0) {
+            return Err("growth_rate must be finite and non-negative".into());
+        }
+        if !(0.0..=1.0).contains(&self.initial_weight) {
+            return Err("initial_weight must lie in [0, 1]".into());
+        }
+        if !(0.0..=1.0).contains(&self.transient_floor) {
+            return Err("transient_floor must lie in [0, 1]".into());
+        }
+        Ok(())
+    }
 }
 
 impl Default for ChitChatParams {

@@ -255,13 +255,13 @@ mod offer_pruning {
 // interleavings of contact-open (service), contact-close and reopen, the
 // wheel must emit exactly the pairs the per-tick full scan would, in the
 // same sorted order, with the same credited spans — including across a
-// mid-run snapshot rebuild.
+// mid-run rebuild from the snapshot's `(pair, last-serviced step)` rows.
 // ---------------------------------------------------------------------------
 
 mod wheel_equivalence {
     use super::*;
     use dtn_routing::exchange::{due_pairs_into, ExchangeWheel};
-    use dtn_sim::time::SimDuration;
+    use dtn_sim::kernel::STEP_SECS;
     use dtn_sim::world::{ordered_pair, NodeId};
     use std::collections::HashMap;
 
@@ -270,24 +270,24 @@ mod wheel_equivalence {
     type Op = (u8, u8, u8);
 
     /// Drives the legacy scan and the wheel in lockstep over `ops`,
-    /// asserting identical due emissions every step. `kill_at` optionally
-    /// rebuilds the wheel from its sorted snapshot form before that step,
-    /// exactly as `import_state` does after a crash/resume.
-    fn check(dt: f64, interval: f64, ops: &[Op], kill_at: Option<usize>) {
+    /// asserting identical due emissions every step. The scan keeps float
+    /// service times on the kernel clock (`step × STEP_SECS`); the wheel
+    /// keeps steps. `kill_at` optionally rebuilds the wheel from its
+    /// sorted rows before that step, exactly as `import_state` does after
+    /// a crash/resume.
+    fn check(interval: f64, ops: &[Op], kill_at: Option<usize>) {
         let mut legacy: HashMap<(NodeId, NodeId), SimTime> = HashMap::new();
-        let mut wheel = ExchangeWheel::new();
+        let mut wheel = ExchangeWheel::new(interval);
         let mut expected = Vec::new();
         let mut got = Vec::new();
-        // Mimic the kernel clock: `now` accumulates dt step by step, so
-        // the float rounding the wheel must tolerate is reproduced here.
-        let mut now = SimTime::ZERO;
         for (i, &(kind, a, b)) in ops.iter().enumerate() {
             let step = i as u64;
+            let now = SimTime::from_secs(step as f64 * STEP_SECS);
             if kill_at == Some(i) {
-                let mut entries: Vec<_> = wheel.iter().collect();
-                entries.sort_unstable_by_key(|&(pair, _)| pair);
-                let mut fresh = ExchangeWheel::new();
-                fresh.restore(entries);
+                let mut rows: Vec<((NodeId, NodeId), u64)> = wheel.iter().collect();
+                rows.sort_unstable_by_key(|&(pair, _)| pair);
+                let mut fresh = ExchangeWheel::new(interval);
+                fresh.restore(rows);
                 wheel = fresh;
             }
             let pair = ordered_pair(NodeId(u32::from(a % 5)), NodeId(u32::from(b % 5)));
@@ -295,7 +295,7 @@ mod wheel_equivalence {
                 match kind % 3 {
                     0 => {
                         legacy.insert(pair, now);
-                        wheel.note_serviced(pair, now, step);
+                        wheel.note_serviced(pair, step);
                     }
                     1 => {
                         legacy.remove(&pair);
@@ -305,13 +305,11 @@ mod wheel_equivalence {
                 }
             }
             due_pairs_into(&legacy, now, interval, &mut expected);
-            wheel.drain_due_into(now, step, interval, dt, &mut got);
+            wheel.drain_due_into(step, &mut got);
             prop_assert_eq!(&got, &expected, "divergence at step {}", i);
             for &(p, _) in &expected {
                 legacy.insert(p, now);
-                wheel.note_serviced(p, now, step);
             }
-            now += SimDuration::from_secs(dt);
         }
         prop_assert_eq!(wheel.watched_pairs(), legacy.len());
     }
@@ -319,34 +317,66 @@ mod wheel_equivalence {
     proptest! {
         #[test]
         fn wheel_matches_full_scan(
-            dt in 0.25f64..5.0,
-            interval in 1.0f64..90.0,
+            interval in 0.25f64..90.0,
             ops in prop::collection::vec((0u8..3, 0u8..8, 0u8..8), 1..250),
         ) {
-            check(dt, interval, &ops, None);
+            check(interval, &ops, None);
         }
 
         /// Same property with a snapshot kill-and-rebuild at an arbitrary
         /// step: the wheel is derived state, so resuming from the sorted
-        /// `(pair, last_serviced)` wire form must not shift any emission.
+        /// `(pair, last-serviced step)` rows must not shift any emission.
         #[test]
         fn wheel_survives_snapshot_rebuild(
-            dt in 0.25f64..5.0,
-            interval in 1.0f64..90.0,
+            interval in 0.25f64..90.0,
             ops in prop::collection::vec((0u8..3, 0u8..8, 0u8..8), 1..250),
             kill_frac in 0.0f64..1.0,
         ) {
             let kill_at = (kill_frac * ops.len() as f64) as usize;
-            check(dt, interval, &ops, Some(kill_at));
+            check(interval, &ops, Some(kill_at));
+        }
+
+        /// Intervals past the event queue's 256-step wheel, so schedules
+        /// wait in its overflow heap, with and without a rebuild. Contact
+        /// events are sparse (one step in eight) so pairs live long enough
+        /// to come due.
+        #[test]
+        fn wheel_matches_full_scan_past_the_queue_span(
+            interval in 256.0f64..700.0,
+            ops in prop::collection::vec((0u8..24, 0u8..8, 0u8..8), 300..1_200),
+            kill_frac in 0.0f64..1.5,
+        ) {
+            let sparse: Vec<Op> = ops
+                .iter()
+                .map(|&(kind, a, b)| if kind < 3 { (kind, a, b) } else { (2, a, b) })
+                .collect();
+            let kill_at = (kill_frac * sparse.len() as f64) as usize;
+            check(interval, &sparse, (kill_at < sparse.len()).then_some(kill_at));
         }
 
         /// The interval boundary itself: a pair serviced once and never
         /// touched again fires first at the same step under both models.
         #[test]
-        fn first_fire_step_matches(dt in 0.25f64..5.0, interval in 1.0f64..90.0) {
+        fn first_fire_step_matches(interval in 0.25f64..300.0) {
             let mut ops = vec![(0u8, 0u8, 1u8)];
-            ops.resize(260, (2u8, 0u8, 0u8));
-            check(dt, interval, &ops, None);
+            ops.resize(700, (2u8, 0u8, 0u8));
+            check(interval, &ops, None);
+        }
+    }
+
+    /// An interval of a billion seconds schedules into the queue's
+    /// overflow heap; an absurd one saturates instead of overflowing.
+    #[test]
+    fn huge_intervals_neither_allocate_nor_overflow() {
+        for interval in [1e9, 1e300, f64::MAX] {
+            let mut wheel = ExchangeWheel::new(interval);
+            wheel.note_serviced((NodeId(0), NodeId(1)), 5);
+            let mut due = Vec::new();
+            for step in 5..50 {
+                wheel.drain_due_into(step, &mut due);
+                assert!(due.is_empty(), "{interval}: nothing is due at step {step}");
+            }
+            assert_eq!(wheel.occupancy(), 1);
         }
     }
 }

@@ -65,6 +65,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::contact::ContactKey;
 use crate::geometry::{Area, Point};
+use crate::kernel::STEP_SECS;
 use crate::world::{cell_width, NodeId};
 
 /// Which contact-detection core a simulation runs on.
@@ -292,7 +293,6 @@ const MAX_PREDICT_STEPS: f64 = 1_000_000.0;
 #[derive(Debug)]
 pub struct ContactEngine {
     range: f64,
-    dt_secs: f64,
     cell: f64,
     cols: usize,
     rows: usize,
@@ -312,9 +312,9 @@ pub struct ContactEngine {
 }
 
 impl ContactEngine {
-    /// Builds an engine over `area` with the given radio `range`, step
-    /// length, and region count, watching the pairs implied by the
-    /// initial `positions`. `vmax` carries each node's speed cap. Each
+    /// Builds an engine over `area` with the given radio `range` and
+    /// region count, watching the pairs implied by the initial
+    /// `positions`, for the kernel's fixed [`STEP_SECS`] step. `vmax` carries each node's speed cap. Each
     /// region is stepped by its own thread, so `regions` is also the
     /// number of threads [`Self::collect`] uses. Nothing has been reported
     /// yet, so the first [`Self::collect`] reports every pair in range as
@@ -323,19 +323,17 @@ impl ContactEngine {
     /// # Panics
     ///
     /// Panics if `positions` and `vmax` disagree in length, or the range
-    /// or step is non-positive.
+    /// is non-positive.
     #[must_use]
     pub fn new(
         area: Area,
         range: f64,
-        dt_secs: f64,
         regions: usize,
         positions: &[Point],
         vmax: Vec<f64>,
     ) -> Self {
         assert_eq!(positions.len(), vmax.len(), "one speed cap per node");
         assert!(range > 0.0, "radio range must be positive");
-        assert!(dt_secs > 0.0, "step must be positive");
         // Same cell geometry as the sweep grid: cell width ≥ radio range,
         // so two nodes in non-adjacent cells are strictly farther apart
         // than the range — the adjacency invariant the watch set rests on.
@@ -345,7 +343,6 @@ impl ContactEngine {
         let n = positions.len();
         let mut engine = ContactEngine {
             range,
-            dt_secs,
             cell,
             cols,
             rows,
@@ -368,7 +365,7 @@ impl ContactEngine {
     ///
     /// `positions` are the positions *before* the mobility phase of
     /// `step`: by the time `collect(step)` runs, every node has moved one
-    /// further `dt`. Seeding therefore schedules every prediction one
+    /// further step. Seeding therefore schedules every prediction one
     /// step early (`lag = 1`) so the extra movement cannot outrun a
     /// prediction made from the older geometry.
     ///
@@ -394,7 +391,7 @@ impl ContactEngine {
                 .saturating_add(self.cross_steps(p, c, self.vmax[i]))
                 .saturating_sub(1);
         }
-        let shared = EngineShared::new(self.range, self.dt_secs, &self.node_cell, &self.vmax);
+        let shared = EngineShared::new(self.range, &self.node_cell, &self.vmax);
         let region_count = self.regions.len();
         for i in 0..positions.len() {
             let node = NodeId(i as u32);
@@ -460,7 +457,7 @@ impl ContactEngine {
         // Phase 3 (parallel epoch): each region scans its hot list and
         // fires its due pair rechecks, writing transitions to its own
         // buffers. Regions are disjoint, so they share no mutable state.
-        let shared = EngineShared::new(self.range, self.dt_secs, &self.node_cell, &self.vmax);
+        let shared = EngineShared::new(self.range, &self.node_cell, &self.vmax);
         if let [first, rest @ ..] = self.regions.as_mut_slice() {
             if rest.is_empty() {
                 first.step(step, positions, &shared);
@@ -571,7 +568,7 @@ impl ContactEngine {
             .min((cx + 1.0) * self.cell - p.x)
             .min(p.y - cy * self.cell)
             .min((cy + 1.0) * self.cell - p.y);
-        let steps = (margin / (vmax * self.dt_secs)).floor();
+        let steps = (margin / (vmax * STEP_SECS)).floor();
         if steps <= 1.0 {
             1
         } else {
@@ -584,7 +581,7 @@ impl ContactEngine {
     /// schedule stays valid across the crossing: it rests on the speed
     /// caps alone.
     fn watch_new_pairs(&mut self, node: NodeId, step: u64, positions: &[Point]) {
-        let shared = EngineShared::new(self.range, self.dt_secs, &self.node_cell, &self.vmax);
+        let shared = EngineShared::new(self.range, &self.node_cell, &self.vmax);
         let c = self.node_cell[node.index()];
         let region_count = self.regions.len();
         for_each_near(&self.cells, self.cols, self.rows, c, |other| {
@@ -624,17 +621,15 @@ fn for_each_near(
 struct EngineShared<'a> {
     range: f64,
     range_sq: f64,
-    dt_secs: f64,
     node_cell: &'a [(u32, u32)],
     vmax: &'a [f64],
 }
 
 impl<'a> EngineShared<'a> {
-    fn new(range: f64, dt_secs: f64, node_cell: &'a [(u32, u32)], vmax: &'a [f64]) -> Self {
+    fn new(range: f64, node_cell: &'a [(u32, u32)], vmax: &'a [f64]) -> Self {
         EngineShared {
             range,
             range_sq: range * range,
-            dt_secs,
             node_cell,
             vmax,
         }
@@ -681,7 +676,7 @@ impl<'a> EngineShared<'a> {
                 Next::Unwatched
             };
         }
-        let band = band_steps * vp * self.dt_secs;
+        let band = band_steps * vp * STEP_SECS;
         let (outer, inner) = (self.range + band, self.range - band);
         if d_sq <= outer * outer && (inner <= 0.0 || d_sq >= inner * inner) {
             return Next::Hot;
@@ -693,7 +688,7 @@ impl<'a> EngineShared<'a> {
             d - self.range
         };
         Next::Due(
-            step.saturating_add(predict_steps(slack, vp, self.dt_secs))
+            step.saturating_add(predict_steps(slack, vp))
                 .saturating_sub(lag),
         )
     }
@@ -824,8 +819,8 @@ fn pair_region(pair: ContactKey, regions: usize) -> usize {
 /// could cross it at combined speed cap `vp`: each step moves the pair's
 /// distance by at most `vp·dt`, so checking after `floor(slack / (vp·dt))`
 /// steps can never miss the crossing — on the way in or on the way out.
-fn predict_steps(slack: f64, vp: f64, dt_secs: f64) -> u64 {
-    let steps = (slack / (vp * dt_secs)).floor();
+fn predict_steps(slack: f64, vp: f64) -> u64 {
+    let steps = (slack / (vp * STEP_SECS)).floor();
     if steps <= 1.0 {
         1
     } else {
@@ -927,7 +922,6 @@ mod tests {
             ContactEngine::new(
                 self.area,
                 self.range,
-                1.0,
                 regions,
                 &self.positions,
                 self.vmax.clone(),
@@ -1052,14 +1046,8 @@ mod tests {
             Point::new(290.0, 100.0),
         ];
         let range = 100.0;
-        let mut engine = ContactEngine::new(
-            Area::new(400.0, 400.0),
-            range,
-            1.0,
-            2,
-            &positions,
-            vec![0.0; 3],
-        );
+        let mut engine =
+            ContactEngine::new(Area::new(400.0, 400.0), range, 2, &positions, vec![0.0; 3]);
         let (mut downs, mut ups) = (Vec::new(), Vec::new());
         engine.collect(0, &positions, &mut downs, &mut ups);
         assert_eq!(ups, vec![ContactKey(NodeId(0), NodeId(1))]);
@@ -1082,14 +1070,8 @@ mod tests {
     #[test]
     fn pairs_deep_in_range_wait_for_their_predicted_exit() {
         let positions = [Point::new(100.0, 100.0), Point::new(110.0, 100.0)];
-        let mut engine = ContactEngine::new(
-            Area::new(400.0, 400.0),
-            100.0,
-            1.0,
-            1,
-            &positions,
-            vec![1.0; 2],
-        );
+        let mut engine =
+            ContactEngine::new(Area::new(400.0, 400.0), 100.0, 1, &positions, vec![1.0; 2]);
         let (mut downs, mut ups) = (Vec::new(), Vec::new());
         for step in 0..45 {
             engine.collect(step, &positions, &mut downs, &mut ups);

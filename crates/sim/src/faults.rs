@@ -21,6 +21,7 @@ use std::str::FromStr;
 use serde::{Deserialize, Serialize};
 
 use crate::contact::{ContactKey, ContactTable};
+use crate::kernel::STEP_SECS;
 use crate::rng::{RngState, SimRng};
 use crate::time::{SimDuration, SimTime};
 use crate::world::NodeId;
@@ -298,17 +299,17 @@ impl FaultInjector {
         self.down_until[node.index()].is_some()
     }
 
-    /// Converts a per-hour rate into this step's Bernoulli probability.
-    fn step_prob(rate_per_hour: f64, dt: SimDuration) -> f64 {
-        (rate_per_hour / 3600.0 * dt.as_secs()).clamp(0.0, 1.0)
+    /// Converts a per-hour rate into one step's Bernoulli probability.
+    fn step_prob(rate_per_hour: f64) -> f64 {
+        (rate_per_hour / 3600.0 * STEP_SECS).clamp(0.0, 1.0)
     }
 
     /// Advances the per-node crash/reboot machines and rolls battery
     /// spikes for one step. Returns the faults the kernel must apply, in
     /// deterministic node order.
-    pub fn step_nodes(&mut self, now: SimTime, dt: SimDuration) -> Vec<NodeFault> {
-        let crash_p = Self::step_prob(self.plan.crash_per_hour, dt);
-        let spike_p = Self::step_prob(self.plan.battery_spike_per_hour, dt);
+    pub fn step_nodes(&mut self, now: SimTime) -> Vec<NodeFault> {
+        let crash_p = Self::step_prob(self.plan.crash_per_hour);
+        let spike_p = Self::step_prob(self.plan.battery_spike_per_hour);
         if crash_p == 0.0 && spike_p == 0.0 && self.down_until.iter().all(Option::is_none) {
             return Vec::new();
         }
@@ -360,10 +361,9 @@ impl FaultInjector {
         in_range: &mut Vec<ContactKey>,
         mut is_up: impl FnMut(ContactKey) -> bool,
         now: SimTime,
-        dt: SimDuration,
     ) -> Vec<ContactKey> {
         self.blocked_until.retain(|_, until| *until > now);
-        let cut_p = Self::step_prob(self.plan.link_cut_per_hour, dt);
+        let cut_p = Self::step_prob(self.plan.link_cut_per_hour);
         let mut cuts = Vec::new();
         in_range.retain(|&key| {
             if self.down_until[key.0.index()].is_some() || self.down_until[key.1.index()].is_some()
@@ -421,9 +421,8 @@ impl FaultInjector {
         contacts: &ContactTable,
         closing: &[ContactKey],
         now: SimTime,
-        dt: SimDuration,
     ) -> Vec<ContactKey> {
-        let cut_p = Self::step_prob(self.plan.link_cut_per_hour, dt);
+        let cut_p = Self::step_prob(self.plan.link_cut_per_hour);
         let mut cuts = Vec::new();
         if cut_p == 0.0 {
             return cuts;
@@ -614,7 +613,7 @@ mod tests {
             let mut events = Vec::new();
             for s in 0..600 {
                 let now = SimTime::from_secs(f64::from(s));
-                events.extend(inj.step_nodes(now, SimDuration::from_secs(1.0)));
+                events.extend(inj.step_nodes(now));
             }
             (events, inj.stats())
         };
@@ -631,16 +630,13 @@ mod tests {
         let root = SimRng::new(7);
         let plan: FaultPlan = "crash=3600,crashdown=5".parse().unwrap(); // certain crash
         let mut inj = FaultInjector::new(plan, &root, 1);
-        let dt = SimDuration::from_secs(1.0);
-        let f = inj.step_nodes(SimTime::from_secs(0.0), dt);
+        let f = inj.step_nodes(SimTime::from_secs(0.0));
         assert!(matches!(f[0], NodeFault::Crashed { .. }));
         for s in 1..5 {
             assert!(inj.is_down(NodeId(0)));
-            assert!(inj
-                .step_nodes(SimTime::from_secs(f64::from(s)), dt)
-                .is_empty());
+            assert!(inj.step_nodes(SimTime::from_secs(f64::from(s))).is_empty());
         }
-        let f = inj.step_nodes(SimTime::from_secs(5.0), dt);
+        let f = inj.step_nodes(SimTime::from_secs(5.0));
         assert!(matches!(f[0], NodeFault::Rebooted { .. }), "back at t=5");
     }
 
@@ -651,30 +647,29 @@ mod tests {
             .parse()
             .unwrap();
         let mut inj = FaultInjector::new(plan, &root, 3);
-        let dt = SimDuration::from_secs(1.0);
-        inj.step_nodes(SimTime::ZERO, dt); // everyone crashes (certain rate)
+        inj.step_nodes(SimTime::ZERO); // everyone crashes (certain rate)
         let mut in_range = vec![
             ContactKey(NodeId(0), NodeId(1)),
             ContactKey(NodeId(1), NodeId(2)),
         ];
-        let cuts = inj.veto_links(&mut in_range, |_| true, SimTime::ZERO, dt);
+        let cuts = inj.veto_links(&mut in_range, |_| true, SimTime::ZERO);
         assert!(in_range.is_empty(), "crashed endpoints veto every pair");
         assert!(cuts.is_empty(), "nothing left to cut");
 
         // A fresh injector with only link cuts: certain cut on active links.
         let mut inj = FaultInjector::new("cut=3600,cutdown=10".parse().unwrap(), &root, 3);
         let mut in_range = vec![ContactKey(NodeId(0), NodeId(1))];
-        let cuts = inj.veto_links(&mut in_range, |_| true, SimTime::ZERO, dt);
+        let cuts = inj.veto_links(&mut in_range, |_| true, SimTime::ZERO);
         assert_eq!(cuts.len(), 1);
         assert!(in_range.is_empty());
         // Blocked for 10 s: still vetoed without re-rolling.
         let mut in_range = vec![ContactKey(NodeId(0), NodeId(1))];
-        let cuts = inj.veto_links(&mut in_range, |_| false, SimTime::from_secs(5.0), dt);
+        let cuts = inj.veto_links(&mut in_range, |_| false, SimTime::from_secs(5.0));
         assert!(cuts.is_empty());
         assert!(in_range.is_empty());
         // After expiry the pair may reconnect.
         let mut in_range = vec![ContactKey(NodeId(0), NodeId(1))];
-        let _ = inj.veto_links(&mut in_range, |_| false, SimTime::from_secs(10.0), dt);
+        let _ = inj.veto_links(&mut in_range, |_| false, SimTime::from_secs(10.0));
         assert_eq!(in_range.len(), 1, "block expired; pair passes (not up yet)");
     }
 
@@ -701,7 +696,6 @@ mod tests {
     fn rolled_cuts_match_the_veto() {
         let key = |a: u32, b: u32| ContactKey(NodeId(a), NodeId(b));
         let plan: FaultPlan = "cut=1800,cutdown=10".parse().unwrap();
-        let dt = SimDuration::from_secs(1.0);
         let mut table = ContactTable::new();
         let open = [key(0, 1), key(0, 2), key(1, 3), key(2, 3), key(3, 4)];
         table.diff(&open, SimTime::ZERO);
@@ -710,9 +704,9 @@ mod tests {
         let root = SimRng::new(3);
         let mut veto = FaultInjector::new(plan, &root, 5);
         let mut kept = in_range.clone();
-        let cut = veto.veto_links(&mut kept, |k| table.is_up(k.0, k.1), SimTime::ZERO, dt);
+        let cut = veto.veto_links(&mut kept, |k| table.is_up(k.0, k.1), SimTime::ZERO);
         let mut events = FaultInjector::new(plan, &root, 5);
-        let rolled = events.roll_cuts(&table, &[key(1, 3)], SimTime::ZERO, dt);
+        let rolled = events.roll_cuts(&table, &[key(1, 3)], SimTime::ZERO);
         assert_eq!(rolled, cut);
         assert!(
             !cut.is_empty() && cut.len() < 4,

@@ -48,6 +48,14 @@ pub const STEP_SECS: f64 = 1.0;
 /// Steps between TTL sweeps: one sweep every 60 simulated seconds.
 const TTL_SWEEP_STEPS: u64 = 60;
 
+/// The whole steps a span of `secs` covers, `max(1, ⌈secs / STEP_SECS⌉)`
+/// (saturating): a cadence of `secs` fires on the steps that are
+/// multiples of it.
+#[must_use]
+pub fn whole_steps(secs: f64) -> u64 {
+    ((secs / STEP_SECS).ceil() as u64).max(1)
+}
+
 /// One aborted transfer waiting out its backoff in the retry queue.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct PendingRetry {
@@ -230,7 +238,6 @@ pub struct ScheduledMessage {
 /// All kernel-owned state a [`Protocol`] may interact with.
 #[derive(Debug)]
 pub struct SimApi {
-    now: SimTime,
     area: Area,
     radio: RadioConfig,
     positions: Vec<Point>,
@@ -249,12 +256,7 @@ impl SimApi {
     /// The current simulation time: `counters.steps × STEP_SECS`.
     #[must_use]
     pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Sets the cached clock from the step count, the kernel's one clock.
-    fn sync_clock(&mut self) {
-        self.now = SimTime::from_secs(self.counters.steps as f64 * STEP_SECS);
+        SimTime::from_secs(self.counters.steps as f64 * STEP_SECS)
     }
 
     /// Number of nodes in the world.
@@ -357,7 +359,7 @@ impl SimApi {
         };
         // Expired copies awaiting the periodic sweep are already dead
         // letters — refuse to put them on the air.
-        if copy.body.is_expired(self.now) {
+        if copy.body.is_expired(self.now()) {
             return false;
         }
         let bytes = copy.size_bytes();
@@ -374,11 +376,13 @@ impl SimApi {
             .transfers
             .checkpoint_of(from, to, message)
             .is_some_and(|c| c.bytes_total == bytes);
-        let queued = self.transfers.enqueue(from, to, message, bytes, self.now);
+        let queued = self.transfers.enqueue(from, to, message, bytes, self.now());
         if queued && resumes {
             self.counters.transfers_resumed += 1;
-            self.trace
-                .record(self.now, TraceEvent::TransferResumed { message, from, to });
+            self.trace.record(
+                self.now(),
+                TraceEvent::TransferResumed { message, from, to },
+            );
         }
         queued
     }
@@ -453,10 +457,10 @@ impl SimApi {
         let created_at = body.created_at;
         let fresh = self
             .stats
-            .record_delivered(message, node, created_at, self.now);
+            .record_delivered(message, node, created_at, self.now());
         if fresh {
             self.trace
-                .record(self.now, TraceEvent::Delivered { message, to: node });
+                .record(self.now(), TraceEvent::Delivered { message, to: node });
         }
         fresh
     }
@@ -477,7 +481,7 @@ impl SimApi {
 
     /// Appends a sample to a named time series in the run statistics.
     pub fn push_sample(&mut self, series: &str, value: f64) {
-        let now = self.now;
+        let now = self.now();
         self.stats.push_sample(series, now, value);
     }
 
@@ -795,7 +799,6 @@ impl SimulationBuilder {
                     engine: Box::new(ContactEngine::new(
                         self.area,
                         self.radio.range_m,
-                        STEP_SECS,
                         workers,
                         &positions,
                         vmax,
@@ -822,7 +825,6 @@ impl SimulationBuilder {
         }
         Simulation {
             api: SimApi {
-                now: SimTime::ZERO,
                 area: self.area,
                 radio: self.radio,
                 positions,
@@ -1372,7 +1374,6 @@ impl<P: Protocol> Simulation<P> {
             .restore_state(&state.protocol)
             .map_err(|e| mismatch(format!("protocol: {e}")))?;
         self.api.positions.clone_from(&state.positions);
-        self.api.sync_clock();
         self.finished = state.finished;
         // The predicted-crossing watch set is derived state: rebuilding a
         // fresh (superset) watch set from the restored positions yields
@@ -1392,7 +1393,7 @@ impl<P: Protocol> Simulation<P> {
         let report = invariants::format_breach(
             self.seed,
             self.fault_plan(),
-            self.api.now,
+            self.api.now(),
             &violations,
             &self.api.trace.render(),
         );
@@ -1406,7 +1407,7 @@ impl<P: Protocol> Simulation<P> {
             self.protocol.on_start(&mut self.api);
         }
         let dt = SimDuration::from_secs(STEP_SECS);
-        let now = self.api.now;
+        let now = self.api.now();
         let step_scope = self.profiler.start();
 
         // 1. Movement, serial in node order. Each node's next position
@@ -1431,7 +1432,7 @@ impl<P: Protocol> Simulation<P> {
         let node_faults = self
             .faults
             .as_mut()
-            .map(|inj| inj.step_nodes(now, dt))
+            .map(|inj| inj.step_nodes(now))
             .unwrap_or_default();
         for &fault in &node_faults {
             match fault {
@@ -1472,7 +1473,7 @@ impl<P: Protocol> Simulation<P> {
         // 2. Contact detection, link faults and the contact table update
         // (see `detect_contacts`).
         let scope = self.profiler.start();
-        let events = self.detect_contacts(now, dt, &node_faults);
+        let events = self.detect_contacts(now, &node_faults);
         self.profiler.stop(Phase::ContactDiff, scope);
         // 2c. Protocol exchange: contact transitions dispatch into the
         // protocol (directory/offer exchange, transfer aborts on teardown).
@@ -1605,7 +1606,7 @@ impl<P: Protocol> Simulation<P> {
             // Build the receiver's copy from the sender's current copy.
             let arriving = self.api.buffers[c.from.index()]
                 .get(c.message)
-                .map(|copy| copy.arrived_at(c.to, self.api.now));
+                .map(|copy| copy.arrived_at(c.to, self.api.now()));
             if arriving.is_some() {
                 self.api.stats.record_relay(c.bytes);
             } else {
@@ -1701,7 +1702,6 @@ impl<P: Protocol> Simulation<P> {
             }
         }
         self.profiler.stop_step(step_scope);
-        self.api.sync_clock();
     }
 
     /// Stage 2 of a step: finds the step's contact transitions, filters
@@ -1709,12 +1709,7 @@ impl<P: Protocol> Simulation<P> {
     /// contact table. Returns the contact events: downs, then ups, each
     /// sorted by pair. Both cores return the same events and draw the same
     /// fault rolls (the kernel-mode suite checks this byte for byte).
-    fn detect_contacts(
-        &mut self,
-        now: SimTime,
-        dt: SimDuration,
-        node_faults: &[NodeFault],
-    ) -> Vec<ContactEvent> {
+    fn detect_contacts(&mut self, now: SimTime, node_faults: &[NodeFault]) -> Vec<ContactEvent> {
         let api = &mut self.api;
         let (events, cuts) = match &mut self.core {
             // The oracle: the full in-range list, minus depleted radios,
@@ -1733,7 +1728,7 @@ impl<P: Protocol> Simulation<P> {
                 let cuts = match self.faults.as_mut() {
                     Some(inj) => {
                         let contacts = &api.contacts;
-                        inj.veto_links(in_range, |k| contacts.is_up(k.0, k.1), now, dt)
+                        inj.veto_links(in_range, |k| contacts.is_up(k.0, k.1), now)
                     }
                     None => Vec::new(),
                 };
@@ -1795,7 +1790,7 @@ impl<P: Protocol> Simulation<P> {
                 // Every contact that stays up draws its cut roll, as in
                 // `veto_links`.
                 let cuts = match self.faults.as_mut() {
-                    Some(inj) => inj.roll_cuts(contacts, downs, now, dt),
+                    Some(inj) => inj.roll_cuts(contacts, downs, now),
                     None => Vec::new(),
                 };
                 if !cuts.is_empty() {
@@ -1884,7 +1879,7 @@ impl<P: Protocol> Simulation<P> {
         let body = Arc::new(MessageBody {
             id,
             source: m.source,
-            created_at: self.api.now,
+            created_at: self.api.now(),
             size_bytes: m.size_bytes,
             ttl_secs: m.ttl_secs,
             priority: m.priority,
@@ -1896,13 +1891,13 @@ impl<P: Protocol> Simulation<P> {
             .stats
             .record_created(id, m.priority, m.expected_destinations.iter().copied());
         self.api.trace.record(
-            self.api.now,
+            self.api.now(),
             TraceEvent::Created {
                 message: id,
                 source: m.source,
             },
         );
-        let copy = MessageCopy::original(body, m.source_tags, self.api.now);
+        let copy = MessageCopy::original(body, m.source_tags, self.api.now());
         match self.api.buffers[m.source.index()].insert(copy) {
             InsertOutcome::Stored { evicted } => {
                 if !evicted.is_empty() {
@@ -1926,7 +1921,7 @@ impl<P: Protocol> Simulation<P> {
     /// are called afterwards — repeated finalization would duplicate
     /// final-sample side effects in the summary's series.
     pub fn run_until(&mut self, until: SimTime) -> RunSummary {
-        while self.api.now < until {
+        while self.api.now() < until {
             self.step_once();
         }
         if !self.finished {
@@ -2361,7 +2356,7 @@ mod tests {
         assert_eq!(in_summary, in_counters);
     }
 
-    /// `DTNSNAP v5` bodies carry `KernelCounters` and `RetrySchedulerState`
+    /// `DTNSNAP v6` bodies carry `KernelCounters` and `RetrySchedulerState`
     /// with these keys in this order: adding, dropping or moving one
     /// changes the wire shape and needs a `FORMAT_VERSION` bump.
     #[test]

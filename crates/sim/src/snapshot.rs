@@ -3,7 +3,7 @@
 //! A snapshot file is one header line followed by a JSON body:
 //!
 //! ```text
-//! DTNSNAP v5 <fnv128-hex-of-body>\n
+//! DTNSNAP v6 <fnv128-hex-of-body>\n
 //! { ... }
 //! ```
 //!
@@ -33,7 +33,7 @@ pub const MAGIC: &str = "DTNSNAP";
 /// The format version this build writes and accepts. Bump it whenever the
 /// body layout changes shape incompatibly, and record the change in
 /// DESIGN.md §14 (CI enforces that pairing).
-pub const FORMAT_VERSION: &str = "v5";
+pub const FORMAT_VERSION: &str = "v6";
 
 /// Why a snapshot could not be written or read back.
 #[derive(Debug)]
@@ -403,7 +403,7 @@ mod tests {
     fn older_formats_are_version_mismatches() {
         let dir = tmpdir("older");
         let path = dir.join("world.snap");
-        for old in ["v2", "v3", "v4"] {
+        for old in ["v2", "v3", "v4", "v5"] {
             std::fs::write(&path, format!("{MAGIC} {old} 0123\n{{}}")).unwrap();
             let err = load::<Doc>(&path).unwrap_err();
             assert!(
@@ -412,7 +412,7 @@ mod tests {
             );
             assert!(err
                 .to_string()
-                .ends_with(&format!("is format {old}, this build speaks v5")));
+                .ends_with(&format!("is format {old}, this build speaks v6")));
         }
         std::fs::remove_dir_all(&dir).ok();
     }

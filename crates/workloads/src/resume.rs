@@ -425,7 +425,7 @@ mod tests {
     /// A checksum-valid body that names a node outside the world is
     /// refused at restore with a typed mismatch naming the field, at each
     /// site that would otherwise index past a per-node table later in the
-    /// run. `v2`, `v3` and `v4` bodies are refused by version.
+    /// run. `v2` to `v5` bodies are refused by version.
     #[test]
     fn restore_refuses_node_ids_outside_the_world() {
         let dir = std::env::temp_dir().join(format!("dtn-outside-{}", std::process::id()));
@@ -514,7 +514,7 @@ mod tests {
             }
         }
 
-        for version in ["v2", "v3", "v4"] {
+        for version in ["v2", "v3", "v4", "v5"] {
             let old = dir.join(format!("{version}.dtnsnap"));
             write_checksummed(&old, version, body);
             match read_snapshot(&old) {

@@ -473,6 +473,36 @@ mod tests {
     }
 
     #[test]
+    fn bad_chitchat_constants_are_rejected() {
+        rejects(
+            "exchange_interval_secs",
+            &[0.0, -5.0, f64::NAN, f64::INFINITY],
+            |s, v| s.protocol.chitchat.exchange_interval_secs = v,
+        );
+        rejects("beta", &[-1.0, f64::NAN, f64::INFINITY], |s, v| {
+            s.protocol.chitchat.beta = v;
+        });
+        rejects("growth_rate", &[-0.02, f64::NAN, f64::INFINITY], |s, v| {
+            s.protocol.chitchat.growth_rate = v;
+        });
+        rejects("initial_weight", &[7.0, -0.5, f64::NAN], |s, v| {
+            s.protocol.chitchat.initial_weight = v;
+        });
+        rejects("transient_floor", &[1.5, -0.005, f64::NAN], |s, v| {
+            s.protocol.chitchat.transient_floor = v;
+        });
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_sample_interval_is_rejected() {
+        rejects(
+            "sample_interval_secs",
+            &[0.0, -600.0, f64::NAN, f64::INFINITY],
+            |s, v| s.protocol.sample_interval_secs = v,
+        );
+    }
+
+    #[test]
     fn scenario_serde_round_trip() {
         let s = paper::reduced_scenario();
         let json = serde_json::to_string(&s).expect("serializable");
@@ -522,6 +552,25 @@ mod tests {
         assert_ne!(stripped, plain, "the field was present to strip");
         let legacy: Scenario = serde_json::from_str(&stripped).expect("legacy parses");
         assert_eq!(legacy.recovery, None);
+    }
+
+    /// `RecoveryPolicy` is `#[serde(default)]` as a whole: a block that
+    /// names some knobs takes the policy's defaults for the rest.
+    #[test]
+    fn a_partial_recovery_block_takes_the_policy_defaults() {
+        use dtn_sim::transfer::RecoveryPolicy;
+        let plain = serde_json::to_string(&paper::reduced_scenario()).expect("serializable");
+        let partial = plain.replace("\"recovery\":null", "\"recovery\":{\"retry_max\":5}");
+        assert_ne!(partial, plain, "the block was spliced in");
+        let s: Scenario = serde_json::from_str(&partial).expect("a partial block loads");
+        assert_eq!(
+            s.recovery,
+            Some(RecoveryPolicy {
+                retry_max: 5,
+                ..RecoveryPolicy::default()
+            })
+        );
+        assert_eq!(s.validate(), Ok(()));
     }
 
     #[test]

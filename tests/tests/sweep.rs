@@ -120,10 +120,18 @@ fn corrupted_and_truncated_disk_entries_are_rerun() {
     let original = std::fs::read_to_string(&entries[0]).expect("entry readable");
     let tampered = original.replace("delivery_ratio", "delivery_ratiX");
     assert_ne!(original, tampered, "the entry names the field it stores");
+    // An entry of the previous container format is discarded once.
+    let current = format!("DTNSNAP {} ", dtn_sim::snapshot::FORMAT_VERSION);
+    let previous = original.replacen(&current, "DTNSNAP v5 ", 1);
+    assert_ne!(
+        original, previous,
+        "the entry opens with the current header"
+    );
     for (label, content) in [
         ("tampered", tampered.as_str()),
         ("truncated", &original[..original.len() / 2]),
         ("garbage", "not json at all"),
+        ("previous format", previous.as_str()),
     ] {
         std::fs::write(&entries[0], content).expect("tamper");
         sweep::clear_memo();
